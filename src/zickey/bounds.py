@@ -19,11 +19,11 @@ off by default and marked external wherever it is reported.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .channel import ChannelParams, snr_inr
+from .channel import ChannelParams, DomainError, snr_inr
 from .geometry import Region, intersect_halfplanes
 
 
@@ -88,7 +88,7 @@ def evaluate_outer_bounds(ch: ChannelParams,
                           include_nonsecrecy: bool = False) -> OuterBounds:
     """All bound values for one channel; inapplicable entries are None."""
     snr1, snr2, _ = snr_inr(ch)
-    return OuterBounds(
+    ob = OuterBounds(
         r1_p2p=float(_c(snr1)),
         r2_p2p=float(_c(snr2)),
         r2_keyed=r2_outer_high(ch),
@@ -96,6 +96,11 @@ def evaluate_outer_bounds(ch: ChannelParams,
         sum_keyed=sum_rate_outer(ch),
         sum_nonsecrecy=nonsecrecy_sum_bound(ch) if include_nonsecrecy else None,
     )
+    for name, v in asdict(ob).items():
+        if v is not None and not math.isfinite(v):
+            raise DomainError(f"outer bound {name} overflows float64: "
+                              "powers too large")
+    return ob
 
 
 def composite_outer_region(ch: ChannelParams,

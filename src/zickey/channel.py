@@ -9,6 +9,7 @@ confidential from receiver 1. All rates are bits per channel use.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 
@@ -30,12 +31,26 @@ class ChannelParams:
     def __post_init__(self):
         for name in ("h11", "h22", "h21", "p1", "p2", "rk"):
             v = getattr(self, name)
-            if not isinstance(v, (int, float)) or not math.isfinite(v):
+            # bool is an int subclass but no gain; numpy scalars are Real
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):
                 raise DomainError(f"{name} must be a finite number, got {v!r}")
+            try:
+                f = float(v)
+            except OverflowError:
+                f = math.inf
+            if not math.isfinite(f):
+                raise DomainError(f"{name} must be a finite number, got {v!r}")
+            object.__setattr__(self, name, f)
         if self.p1 < 0 or self.p2 < 0:
             raise DomainError("power budgets must be nonnegative")
         if self.rk < 0:
             raise DomainError("key rate must be nonnegative")
+        try:
+            received = snr_inr(self)
+        except OverflowError:
+            received = (math.inf,)
+        if not all(math.isfinite(v) for v in received):
+            raise DomainError("received powers h**2 * p overflow float64")
 
 
 @dataclass(frozen=True)

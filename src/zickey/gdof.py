@@ -21,6 +21,7 @@ from .schemes import (_otp_caps, _wiretap_caps, gdof_split_lambda2,
 
 GDOF_SCHEMES = ("key_splitting", "rate_splitting", "key_as_wiretap",
                 "one_time_pad")
+GAP_TOL = 1e-12  # a convergence gap may rise this much and stay monotone
 
 
 @dataclass(frozen=True)
@@ -210,7 +211,7 @@ def gdof_convergence_check(gp: GdofParams, scheme: str,
                                      corner_gaps=corner_gaps,
                                      achieved=achieved))
     gaps = [r.gap for r in rungs]
-    monotone = all(gaps[i + 1] <= gaps[i] + 1e-12 for i in range(len(gaps) - 1))
+    monotone = all(gaps[i + 1] <= gaps[i] + GAP_TOL for i in range(len(gaps) - 1))
     return ConvergenceReport(scheme=scheme, alpha=gp.alpha, gamma=gp.gamma,
                              eta=eta, rungs=tuple(rungs), monotone=monotone,
                              final_gap=gaps[-1])

@@ -16,6 +16,10 @@ import numpy as np
 
 GEOM_TOL = 1e-12   # orientation and self-consistency predicates
 REGION_TOL = 1e-9  # cross-module containment queries
+# pareto_filter buckets inputs of at least PREFILTER_MIN points into
+# PREFILTER_BINS x bins; below that the plain sort is already fast
+PREFILTER_BINS = 4096
+PREFILTER_MIN = 16 * PREFILTER_BINS
 
 
 class UnboundedRegionError(ValueError):
@@ -79,20 +83,41 @@ def _chain(pts: np.ndarray) -> np.ndarray:
 
 
 def pareto_filter(pts: np.ndarray) -> np.ndarray:
-    """Drop points dominated by another point in both coordinates.
+    """Points not dominated by another point in both coordinates.
 
-    Dominated points can never be hull vertices of a down-closed region, so
-    this is a safe (and large) reduction before hulling swept point clouds.
+    A point goes when some other point is at least as large in x and y; of
+    equal points one stays. Dominated points can never be hull vertices of
+    a down-closed region, so this is a safe (and large) reduction before
+    hulling swept point clouds. Survivors come sorted by decreasing x.
+
+    Large inputs first pass a binned prefilter (Kung, Luccio & Preparata
+    1975): x is bucketed by a monotone index, and a point goes when a
+    strictly higher bucket, whose points all have larger x, holds a y at
+    least as large. It drops only dominated points, so the result is exact.
     """
     if len(pts) == 0:
         return pts
-    order = np.argsort(-pts[:, 0])
-    p = pts[order]
+    if len(pts) >= PREFILTER_MIN:
+        x, y = pts[:, 0], pts[:, 1]
+        lo, hi = x.min(), x.max()
+        scale = (PREFILTER_BINS - 1) / (hi - lo) if lo < hi else 0.0
+        if 0.0 < scale < math.inf:
+            # both roundings are monotone, so larger x never lands lower
+            idx = ((x - lo) * scale).astype(np.intp)
+            top = np.full(PREFILTER_BINS + 1, np.nan)  # nan: empty bucket
+            np.fmax.at(top, idx, y)
+            above = np.fmax.accumulate(top[::-1])[::-1][1:]
+            pts = pts[np.flatnonzero(~(y <= above[idx]))]
+    p = pts[np.argsort(-pts[:, 0])]
     ymax = np.maximum.accumulate(p[:, 1])
     keep = np.empty(len(p), dtype=bool)
     keep[0] = True
     keep[1:] = p[1:, 1] > ymax[:-1]
-    return p[keep]
+    p = p[keep]
+    # survivors sharing an x rise in y, so only the last of each run stays
+    last = np.ones(len(p), dtype=bool)
+    last[:-1] = p[1:, 0] != p[:-1, 0]
+    return p[last]
 
 
 def _planes_from_vertices(v: np.ndarray) -> tuple:

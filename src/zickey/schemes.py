@@ -67,8 +67,19 @@ def _c(x):
     return 0.5 * np.log2(1.0 + x)
 
 
-def _key_splitting_caps(ch, lam1, lam2, b1, b2, eta):
-    """Vectorized caps of the key-splitting scheme (broadcastable inputs)."""
+def _finite(*caps):
+    """The caps unchanged; DomainError when powers or gains overflow them."""
+    if not all(np.isfinite(c).all() for c in caps):
+        raise DomainError("rate caps overflow float64: powers or gains too large")
+    return caps
+
+
+def _key_splitting_base(ch, lam1, lam2, b1, b2):
+    """The eta-free terms of the key-splitting caps (broadcastable inputs).
+
+    Returns (r1, common-layer minimum, cap_priv, cap_priv - leak, sum-face
+    log term); _key_splitting_eta adds the key clips.
+    """
     g11, g22, g21 = ch.h11**2, ch.h22**2, ch.h21**2
     p1m = lam1 * b1 * ch.p1
     p1a = (1.0 - lam1) * b1 * ch.p1
@@ -77,15 +88,18 @@ def _key_splitting_caps(ch, lam1, lam2, b1, b2, eta):
     n1 = 1.0 + g11 * p1a + g21 * p2p
     r1 = _c(g11 * p1m / n1)
     leak = _c(g21 * p2p / (1.0 + g11 * p1a))
-    term_c = np.minimum(np.minimum(_c(g21 * p2c / n1),
-                                   _c(g22 * p2c / (1.0 + g22 * p2p))),
-                        eta * ch.rk)
+    common = np.minimum(_c(g21 * p2c / n1), _c(g22 * p2c / (1.0 + g22 * p2p)))
     cap_priv = _c(g22 * p2p)
-    term_p = np.maximum(0.0, np.minimum(cap_priv,
-                                        cap_priv - leak + (1.0 - eta) * ch.rk))
-    r2 = term_c + term_p
-    rsum = _c((g11 * p1m + g21 * p2c) / n1) + term_p
-    return r1, r2, rsum
+    rsum = _c((g11 * p1m + g21 * p2c) / n1)
+    return _finite(r1, common, cap_priv, cap_priv - leak, rsum)
+
+
+def _key_splitting_eta(ch, base, eta):
+    """Key-splitting caps (r1, r2, sum) at one key fraction eta."""
+    r1, common, cap_priv, slack, rsum = base
+    term_c = np.minimum(common, eta * ch.rk)
+    term_p = np.maximum(0.0, np.minimum(cap_priv, slack + (1.0 - eta) * ch.rk))
+    return r1, term_c + term_p, rsum + term_p
 
 
 def _wiretap_caps(ch, b1, b2):
@@ -97,7 +111,7 @@ def _wiretap_caps(ch, b1, b2):
     cap2 = _c(g22 * q2)
     leak = _c(g21 * q2)
     r2 = np.maximum(0.0, np.minimum(cap2, cap2 - leak + ch.rk))
-    return r1, r2
+    return _finite(r1, r2)
 
 
 def _otp_caps(ch, b1, b2):
@@ -107,13 +121,13 @@ def _otp_caps(ch, b1, b2):
     q2 = b2 * ch.p2
     r1 = _c(g11 * q1 / (1.0 + g21 * q2))
     r2 = np.minimum(ch.rk, _c(g22 * q2))
-    return r1, r2
+    return _finite(r1, r2)
 
 
 def key_splitting_point(ch: ChannelParams, sp: SchemeParams) -> RateConstraints:
     """Caps of the key-splitting scheme at one parameter point."""
-    r1, r2, rsum = _key_splitting_caps(ch, sp.lambda1, sp.lambda2,
-                                       sp.beta1, sp.beta2, sp.eta)
+    base = _key_splitting_base(ch, sp.lambda1, sp.lambda2, sp.beta1, sp.beta2)
+    r1, r2, rsum = _key_splitting_eta(ch, base, sp.eta)
     return RateConstraints(float(r1), float(r2), float(rsum))
 
 
@@ -153,27 +167,40 @@ def gdof_split_lambda2(ch: ChannelParams) -> float:
     return min(1.0, 1.0 / (g21 * ch.p2))
 
 
-def polygon_points(r1_cap, r2_cap, sum_cap) -> np.ndarray:
-    """Corner candidates of {R1<=a, R2<=b, R1+R2<=c} in the first quadrant.
+def _corners(r1_cap, r2_cap, sum_cap) -> np.ndarray:
+    """The two non-axis corners of {R1<=a, R2<=b, R1+R2<=c}, as (2n, 2).
 
-    Accepts broadcast arrays; +inf sum caps are handled. Returns (4n, 2).
+    Rows (ax, v3y) come first, then rows (v4x, by); the axis corners (ax, 0)
+    and (0, by) are their projections. The array is column-major, so each
+    coordinate is one contiguous block.
     """
     a, b, c = np.broadcast_arrays(np.atleast_1d(np.asarray(r1_cap, dtype=float)),
                                   np.asarray(r2_cap, dtype=float),
                                   np.asarray(sum_cap, dtype=float))
     a, b, c = a.ravel(), b.ravel(), c.ravel()
-    ax = np.minimum(a, c)
-    by = np.minimum(b, c)
-    zeros = np.zeros_like(ax)
+    n = len(a)
+    pts = np.empty((2 * n, 2), order="F")
+    x, y = pts[:, 0], pts[:, 1]
+    ax = np.minimum(a, c, out=x[:n])
+    by = np.minimum(b, c, out=y[n:])
     with np.errstate(invalid="ignore"):
-        v3y = np.clip(c - ax, 0.0, by)
-        v4x = np.clip(c - by, 0.0, ax)
-    return np.vstack([
-        np.column_stack([ax, zeros]),
-        np.column_stack([zeros, by]),
-        np.column_stack([ax, v3y]),
-        np.column_stack([v4x, by]),
-    ])
+        np.clip(c - ax, 0.0, by, out=y[:n])
+        np.clip(c - by, 0.0, ax, out=x[n:])
+    return pts
+
+
+def polygon_points(r1_cap, r2_cap, sum_cap) -> np.ndarray:
+    """Corner candidates of {R1<=a, R2<=b, R1+R2<=c} in the first quadrant.
+
+    Accepts broadcast arrays; +inf sum caps are handled. Returns (4n, 2):
+    the blocks (ax, 0), (0, by), (ax, v3y) and (v4x, by).
+    """
+    corners = _corners(r1_cap, r2_cap, sum_cap)
+    n = len(corners) // 2
+    axis = np.zeros_like(corners)
+    axis[:n, 0] = corners[:n, 0]
+    axis[n:, 1] = corners[n:, 1]
+    return np.vstack([axis, corners])
 
 
 def point_region(rc: RateConstraints) -> Region:
@@ -187,18 +214,30 @@ def _axis(n: int, pinned: bool) -> np.ndarray:
     return np.linspace(0.0, 1.0, n)
 
 
-def _sweep_axes(ch, scheme, grid):
+def _cap_slices(ch, scheme, grid):
+    """The scheme's (r1, r2, sum) cap arrays over the grid, one per eta.
+
+    The eta-free key-splitting terms are computed once for all slices.
+    """
+    if scheme not in SCHEMES:
+        raise DomainError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+    b1 = _axis(grid.n_beta1, grid.full_power)
+    b2 = _axis(grid.n_beta2, grid.full_power)
+    if scheme in ("key_as_wiretap", "one_time_pad"):
+        caps = _wiretap_caps if scheme == "key_as_wiretap" else _otp_caps
+        return [(*caps(ch, b1[:, None], b2[None, :]), math.inf)]
     lam1 = _axis(grid.n_lambda1, grid.no_an)
     lam2 = np.linspace(0.0, 1.0, grid.n_lambda2)
     if grid.include_gdof_split:
         lam2 = np.unique(np.concatenate([lam2, [gdof_split_lambda2(ch)]]))
-    b1 = _axis(grid.n_beta1, grid.full_power)
-    b2 = _axis(grid.n_beta2, grid.full_power)
     if scheme == "key_splitting":
         eta = np.linspace(0.0, 1.0, grid.n_eta)
     else:
         eta = np.array([1.0])
-    return lam1, lam2, b1, b2, eta
+    base = _key_splitting_base(ch, lam1[:, None, None, None],
+                               lam2[None, :, None, None],
+                               b1[None, None, :, None], b2[None, None, None, :])
+    return (_key_splitting_eta(ch, base, float(e)) for e in eta)
 
 
 def _warn_coarse(scheme, grid):
@@ -226,54 +265,18 @@ def sweep_region(ch: ChannelParams, scheme: str,
     axes; pinned axes (no_an, full_power, eta for schemes that fix it)
     contribute a single point. Deterministic for identical inputs.
     """
-    if scheme not in SCHEMES:
-        raise DomainError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     grid = grid or GridSpec()
+    slices = _cap_slices(ch, scheme, grid)
     _warn_coarse(scheme, grid)
-    lam1, lam2, b1, b2, eta = _sweep_axes(ch, scheme, grid)
-
-    survivors = []
-    if scheme in ("key_splitting", "rate_splitting"):
-        l1 = lam1[:, None, None, None]
-        l2 = lam2[None, :, None, None]
-        bb1 = b1[None, None, :, None]
-        bb2 = b2[None, None, None, :]
-        for e in eta:
-            r1, r2, rsum = _key_splitting_caps(ch, l1, l2, bb1, bb2, float(e))
-            survivors.append(pareto_filter(polygon_points(r1, r2, rsum)))
-    else:
-        bb1 = b1[:, None]
-        bb2 = b2[None, :]
-        if scheme == "key_as_wiretap":
-            r1, r2 = _wiretap_caps(ch, bb1, bb2)
-        else:
-            r1, r2 = _otp_caps(ch, bb1, bb2)
-        survivors.append(pareto_filter(polygon_points(r1, r2, math.inf)))
-    return hull(np.vstack(survivors))
+    # hull adds the axis corners back as projections of the other two
+    return hull(np.vstack([pareto_filter(_corners(r1, r2, rsum))
+                           for r1, r2, rsum in slices]))
 
 
 def max_sum_rate(ch: ChannelParams, scheme: str,
                  grid: GridSpec | None = None) -> float:
     """Largest R1 + R2 the scheme achieves on the grid."""
-    if scheme not in SCHEMES:
-        raise DomainError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    grid = grid or GridSpec()
-    lam1, lam2, b1, b2, eta = _sweep_axes(ch, scheme, grid)
     best = 0.0
-    if scheme in ("key_splitting", "rate_splitting"):
-        l1 = lam1[:, None, None, None]
-        l2 = lam2[None, :, None, None]
-        bb1 = b1[None, None, :, None]
-        bb2 = b2[None, None, None, :]
-        for e in eta:
-            r1, r2, rsum = _key_splitting_caps(ch, l1, l2, bb1, bb2, float(e))
-            best = max(best, float(np.minimum(rsum, r1 + r2).max()))
-    else:
-        bb1 = b1[:, None]
-        bb2 = b2[None, :]
-        if scheme == "key_as_wiretap":
-            r1, r2 = _wiretap_caps(ch, bb1, bb2)
-        else:
-            r1, r2 = _otp_caps(ch, bb1, bb2)
-        best = float((r1 + r2).max())
+    for r1, r2, rsum in _cap_slices(ch, scheme, grid or GridSpec()):
+        best = max(best, float(np.minimum(rsum, r1 + r2).max()))
     return best

@@ -18,7 +18,7 @@ import numpy as np
 from .bounds import composite_outer_region, r2_outer_high, sum_rate_outer, \
     evaluate_outer_bounds
 from .channel import ChannelParams, SchemeParams, classify_regime, snr_inr
-from .gdof import GdofParams, gdof_convergence_check, gdof_region, \
+from .gdof import GAP_TOL, GdofParams, gdof_convergence_check, gdof_region, \
     key_splitting_gdof, no_secrecy_gdof, rate_splitting_gdof, GDOF_SCHEMES
 from .geometry import REGION_TOL, containment_margin, contains, hull, \
     intersect_halfplanes, subset_of
@@ -50,8 +50,11 @@ def _fmt(ch: ChannelParams) -> str:
             f"p1={ch.p1:.4g} p2={ch.p2:.4g} rk={ch.rk:.4g}")
 
 
-def _row(scenario, margin, ok):
-    return {"scenario": scenario, "margin": float(margin), "pass": bool(ok)}
+def _row(scenario, margin):
+    """One report row; the margin is the slack of the check's own test, so
+    a row passes exactly when its margin is nonnegative."""
+    return {"scenario": scenario, "margin": float(margin),
+            "pass": bool(margin >= 0.0)}
 
 
 def _inv_snr_inr_power_scaling(rng, corrupt):
@@ -63,8 +66,7 @@ def _inv_snr_inr_power_scaling(rng, corrupt):
         a = np.array(snr_inr(ch))
         b = np.array(snr_inr(scaled))
         err = float(np.max(np.abs(b - c * a) / np.maximum(c * a, 1e-30)))
-        rows.append(_row(_fmt(ch) + f" scale={c:.4g}", _EQ_TOL - err,
-                         err <= _EQ_TOL))
+        rows.append(_row(_fmt(ch) + f" scale={c:.4g}", _EQ_TOL - err))
     return rows
 
 
@@ -77,7 +79,7 @@ def _inv_regime_boundary(rng, corrupt):
         ch_hi = ChannelParams(h11=1.0, h22=h, h21=h * (1.0 + 1e-9), p1=p, p2=p)
         ok = (classify_regime(ch_eq) == "weak_moderate"
               and classify_regime(ch_hi) == "high")
-        rows.append(_row(f"h={h:.4g} p={p:.4g}", 0.0 if ok else -1.0, ok))
+        rows.append(_row(f"h={h:.4g} p={p:.4g}", 0.0 if ok else -1.0))
     return rows
 
 
@@ -91,7 +93,7 @@ def _inv_caps_nonnegative(rng, corrupt):
         op = one_time_pad_point(ch, sp.beta1, sp.beta2)
         low = min(ks.r1_cap, ks.r2_cap, ks.sum_cap,
                   wc.r1_cap, wc.r2_cap, op.r1_cap, op.r2_cap)
-        rows.append(_row(_fmt(ch), low, low >= 0.0))
+        rows.append(_row(_fmt(ch), low))
     return rows
 
 
@@ -108,7 +110,7 @@ def _inv_rk_monotone_caps(rng, corrupt):
         ob = one_time_pad_point(ch2, sp.beta1, sp.beta2)
         worst = min(b.r2_cap - a.r2_cap, b.sum_cap - a.sum_cap,
                     wb.r2_cap - wa.r2_cap, ob.r2_cap - oa.r2_cap)
-        rows.append(_row(_fmt(ch), worst, worst >= -_EQ_TOL))
+        rows.append(_row(_fmt(ch), worst + _EQ_TOL))
     return rows
 
 
@@ -126,7 +128,7 @@ def _inv_eta0_lambda1_matches_wiretap(rng, corrupt):
         diff = max(abs(ks.r1_cap - wc.r1_cap), abs(ks.r2_cap - wc.r2_cap))
         ok = ks.r1_cap == wc.r1_cap and ks.r2_cap == wc.r2_cap
         rows.append(_row(_fmt(ch) + f" b1={b1:.4g} b2={b2:.4g}",
-                         0.0 if ok else -diff, ok))
+                         0.0 if ok else -diff))
     return rows
 
 
@@ -137,7 +139,7 @@ def _inv_rate_split_in_key_split(rng, corrupt):
         inner = sweep_region(ch, "rate_splitting", _GRID)
         outer = sweep_region(ch, "key_splitting", _GRID)
         m = containment_margin(outer, inner.vertices)
-        rows.append(_row(_fmt(ch), -m, m <= REGION_TOL))
+        rows.append(_row(_fmt(ch), REGION_TOL - m))
     return rows
 
 
@@ -148,7 +150,7 @@ def _inv_wiretap_in_key_split(rng, corrupt):
         inner = sweep_region(ch, "key_as_wiretap", _GRID)
         outer = sweep_region(ch, "key_splitting", _GRID)
         m = containment_margin(outer, inner.vertices)
-        rows.append(_row(_fmt(ch), -m, m <= REGION_TOL))
+        rows.append(_row(_fmt(ch), REGION_TOL - m))
     return rows
 
 
@@ -159,7 +161,7 @@ def _inv_otp_r2_at_most_key(rng, corrupt):
         region = sweep_region(ch, "one_time_pad", _GRID)
         cap = min(ch.rk, float(0.5 * np.log2(1.0 + ch.h22**2 * ch.p2)))
         worst = cap - region.max_y
-        rows.append(_row(_fmt(ch), worst, worst >= -_EQ_TOL))
+        rows.append(_row(_fmt(ch), worst + _EQ_TOL))
     return rows
 
 
@@ -187,7 +189,7 @@ def _inv_schemes_within_outer(rng, corrupt):
         for scheme in SCHEMES:
             inner = sweep_region(ch, scheme, _GRID)
             m = containment_margin(outer, inner.vertices)
-            rows.append(_row(f"{scheme} {_fmt(ch)}", -m, m <= REGION_TOL))
+            rows.append(_row(f"{scheme} {_fmt(ch)}", REGION_TOL - m))
     return rows
 
 
@@ -202,8 +204,7 @@ def _inv_outer_rk_slope_one(rng, corrupt):
         if a.sum_keyed is not None:
             errs.append(abs((b.sum_keyed - a.sum_keyed) - delta))
         err = max(errs)
-        rows.append(_row(_fmt(ch) + f" delta={delta:.4g}", 1e-9 - err,
-                         err <= 1e-9))
+        rows.append(_row(_fmt(ch) + f" delta={delta:.4g}", 1e-9 - err))
     return rows
 
 
@@ -219,7 +220,7 @@ def _inv_sum_outer_no_key_reduction(rng, corrupt):
         got = sum_rate_outer(ch)
         want = float(np.log2(1.0 + h**2 * p) - 0.5 * np.log2(1.0 + h21**2 * p))
         ok = got == want
-        rows.append(_row(_fmt(ch), 0.0 if ok else -abs(got - want), ok))
+        rows.append(_row(_fmt(ch), 0.0 if ok else -abs(got - want)))
     return rows
 
 
@@ -231,8 +232,8 @@ def _inv_r2_outer_high_inr_asymptote(rng, corrupt):
         vals.append(r2_outer_high(ch))
     decreasing = all(vals[i + 1] < vals[i] for i in range(len(vals) - 1))
     tail = vals[-1] - 1.0
-    ok = decreasing and 0.0 <= tail < 1e-3
-    return [_row("snr=100 rk=1 inr=1e2..1e8", 1e-3 - tail, ok)]
+    slack = 1e-3 - tail if tail >= 0.0 else tail
+    return [_row("snr=100 rk=1 inr=1e2..1e8", slack if decreasing else -1.0)]
 
 
 def _inv_gdof_eta1_matches_rate_split(rng, corrupt):
@@ -244,7 +245,7 @@ def _inv_gdof_eta1_matches_rate_split(rng, corrupt):
         b = rate_splitting_gdof(gp)
         ok = np.array_equal(a.vertices, b.vertices)
         rows.append(_row(f"alpha={gp.alpha:.4g} gamma={gp.gamma:.4g}",
-                         0.0 if ok else -1.0, ok))
+                         0.0 if ok else -1.0))
     return rows
 
 
@@ -260,8 +261,8 @@ def _inv_gdof_eta0_sum_face_redundant(rng, corrupt):
                                    mode="gdof")
         m = max(containment_margin(box, got.vertices),
                 containment_margin(got, box.vertices))
-        rows.append(_row(f"alpha={alpha:.4g} gamma={gp.gamma:.4g}", -m,
-                         m <= REGION_TOL))
+        rows.append(_row(f"alpha={alpha:.4g} gamma={gp.gamma:.4g}",
+                         REGION_TOL - m))
     return rows
 
 
@@ -275,7 +276,7 @@ def _inv_gdof_gamma_monotone(rng, corrupt):
             big = gdof_region(GdofParams(alpha=alpha, gamma=gamma + 0.3), scheme)
             m = containment_margin(big, small.vertices)
             rows.append(_row(f"{scheme} alpha={alpha:.4g} gamma={gamma:.4g}",
-                             -m, m <= REGION_TOL))
+                             REGION_TOL - m))
     return rows
 
 
@@ -289,7 +290,7 @@ def _inv_gdof_no_secrecy_cap(rng, corrupt):
         for scheme in GDOF_SCHEMES:
             m = containment_margin(cap, gdof_region(gp, scheme).vertices)
             rows.append(_row(f"{scheme} alpha={alpha:.4g} gamma={gp.gamma:.4g}",
-                             -m, m <= REGION_TOL))
+                             REGION_TOL - m))
     return rows
 
 
@@ -300,9 +301,10 @@ def _inv_gdof_convergence_monotone(rng, corrupt):
     for scheme, gp in configs:
         rep = gdof_convergence_check(gp, scheme)
         gaps = rep.gaps
-        step = min(gaps[i] - gaps[i + 1] for i in range(len(gaps) - 1))
+        # the slack of the report's own monotone test
+        step = min(gaps[i] + GAP_TOL - gaps[i + 1] for i in range(len(gaps) - 1))
         rows.append(_row(f"{scheme} alpha={gp.alpha:.4g} gamma={gp.gamma:.4g}",
-                         step, rep.monotone))
+                         step))
     return rows
 
 
@@ -313,7 +315,7 @@ def _inv_hull_idempotent(rng, corrupt):
         a = hull(pts)
         b = hull(a.vertices)
         ok = np.array_equal(a.vertices, b.vertices)
-        rows.append(_row(f"draw {i} n=40", 0.0 if ok else -1.0, ok))
+        rows.append(_row(f"draw {i} n=40", 0.0 if ok else -1.0))
     return rows
 
 
@@ -325,7 +327,7 @@ def _inv_region_down_closed(rng, corrupt):
         picks = v[rng.integers(0, len(v), size=50)]
         shrunk = picks * rng.uniform(0.0, 1.0, size=(50, 2))
         m = containment_margin(region, shrunk)
-        rows.append(_row(f"draw {i} n=50 probes", -m, m <= REGION_TOL))
+        rows.append(_row(f"draw {i} n=50 probes", REGION_TOL - m))
     return rows
 
 
@@ -336,7 +338,7 @@ def _inv_halfplane_roundtrip(rng, corrupt):
         rebuilt = intersect_halfplanes(region.halfplanes, mode=region.mode)
         m = max(containment_margin(rebuilt, region.vertices),
                 containment_margin(region, rebuilt.vertices))
-        rows.append(_row(f"draw {i}", -m, m <= REGION_TOL))
+        rows.append(_row(f"draw {i}", REGION_TOL - m))
     return rows
 
 
@@ -348,7 +350,7 @@ def _inv_subset_partial_order(rng, corrupt):
         top = hull(mid.vertices * 1.1)
         ok = (subset_of(base, mid) and subset_of(mid, top)
               and subset_of(base, top) and not subset_of(mid, base))
-        rows.append(_row(f"draw {i}", 0.0 if ok else -1.0, ok))
+        rows.append(_row(f"draw {i}", 0.0 if ok else -1.0))
     return rows
 
 
@@ -363,7 +365,7 @@ def _inv_determinism_repeat_sweep(rng, corrupt):
         ok = (np.array_equal(a.vertices, b.vertices)
               and a.halfplanes == b.halfplanes
               and np.array_equal(c.vertices, d.vertices))
-        rows.append(_row(_fmt(ch), 0.0 if ok else -1.0, ok))
+        rows.append(_row(_fmt(ch), 0.0 if ok else -1.0))
     return rows
 
 
@@ -376,7 +378,7 @@ def _inv_continuity_small_perturbation(rng, corrupt):
         b = sweep_region(ch2, "key_splitting", _GRID)
         err = max(abs(a.max_x - b.max_x), abs(a.max_y - b.max_y),
                   abs(a.max_sum - b.max_sum))
-        rows.append(_row(_fmt(ch), 1e-6 - err, err <= 1e-6))
+        rows.append(_row(_fmt(ch), 1e-6 - err))
     return rows
 
 

@@ -1,5 +1,6 @@
 """Channel parameter types, received powers, and regime classification."""
 
+import fractions
 import math
 
 import numpy as np
@@ -54,6 +55,33 @@ def test_channel_validation():
         ChannelParams(1, math.nan, 0.6, 100, 100)
     with pytest.raises(DomainError):
         ChannelParams(1, 1, "0.6", 100, 100)
+
+
+def test_channel_gain_types():
+    # a bool is an int subclass, but no gain
+    for field in ("h11", "h22", "h21", "p1", "p2", "rk"):
+        kwargs = dict(h11=1, h22=1, h21=0.5, p1=1, p2=1, rk=0.5)
+        kwargs[field] = True
+        with pytest.raises(DomainError):
+            ChannelParams(**kwargs)
+    with pytest.raises(DomainError):
+        ChannelParams(h11=np.bool_(True), h22=1, h21=0.5, p1=1, p2=1)
+    # any real number is accepted and stored as a float
+    ch = ChannelParams(h11=np.float32(1.0), h22=np.int64(2), h21=0.5, p1=1,
+                       p2=fractions.Fraction(3, 2))
+    assert ch == ChannelParams(1.0, 2.0, 0.5, 1.0, 1.5)
+    assert all(type(getattr(ch, f)) is float
+               for f in ("h11", "h22", "h21", "p1", "p2", "rk"))
+
+
+def test_channel_received_power_overflow():
+    # finite gains and powers whose received power h**2 * p overflows
+    with pytest.raises(DomainError):
+        ChannelParams(1e200, 1, 0.6, 1, 1)
+    with pytest.raises(DomainError):
+        ChannelParams(1, 1, 1e10, 1, 1e300)
+    with pytest.raises(DomainError):
+        ChannelParams(1, 1, 0.6, 1, 10**400)
 
 
 def test_scheme_params_validation():

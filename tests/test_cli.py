@@ -167,6 +167,27 @@ def test_region_error_exit_codes(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("power", ["1e160", "1e308"])
+def test_huge_powers_exit_with_domain_error(tmp_path, capsys, power):
+    # the keyed R2 bound overflows to nan; that is a domain error, not a crash
+    powers = ["--p1", power, "--p2", power]
+    assert main(["region", "--h11", "1", "--h22", "1", "--h21", "0.6",
+                 *powers, "--rk", "1", "--grid", "coarse",
+                 "--out-dir", str(tmp_path)]) == 3
+    assert main(["sumrate", "--h11", "1", "--h22", "1", "--h21", "0.6",
+                 *powers, "--rk-list", "0,1", "--grid", "coarse",
+                 "--out-dir", str(tmp_path)]) == 3
+    assert "error:" in capsys.readouterr().err
+
+
+def test_overflowing_caps_exit_with_domain_error(tmp_path, capsys):
+    # finite received powers whose sum overflows inside the rate caps
+    assert main(["region", "--h11", "1", "--h22", "1", "--h21", "1",
+                 "--p1", "1.5e308", "--p2", "1.5e308", "--rk", "1",
+                 "--grid", "coarse", "--out-dir", str(tmp_path)]) == 3
+    assert "rate caps overflow" in capsys.readouterr().err
+
+
 def test_config_file_parse_errors(tmp_path):
     out = str(tmp_path)
     bad = [

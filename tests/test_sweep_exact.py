@@ -1,0 +1,171 @@
+"""The fast sweep against plain brute force, bit for bit.
+
+sweep_region computes the eta-free key-splitting terms once per grid, emits
+two corners per rate polygon, and prefilters large point sets by x buckets
+before sorting. Each step is checked here against a literal, unoptimized
+version of itself kept in this file.
+"""
+
+import math
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from zickey import ChannelParams, GridSpec, max_sum_rate, sweep_region
+from zickey import geometry
+from zickey.geometry import hull, pareto_filter
+from zickey.schemes import (SCHEMES, _key_splitting_base, _key_splitting_eta,
+                            _otp_caps, _wiretap_caps, gdof_split_lambda2)
+
+SHOWCASE = [ChannelParams(1, 1, h21, 100, 100, rk=rk)
+            for h21 in (0.6, 0.8, 1.2) for rk in (0.2, 1.0, 2.0)]
+EDGE = [ChannelParams(1, 1, 0.0, 100, 100, rk=1.0),     # no cross link
+        ChannelParams(1, 1, 0.6, 0.0, 100, rk=1.0),     # silent user 1
+        ChannelParams(1.3, 0.7, 0.0, 0.0, 20, rk=0.3)]
+GRID17 = GridSpec(n_lambda1=17, n_lambda2=17, n_beta1=17, n_beta2=17,
+                  n_eta=17)
+
+
+def _c(x):
+    return 0.5 * np.log2(1.0 + x)
+
+
+def _ref_caps(ch, lam1, lam2, b1, b2, eta):
+    """Key-splitting caps, every term computed at each eta."""
+    g11, g22, g21 = ch.h11**2, ch.h22**2, ch.h21**2
+    p1m = lam1 * b1 * ch.p1
+    p1a = (1.0 - lam1) * b1 * ch.p1
+    p2p = lam2 * b2 * ch.p2
+    p2c = (1.0 - lam2) * b2 * ch.p2
+    n1 = 1.0 + g11 * p1a + g21 * p2p
+    r1 = _c(g11 * p1m / n1)
+    leak = _c(g21 * p2p / (1.0 + g11 * p1a))
+    term_c = np.minimum(np.minimum(_c(g21 * p2c / n1),
+                                   _c(g22 * p2c / (1.0 + g22 * p2p))),
+                        eta * ch.rk)
+    cap_priv = _c(g22 * p2p)
+    term_p = np.maximum(0.0, np.minimum(cap_priv,
+                                        cap_priv - leak + (1.0 - eta) * ch.rk))
+    r2 = term_c + term_p
+    rsum = _c((g11 * p1m + g21 * p2c) / n1) + term_p
+    return np.broadcast_arrays(r1, r2, rsum)
+
+
+def _ref_polygon_points(a, b, c):
+    """All four corners of every polygon {R1<=a, R2<=b, R1+R2<=c}."""
+    a, b, c = (v.ravel() for v in np.broadcast_arrays(a, b, c))
+    ax = np.minimum(a, c)
+    by = np.minimum(b, c)
+    zeros = np.zeros_like(ax)
+    with np.errstate(invalid="ignore"):
+        v3y = np.clip(c - ax, 0.0, by)
+        v4x = np.clip(c - by, 0.0, ax)
+    return np.vstack([np.column_stack([ax, zeros]), np.column_stack([zeros, by]),
+                      np.column_stack([ax, v3y]), np.column_stack([v4x, by])])
+
+
+def _ref_sort_filter(pts):
+    """Points whose y beats every point of larger x, by one plain sort."""
+    p = pts[np.argsort(-pts[:, 0])]
+    ymax = np.maximum.accumulate(p[:, 1])
+    keep = np.concatenate([[True], p[1:, 1] > ymax[:-1]])
+    return p[keep]
+
+
+def _axes(ch, scheme, grid):
+    lam2 = np.unique(np.concatenate([np.linspace(0.0, 1.0, grid.n_lambda2),
+                                     [gdof_split_lambda2(ch)]]))
+    eta = np.linspace(0.0, 1.0, grid.n_eta) if scheme == "key_splitting" \
+        else np.array([1.0])
+    return (np.linspace(0.0, 1.0, grid.n_lambda1)[:, None, None, None],
+            lam2[None, :, None, None],
+            np.linspace(0.0, 1.0, grid.n_beta1)[None, None, :, None],
+            np.linspace(0.0, 1.0, grid.n_beta2)[None, None, None, :], eta)
+
+
+def _ref_slices(ch, scheme, grid):
+    if scheme in ("key_as_wiretap", "one_time_pad"):
+        b1 = np.linspace(0.0, 1.0, grid.n_beta1)[:, None]
+        b2 = np.linspace(0.0, 1.0, grid.n_beta2)[None, :]
+        caps = _wiretap_caps if scheme == "key_as_wiretap" else _otp_caps
+        return [(*caps(ch, b1, b2), math.inf)]
+    l1, l2, b1, b2, eta = _axes(ch, scheme, grid)
+    return [_ref_caps(ch, l1, l2, b1, b2, float(e)) for e in eta]
+
+
+def _maxima(pts):
+    """The distinct points no other distinct point matches in x and y."""
+    u = np.unique(pts.reshape(-1, 2), axis=0)
+    ge = (u[None, :, 0] >= u[:, None, 0]) & (u[None, :, 1] >= u[:, None, 1])
+    return u[ge.sum(axis=1) == 1]  # only the point itself
+
+
+def _assert_exact(pts):
+    kept = pareto_filter(pts)
+    assert len(np.unique(kept, axis=0)) == len(kept)  # one of equal points
+    assert np.array_equal(np.unique(kept, axis=0), _maxima(pts))
+    assert np.all(np.diff(kept[:, 0]) < 0)  # sorted by decreasing x
+    return kept
+
+
+coord = st.one_of(st.floats(0.0, 10.0, allow_nan=False),
+                  st.sampled_from([0.0, 0.5, 1.0, 2.0]))  # forces ties
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(coord, coord), max_size=120),
+       st.integers(1, 8))
+def test_pareto_filter_matches_brute_force(rows, bins):
+    pts = np.array(rows, dtype=float).reshape(-1, 2)
+    kept = _assert_exact(pts)
+    # the same set once the prefilter runs, on coarse buckets
+    with mock.patch.object(geometry, "PREFILTER_MIN", 1), \
+            mock.patch.object(geometry, "PREFILTER_BINS", bins):
+        assert np.array_equal(_assert_exact(pts), kept)
+
+
+def test_pareto_filter_large_inputs():
+    rng = np.random.default_rng(3)
+    n = geometry.PREFILTER_MIN + 999
+    # few distinct values: ties in x, duplicates, equal y across buckets
+    grid_pts = rng.integers(0, 60, size=(n, 2)) / 7.0
+    _assert_exact(grid_pts)
+    same_x = np.column_stack([np.full(n, 0.25), grid_pts[:, 1]])
+    assert np.array_equal(_assert_exact(same_x), [[0.25, same_x[:, 1].max()]])
+    _assert_exact(np.zeros((n, 2)))
+    _assert_exact(np.zeros((0, 2)))
+    # continuous values: the prefilter changes nothing the sort keeps
+    cloud = rng.random((n, 2)) ** 0.2
+    with mock.patch.object(geometry, "PREFILTER_MIN", 10 * n):
+        plain = pareto_filter(cloud)
+    assert np.array_equal(pareto_filter(cloud), plain)
+    assert np.array_equal(np.unique(plain, axis=0),
+                          np.unique(_ref_sort_filter(cloud), axis=0))
+
+
+def test_hoisted_caps_are_bitwise_equal():
+    for ch in SHOWCASE[:3] + EDGE:
+        l1, l2, b1, b2, eta = _axes(ch, "key_splitting",
+                                    GridSpec(9, 9, 9, 9, n_eta=21))
+        base = _key_splitting_base(ch, l1, l2, b1, b2)
+        for e in eta:
+            got = np.broadcast_arrays(*_key_splitting_eta(ch, base, float(e)))
+            want = _ref_caps(ch, l1, l2, b1, b2, float(e))
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes(), (ch, e)
+
+
+def test_sweep_matches_brute_force_sweep():
+    for ch in SHOWCASE + EDGE:
+        for scheme in SCHEMES:
+            slices = _ref_slices(ch, scheme, GRID17)
+            want = hull(np.vstack([_ref_sort_filter(_ref_polygon_points(*s))
+                                   for s in slices]))
+            got = sweep_region(ch, scheme, GRID17)
+            assert got.vertices.tobytes() == want.vertices.tobytes(), \
+                (ch, scheme)
+            best = max(float(np.minimum(rsum, r1 + r2).max())
+                       for r1, r2, rsum in slices)
+            assert max_sum_rate(ch, scheme, GRID17) == best, (ch, scheme)

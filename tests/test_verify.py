@@ -3,6 +3,7 @@
 import json
 
 import jsonschema
+import pytest
 
 from zickey.verify import (INVARIANTS, REPORT_SCHEMA, render_report,
                            run_battery)
@@ -46,3 +47,18 @@ def test_corrupt_fails_exactly_the_containment_invariant():
            if r["invariant"] == "schemes_within_outer" and not r["pass"]]
     assert bad and all(r["margin"] < 0 for r in bad)
     jsonschema.validate(report, REPORT_SCHEMA)
+
+
+@pytest.mark.parametrize("seed", [7, 20240817, 1, 2, 3])
+def test_margin_sign_matches_pass(seed):
+    # margins are the slack of the test that decides pass, so round-off
+    # cannot leave a passing row below zero
+    report = run_battery(seed=seed)
+    assert report["all_pass"] is True
+    for row in report["results"]:
+        assert row["pass"] == (row["margin"] >= 0.0), row
+    corrupt = run_battery(seed=seed, corrupt=True)
+    for row in corrupt["results"]:
+        assert row["pass"] == (row["margin"] >= 0.0), row
+    assert {r["invariant"] for r in corrupt["results"]
+            if not r["pass"]} == {"schemes_within_outer"}
