@@ -40,7 +40,10 @@ class OuterBounds:
 
 
 def _c(x):
-    return 0.5 * np.log2(1.0 + x)
+    # huge powers give inf - inf here; evaluate_outer_bounds raises
+    # DomainError on the non-finite bound
+    with np.errstate(over="ignore", invalid="ignore"):
+        return 0.5 * np.log2(1.0 + x)
 
 
 def sum_rate_outer(ch: ChannelParams):

@@ -17,6 +17,24 @@ class DomainError(ValueError):
     """A parameter left its admissible domain."""
 
 
+def as_real(name: str, v, lo: float = -math.inf, hi: float = math.inf) -> float:
+    """v as a float; DomainError unless it is a finite real number in [lo, hi].
+
+    Any numbers.Real is taken (numpy scalars, Fraction), but not a bool,
+    which is an int subclass yet no parameter value.
+    """
+    f = math.nan
+    if not isinstance(v, bool) and isinstance(v, numbers.Real):
+        try:
+            f = float(v)
+        except OverflowError:
+            f = math.inf
+    if not (math.isfinite(f) and lo <= f <= hi):
+        where = "" if (lo, hi) == (-math.inf, math.inf) else f" in [{lo:g}, {hi:g}]"
+        raise DomainError(f"{name} must be a finite number{where}, got {v!r}")
+    return f
+
+
 @dataclass(frozen=True)
 class ChannelParams:
     """Channel gains, per-user power budgets and the shared-key rate."""
@@ -30,17 +48,7 @@ class ChannelParams:
 
     def __post_init__(self):
         for name in ("h11", "h22", "h21", "p1", "p2", "rk"):
-            v = getattr(self, name)
-            # bool is an int subclass but no gain; numpy scalars are Real
-            if isinstance(v, bool) or not isinstance(v, numbers.Real):
-                raise DomainError(f"{name} must be a finite number, got {v!r}")
-            try:
-                f = float(v)
-            except OverflowError:
-                f = math.inf
-            if not math.isfinite(f):
-                raise DomainError(f"{name} must be a finite number, got {v!r}")
-            object.__setattr__(self, name, f)
+            object.__setattr__(self, name, as_real(name, getattr(self, name)))
         if self.p1 < 0 or self.p2 < 0:
             raise DomainError("power budgets must be nonnegative")
         if self.rk < 0:
@@ -74,9 +82,8 @@ class SchemeParams:
 
     def __post_init__(self):
         for name in ("lambda1", "lambda2", "beta1", "beta2", "eta"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, float)) or not 0.0 <= v <= 1.0:
-                raise DomainError(f"{name} must lie in [0, 1], got {v!r}")
+            object.__setattr__(self, name,
+                               as_real(name, getattr(self, name), 0.0, 1.0))
 
 
 def snr_inr(ch: ChannelParams):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import ChannelParams, DomainError, SchemeParams
+from .channel import ChannelParams, DomainError, SchemeParams, as_real
 from .geometry import Region, distance_to_region, hull, intersect_halfplanes
 from .schemes import (_otp_caps, _wiretap_caps, gdof_split_lambda2,
                       key_splitting_point, polygon_points)
@@ -33,12 +33,9 @@ class GdofParams:
     eta: float = 1.0
 
     def __post_init__(self):
-        if not isinstance(self.alpha, (int, float)) or not self.alpha >= 0.0:
-            raise DomainError(f"alpha must be >= 0, got {self.alpha!r}")
-        if not isinstance(self.gamma, (int, float)) or not self.gamma >= 0.0:
-            raise DomainError(f"gamma must be >= 0, got {self.gamma!r}")
-        if not isinstance(self.eta, (int, float)) or not 0.0 <= self.eta <= 1.0:
-            raise DomainError(f"eta must lie in [0, 1], got {self.eta!r}")
+        for name, hi in (("alpha", math.inf), ("gamma", math.inf), ("eta", 1.0)):
+            object.__setattr__(self, name,
+                               as_real(name, getattr(self, name), 0.0, hi))
 
 
 def _check_alpha(gp: GdofParams):

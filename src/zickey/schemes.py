@@ -21,15 +21,21 @@ returns the down-closed convex hull of every induced rate polygon.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import ChannelParams, DomainError, SchemeParams
+from .channel import ChannelParams, DomainError, SchemeParams, as_real
 from .geometry import Region, hull, pareto_filter
 
 SCHEMES = ("key_splitting", "rate_splitting", "key_as_wiretap", "one_time_pad")
+# caps are evaluated in blocks of whole rows (first axis) of about CHUNK
+# polygons, so that a block's temporaries stay in cache
+CHUNK = 32768
+# sweep_region buckets the x of its running Pareto front into STAIR_BINS bins
+STAIR_BINS = 4096
 
 
 @dataclass(frozen=True)
@@ -61,6 +67,12 @@ class GridSpec:
     no_an: bool = False
     full_power: bool = False
 
+    def __post_init__(self):
+        for name in ("n_lambda1", "n_lambda2", "n_beta1", "n_beta2", "n_eta"):
+            n = getattr(self, name)
+            if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+                raise DomainError(f"{name} must be an integer >= 1, got {n!r}")
+
 
 def _c(x):
     """Gaussian capacity term in bits, 0.5*log2(1+x), elementwise."""
@@ -85,13 +97,17 @@ def _key_splitting_base(ch, lam1, lam2, b1, b2):
     p1a = (1.0 - lam1) * b1 * ch.p1
     p2p = lam2 * b2 * ch.p2
     p2c = (1.0 - lam2) * b2 * ch.p2
-    n1 = 1.0 + g11 * p1a + g21 * p2p
-    r1 = _c(g11 * p1m / n1)
-    leak = _c(g21 * p2p / (1.0 + g11 * p1a))
-    common = np.minimum(_c(g21 * p2c / n1), _c(g22 * p2c / (1.0 + g22 * p2p)))
-    cap_priv = _c(g22 * p2p)
-    rsum = _c((g11 * p1m + g21 * p2c) / n1)
-    return _finite(r1, common, cap_priv, cap_priv - leak, rsum)
+    # sums of huge received powers overflow; _finite then raises DomainError
+    with np.errstate(over="ignore", invalid="ignore"):
+        n1 = 1.0 + g11 * p1a + g21 * p2p
+        r1 = _c(g11 * p1m / n1)
+        leak = _c(g21 * p2p / (1.0 + g11 * p1a))
+        common = np.minimum(_c(g21 * p2c / n1),
+                            _c(g22 * p2c / (1.0 + g22 * p2p)))
+        cap_priv = _c(g22 * p2p)
+        rsum = _c((g11 * p1m + g21 * p2c) / n1)
+        slack = cap_priv - leak
+    return _finite(r1, common, cap_priv, slack, rsum)
 
 
 def _key_splitting_eta(ch, base, eta):
@@ -136,26 +152,19 @@ def rate_splitting_point(ch: ChannelParams, sp: SchemeParams) -> RateConstraints
     return key_splitting_point(ch, replace(sp, eta=1.0))
 
 
-def _check_fraction(name, v):
-    if not isinstance(v, (int, float)) or not 0.0 <= v <= 1.0:
-        raise DomainError(f"{name} must lie in [0, 1], got {v!r}")
-
-
 def key_as_wiretap_point(ch: ChannelParams, beta1: float = 1.0,
                          beta2: float = 1.0) -> RateConstraints:
     """Caps when the key only enlarges the wiretap code (no layering)."""
-    _check_fraction("beta1", beta1)
-    _check_fraction("beta2", beta2)
-    r1, r2 = _wiretap_caps(ch, beta1, beta2)
+    r1, r2 = _wiretap_caps(ch, as_real("beta1", beta1, 0.0, 1.0),
+                           as_real("beta2", beta2, 0.0, 1.0))
     return RateConstraints(float(r1), float(r2), math.inf)
 
 
 def one_time_pad_point(ch: ChannelParams, beta1: float = 1.0,
                        beta2: float = 1.0) -> RateConstraints:
     """Caps when the key is spent as a one-time pad."""
-    _check_fraction("beta1", beta1)
-    _check_fraction("beta2", beta2)
-    r1, r2 = _otp_caps(ch, beta1, beta2)
+    r1, r2 = _otp_caps(ch, as_real("beta1", beta1, 0.0, 1.0),
+                       as_real("beta2", beta2, 0.0, 1.0))
     return RateConstraints(float(r1), float(r2), math.inf)
 
 
@@ -215,8 +224,9 @@ def _axis(n: int, pinned: bool) -> np.ndarray:
 
 
 def _cap_slices(ch, scheme, grid):
-    """The scheme's (r1, r2, sum) cap arrays over the grid, one per eta.
+    """The scheme's (r1, r2, sum) cap arrays over the grid, block by block.
 
+    Each eta slice comes in blocks of whole rows of about CHUNK polygons.
     The eta-free key-splitting terms are computed once for all slices.
     """
     if scheme not in SCHEMES:
@@ -225,7 +235,8 @@ def _cap_slices(ch, scheme, grid):
     b2 = _axis(grid.n_beta2, grid.full_power)
     if scheme in ("key_as_wiretap", "one_time_pad"):
         caps = _wiretap_caps if scheme == "key_as_wiretap" else _otp_caps
-        return [(*caps(ch, b1[:, None], b2[None, :]), math.inf)]
+        caps = np.broadcast_arrays(*caps(ch, b1[:, None], b2[None, :]), math.inf)
+        return (tuple(c[rows] for c in caps) for rows in _row_blocks(caps[0]))
     lam1 = _axis(grid.n_lambda1, grid.no_an)
     lam2 = np.linspace(0.0, 1.0, grid.n_lambda2)
     if grid.include_gdof_split:
@@ -234,10 +245,23 @@ def _cap_slices(ch, scheme, grid):
         eta = np.linspace(0.0, 1.0, grid.n_eta)
     else:
         eta = np.array([1.0])
-    base = _key_splitting_base(ch, lam1[:, None, None, None],
-                               lam2[None, :, None, None],
-                               b1[None, None, :, None], b2[None, None, None, :])
-    return (_key_splitting_eta(ch, base, float(e)) for e in eta)
+    base = np.broadcast_arrays(*_key_splitting_base(
+        ch, lam1[:, None, None, None], lam2[None, :, None, None],
+        b1[None, None, :, None], b2[None, None, None, :]))
+    blocks = _row_blocks(base[0])
+    return (_key_splitting_eta(ch, [b[rows] for b in base], float(e))
+            for e in eta for rows in blocks)
+
+
+def _row_blocks(a):
+    """Slices of whole rows of `a` holding about CHUNK elements each.
+
+    The last rows come first: the first axis is lambda1 or beta1, whose
+    largest values give the largest r1, so a running Pareto front soon
+    spans the whole x range.
+    """
+    step = max(1, CHUNK // math.prod(a.shape[1:]))
+    return [slice(i, i + step) for i in range(0, len(a), step)][::-1]
 
 
 def _warn_coarse(scheme, grid):
@@ -266,11 +290,42 @@ def sweep_region(ch: ChannelParams, scheme: str,
     contribute a single point. Deterministic for identical inputs.
     """
     grid = grid or GridSpec()
-    slices = _cap_slices(ch, scheme, grid)
+    blocks = _cap_slices(ch, scheme, grid)
     _warn_coarse(scheme, grid)
+    front = np.empty((0, 2))  # Pareto set of every corner so far
+    for r1, r2, rsum in blocks:
+        if len(front):
+            # (ax, by) is at least as large as both corners of a polygon, so
+            # the polygon goes when a front point matches it in x and y
+            ax, by = np.minimum(r1, rsum), np.minimum(r2, rsum)
+            live = by > _staircase(front, ax)
+            r1, r2, rsum = r1[live], r2[live], rsum[live]
+        front = pareto_filter(np.vstack([front, _corners(r1, r2, rsum)]))
     # hull adds the axis corners back as projections of the other two
-    return hull(np.vstack([pareto_filter(_corners(r1, r2, rsum))
-                           for r1, r2, rsum in slices]))
+    return hull(front)
+
+
+def _staircase(front, x):
+    """Per x, a y that some front point with larger x reaches, else -inf.
+
+    The front's x range is cut into STAIR_BINS buckets by a monotone index;
+    the y returned is the largest of the front points in buckets strictly
+    above that of x, which all have a larger x.
+    """
+    hi = float(front[:, 0].max())
+    scale = (STAIR_BINS - 1) / hi if hi > 0.0 else 0.0
+    if not 0.0 < scale < math.inf:  # one bucket, or no or a subnormal x range
+        return np.full(np.shape(x), -math.inf)
+
+    def bucket(v):
+        # both roundings are monotone, so larger x never lands lower
+        with np.errstate(over="ignore"):
+            return np.clip(v * scale, 0.0, STAIR_BINS).astype(np.intp)
+
+    top = np.full(STAIR_BINS + 2, -math.inf)
+    np.maximum.at(top, bucket(front[:, 0]), front[:, 1])
+    above = np.maximum.accumulate(top[::-1])[::-1][1:]
+    return above[bucket(x)]
 
 
 def max_sum_rate(ch: ChannelParams, scheme: str,

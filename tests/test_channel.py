@@ -94,6 +94,20 @@ def test_scheme_params_validation():
             SchemeParams(**{field: 1.01})
 
 
+def test_scheme_params_types():
+    # bools are refused like for the channel; any real number is a float
+    for field in ("lambda1", "lambda2", "beta1", "beta2", "eta"):
+        with pytest.raises(DomainError):
+            SchemeParams(**{field: True})
+        with pytest.raises(DomainError):
+            SchemeParams(**{field: np.bool_(False)})
+    sp = SchemeParams(lambda1=np.float32(0.5), lambda2=np.int64(1),
+                      eta=fractions.Fraction(1, 4))
+    assert sp == SchemeParams(lambda1=0.5, lambda2=1.0, eta=0.25)
+    assert all(type(getattr(sp, f)) is float
+               for f in ("lambda1", "lambda2", "beta1", "beta2", "eta"))
+
+
 def test_split_powers_conserve_budgets():
     ch = ChannelParams(1, 1, 0.6, 100, 40)
     sp = SchemeParams(lambda1=0.3, lambda2=0.8, beta1=0.9, beta2=0.5)

@@ -4,6 +4,7 @@ import csv
 import filecmp
 import json
 import math
+import warnings
 import xml.etree.ElementTree as ET
 
 import jsonschema
@@ -186,6 +187,18 @@ def test_overflowing_caps_exit_with_domain_error(tmp_path, capsys):
                  "--p1", "1.5e308", "--p2", "1.5e308", "--rk", "1",
                  "--grid", "coarse", "--out-dir", str(tmp_path)]) == 3
     assert "rate caps overflow" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("h21, power", [("1", "1.5e308"), ("0.6", "1e160")])
+def test_domain_errors_raise_no_runtime_warnings(tmp_path, capsys, h21, power):
+    # overflowing formulas end in the exit-3 message alone
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["region", "--h11", "1", "--h22", "1", "--h21", h21,
+                     "--p1", power, "--p2", power, "--rk", "1",
+                     "--grid", "coarse", "--out-dir", str(tmp_path)]) == 3
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "error:" in capsys.readouterr().err
 
 
 def test_config_file_parse_errors(tmp_path):

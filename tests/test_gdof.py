@@ -1,5 +1,7 @@
 """Normalized high-power (GDOF) polytopes and the finite-power ladder check."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -144,6 +146,20 @@ def test_params_validation():
         GdofParams(alpha=0.5, gamma=0.5, eta=1.5)
     with pytest.raises(DomainError):
         gdof_region(GdofParams(0.5, 0.5), "no_such_scheme")
+
+
+def test_params_types():
+    with pytest.raises(DomainError):
+        GdofParams(alpha=True, gamma=0.5)
+    with pytest.raises(DomainError):
+        GdofParams(alpha=0.5, gamma=False)
+    with pytest.raises(DomainError):
+        GdofParams(alpha=0.5, gamma=0.5, eta=True)
+    with pytest.raises(DomainError):
+        GdofParams(alpha=0.5, gamma=math.inf)
+    gp = GdofParams(alpha=np.float32(0.5), gamma=np.int64(1), eta=np.float32(0.25))
+    assert gp == GdofParams(alpha=0.5, gamma=1.0, eta=0.25)
+    assert all(type(v) is float for v in (gp.alpha, gp.gamma, gp.eta))
 
 
 def test_convergence_one_time_pad():

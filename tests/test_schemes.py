@@ -144,6 +144,26 @@ def test_point_validation():
         max_sum_rate(ch, "no_such_scheme", SMALL)
 
 
+def test_point_fraction_types():
+    ch = ChannelParams(1, 1, 0.6, 100, 100, rk=1.0)
+    for point in (key_as_wiretap_point, one_time_pad_point):
+        with pytest.raises(DomainError):
+            point(ch, beta1=True)
+        with pytest.raises(DomainError):
+            point(ch, beta2=np.bool_(True))
+        # a numpy float32 is a real number like any other
+        assert point(ch, beta1=np.float32(0.5)) == point(ch, beta1=0.5)
+
+
+def test_grid_needs_a_point_per_axis():
+    # an empty axis has no polygon to sweep or maximize over
+    for bad in ({"n_lambda1": 0}, {"n_eta": 0}, {"n_beta1": -1},
+                {"n_beta2": True}, {"n_lambda2": 9.0}):
+        with pytest.raises(DomainError):
+            GridSpec(**bad)
+    assert GridSpec(n_lambda1=np.int64(3)).n_lambda1 == 3
+
+
 def test_caps_nonnegative_and_key_monotone():
     rng = np.random.default_rng(37)
     for _ in range(30):

@@ -2,22 +2,27 @@
 
 sweep_region computes the eta-free key-splitting terms once per grid, emits
 two corners per rate polygon, and prefilters large point sets by x buckets
-before sorting. Each step is checked here against a literal, unoptimized
-version of itself kept in this file.
+before sorting. It works through the caps in blocks of whole rows and drops
+a polygon when its running Pareto front, bucketed by x, already holds a
+point above both its corners. Each step is checked here against a literal,
+unoptimized version of itself kept in this file.
 """
 
+import functools
 import math
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zickey import ChannelParams, GridSpec, max_sum_rate, sweep_region
-from zickey import geometry
+from zickey import geometry, schemes
 from zickey.geometry import hull, pareto_filter
 from zickey.schemes import (SCHEMES, _key_splitting_base, _key_splitting_eta,
-                            _otp_caps, _wiretap_caps, gdof_split_lambda2)
+                            _otp_caps, _row_blocks, _staircase, _wiretap_caps,
+                            gdof_split_lambda2)
 
 SHOWCASE = [ChannelParams(1, 1, h21, 100, 100, rk=rk)
             for h21 in (0.6, 0.8, 1.2) for rk in (0.2, 1.0, 2.0)]
@@ -169,3 +174,64 @@ def test_sweep_matches_brute_force_sweep():
             best = max(float(np.minimum(rsum, r1 + r2).max())
                        for r1, r2, rsum in slices)
             assert max_sum_rate(ch, scheme, GRID17) == best, (ch, scheme)
+
+
+@functools.lru_cache(maxsize=None)
+def _ref_sweep(i, scheme):
+    """Brute-force vertex bytes and best sum rate of channel i on GRID17."""
+    slices = _ref_slices((SHOWCASE + EDGE)[i], scheme, GRID17)
+    want = hull(np.vstack([_ref_sort_filter(_ref_polygon_points(*s))
+                           for s in slices]))
+    best = max(float(np.minimum(rsum, r1 + r2).max())
+               for r1, r2, rsum in slices)
+    return want.vertices.tobytes(), best
+
+
+ROW17 = 18 * 17 * 17  # polygons in one lambda1 row of GRID17 (gdof split on)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("CHUNK", 1),                 # one row, or one beta1 row, per block
+    ("CHUNK", 5 * ROW17 + 7),     # blocks of 5 rows: 17 rows split 5+5+5+2
+    ("CHUNK", 10**9),             # one block per eta slice
+    ("STAIR_BINS", 1),            # one bucket: the staircase drops nothing
+    ("STAIR_BINS", 2),
+    ("STAIR_BINS", 7),
+])
+def test_blocked_sweep_matches_brute_force(name, value):
+    with mock.patch.object(schemes, name, value):
+        for i, ch in enumerate(SHOWCASE + EDGE):
+            for scheme in SCHEMES:
+                want, best = _ref_sweep(i, scheme)
+                got = sweep_region(ch, scheme, GRID17)
+                assert got.vertices.tobytes() == want, (name, value, ch, scheme)
+                assert max_sum_rate(ch, scheme, GRID17) == best, \
+                    (name, value, ch, scheme)
+
+
+tiny = st.sampled_from([0.0, 5e-324, 1e-300, 1e-16])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.one_of(coord, tiny), coord), min_size=1,
+                max_size=60),
+       st.lists(st.one_of(coord, tiny), max_size=30), st.integers(1, 9))
+def test_staircase_only_claims_points_with_larger_x(rows, xs, bins):
+    front = pareto_filter(np.array(rows))
+    x = np.array(xs, dtype=float)
+    with mock.patch.object(schemes, "STAIR_BINS", bins):
+        got = _staircase(front, x)
+    for xi, yi in zip(x, got):
+        assert yi == -math.inf or yi in front[front[:, 0] > xi, 1], (xi, yi)
+
+
+@pytest.mark.parametrize("chunk", [1, 5 * ROW17 + 7, 10**9])
+def test_row_blocks_cover_every_row_once(chunk):
+    for shape in ((17, 18, 17, 17), (17, 17), (1, 34, 33, 33), (33, 1, 1, 1)):
+        rows, width = np.arange(shape[0]), math.prod(shape[1:])
+        with mock.patch.object(schemes, "CHUNK", chunk):
+            blocks = _row_blocks(np.empty(shape))
+        got = np.concatenate([rows[b] for b in blocks])
+        assert sorted(got) == list(rows), (chunk, shape)
+        # whole rows, and no more than CHUNK polygons unless one row is more
+        assert all(len(rows[b]) * width <= max(chunk, width) for b in blocks)
