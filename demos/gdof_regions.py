@@ -8,7 +8,7 @@ polytope of achievable normalized pairs (d1, d2).
 
 import numpy as np
 
-from zickey import (GDOF_SCHEMES, GdofParams, gdof_region, no_secrecy_gdof,
+from zickey import (SCHEMES, GdofParams, gdof_region, no_secrecy_gdof,
                     subset_of)
 
 
@@ -19,7 +19,7 @@ def show(reg, indent="    "):
 
 print("alpha = 0.5, gamma = 0.2, eta = 0.6 (key split between layers):")
 gp = GdofParams(alpha=0.5, gamma=0.2, eta=0.6)
-for name in GDOF_SCHEMES:
+for name in SCHEMES:
     reg = gdof_region(gp, name)
     print(f"  {name}:")
     show(reg)

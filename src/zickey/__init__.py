@@ -15,8 +15,7 @@ from .bounds import (OuterBounds, composite_outer_region,
                      sum_rate_outer)
 from .channel import (ChannelParams, DomainError, SchemeParams,
                       classify_regime, db_to_linear, snr_inr, split_powers)
-from .gdof import (GDOF_SCHEMES, ConvergenceReport, ConvergenceRung,
-                   GdofParams, gdof_convergence_check, gdof_region,
+from .gdof import (ConvergenceReport, ConvergenceRung, GdofParams, gdof_convergence_check, gdof_region,
                    key_splitting_gdof, key_wc_gdof, key_wc_gdof_components,
                    no_secrecy_gdof, otp_gdof, otp_gdof_components,
                    rate_splitting_gdof)
@@ -47,7 +46,7 @@ __all__ = [
     "OuterBounds", "evaluate_outer_bounds", "sum_rate_outer",
     "r2_sum_component", "r2_outer_high", "nonsecrecy_sum_bound",
     "composite_outer_region", "outer_max_sum",
-    "GDOF_SCHEMES", "GdofParams", "ConvergenceReport", "ConvergenceRung",
+    "GdofParams", "ConvergenceReport", "ConvergenceRung",
     "gdof_region", "key_splitting_gdof", "rate_splitting_gdof",
     "key_wc_gdof", "key_wc_gdof_components", "otp_gdof",
     "otp_gdof_components", "no_secrecy_gdof", "gdof_convergence_check",

@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .channel import ChannelParams, DomainError, snr_inr
+from .channel import ChannelParams, DomainError, _c, snr_inr
 from .geometry import Region, intersect_halfplanes
 
 
@@ -37,13 +37,6 @@ class OuterBounds:
     r2_sum_part: float | None
     sum_keyed: float | None
     sum_nonsecrecy: float | None = None
-
-
-def _c(x):
-    # huge powers give inf - inf here; evaluate_outer_bounds raises
-    # DomainError on the non-finite bound
-    with np.errstate(over="ignore", invalid="ignore"):
-        return 0.5 * np.log2(1.0 + x)
 
 
 def sum_rate_outer(ch: ChannelParams):

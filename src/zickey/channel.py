@@ -12,6 +12,8 @@ import math
 import numbers
 from dataclasses import dataclass
 
+import numpy as np
+
 
 class DomainError(ValueError):
     """A parameter left its admissible domain."""
@@ -105,6 +107,16 @@ def split_powers(ch: ChannelParams, sp: SchemeParams):
     p2p = sp.lambda2 * sp.beta2 * ch.p2
     p2c = (1.0 - sp.lambda2) * sp.beta2 * ch.p2
     return p1m, p1a, p2p, p2c
+
+
+def _c(x):
+    """Gaussian capacity term in bits, 0.5*log2(1+x), elementwise.
+
+    Huge powers give inf or nan here without a numpy warning; the callers
+    raise DomainError on a non-finite rate.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return 0.5 * np.log2(1.0 + x)
 
 
 def db_to_linear(value_db: float) -> float:

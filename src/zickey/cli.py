@@ -24,22 +24,14 @@ import numpy as np
 
 from .bounds import composite_outer_region, evaluate_outer_bounds
 from .channel import ChannelParams, DomainError, classify_regime, snr_inr
-from .gdof import GDOF_SCHEMES, GdofParams, gdof_region, no_secrecy_gdof
-from .scenario import (ConfigError, build_channel, build_grid, load_config,
-                       parse_value)
-from .schemes import GridSpec, max_sum_rate, sweep_region
+from .gdof import GdofParams, gdof_region, no_secrecy_gdof
+from .scenario import (GRID_KEYS, KNOWN_KEYS, ConfigError, build_channel,
+                       build_grid, load_config, parse_value)
+from .schemes import SCHEMES, VARIANTS, GridSpec, max_sum_rate, sweep_region
 from .svg import polyline_chart
 from .verify import render_report, run_battery
 
-# public scheme names -> (core scheme, sweep-grid restrictions)
-SCHEME_VARIANTS = {
-    "key_splitting": ("key_splitting", {}),
-    "rate_splitting": ("rate_splitting", {}),
-    "rate_splitting_no_an": ("rate_splitting", {"no_an": True}),
-    "key_as_wiretap": ("key_as_wiretap", {}),
-    "one_time_pad": ("one_time_pad", {}),
-}
-DEFAULT_VARIANTS = tuple(SCHEME_VARIANTS)
+DEFAULT_VARIANTS = tuple(VARIANTS)
 
 # these two are only claimed to be achievable while the cross link does
 # not dominate (inr1 <= snr2); elsewhere they are skipped with a note
@@ -58,16 +50,16 @@ def _f(v) -> str:
     return repr(float(v))
 
 
-def _merge_values(args, keys) -> dict:
-    """Scenario dict from the config file with CLI flags layered on top."""
-    values = load_config(args.config) if getattr(args, "config", None) else {}
-    for key in keys:
-        v = getattr(args, key.replace(".", "_"), None)
-        if v is not None:
-            values[key] = v
-    for flag in ("svg", "nonsecrecy_bound", "full_power"):
-        if getattr(args, flag, False):
-            values[flag] = True
+def _merge_values(args) -> dict:
+    """Scenario dict from the config file with CLI flags layered on top.
+
+    A flag counts when its destination is a scenario key and it was given;
+    text values are parsed by the scenario file's rules.
+    """
+    values = load_config(args.config) if args.config else {}
+    for key, v in vars(args).items():
+        if key in KNOWN_KEYS and v is not None and v is not False:
+            values[key] = parse_value(key, v) if isinstance(v, str) else v
     return values
 
 
@@ -95,8 +87,7 @@ def _apply_grid_option(grid: GridSpec, spec: str) -> GridSpec:
                               "(coarse|default|fine) or name=value pairs")
         name, _, raw = part.partition("=")
         name = name.strip()
-        if name not in ("n_lambda1", "n_lambda2", "n_beta1", "n_beta2",
-                        "n_eta", "include_gdof_split", "no_an", "full_power"):
+        if name not in GRID_KEYS:
             raise ConfigError(f"unknown grid field {name!r}")
         # value syntax and range rules are shared with scenario files
         kwargs[name] = parse_value(f"grid.{name}", raw.strip())
@@ -105,7 +96,7 @@ def _apply_grid_option(grid: GridSpec, spec: str) -> GridSpec:
 
 def _resolve_grid(args, values) -> GridSpec:
     grid = build_grid(values)
-    if getattr(args, "grid", None):
+    if args.grid:
         grid = _apply_grid_option(grid, args.grid)
     return grid
 
@@ -123,33 +114,22 @@ def _read_csv(path: Path):
     return rows[0], rows[1:]
 
 
-def _write_meta(path: Path, meta: dict):
-    path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
+def _vertex_rows(name, region):
+    return [(name, _f(x), _f(y)) for x, y in region.vertices]
 
 
-def _svg_polygons_from_csv(csv_paths, svg_path: Path, xlabel, ylabel,
-                           title):
+def _svg_polygons(csv_paths, xlabel, ylabel, title) -> str:
     """Chart of closed polygons, one per distinct name in column 0."""
-    order, series = [], {}
+    series = {}  # in order of first appearance
     for csv_path in csv_paths:
-        _, rows = _read_csv(csv_path)
-        for name, xs, ys in rows:
-            if name not in series:
-                series[name] = []
-                order.append(name)
-            series[name].append((float(xs), float(ys)))
-    plot = []
-    for name in order:
-        pts = series[name]
-        if len(pts) > 2:
-            pts = pts + [pts[0]]
-        plot.append((name, pts))
-    svg_path.write_text(polyline_chart(plot, xlabel, ylabel, title),
-                        encoding="utf-8")
+        for name, xs, ys in _read_csv(csv_path)[1]:
+            series.setdefault(name, []).append((float(xs), float(ys)))
+    plot = [(name, pts + pts[:1] if len(pts) > 2 else pts)
+            for name, pts in series.items()]
+    return polyline_chart(plot, xlabel, ylabel, title)
 
 
-def _svg_curves_from_csv(csv_path: Path, svg_path: Path, ylabel, title):
+def _svg_curves(csv_path: Path, ylabel, title) -> str:
     """Chart of one curve per value column, x from column 0, blanks skipped."""
     header, rows = _read_csv(csv_path)
     plot = []
@@ -157,14 +137,31 @@ def _svg_curves_from_csv(csv_path: Path, svg_path: Path, ylabel, title):
         pts = [(float(r[0]), float(r[col])) for r in rows if r[col] != ""]
         if pts:
             plot.append((header[col], pts))
-    svg_path.write_text(polyline_chart(plot, header[0], ylabel, title),
-                        encoding="utf-8")
+    return polyline_chart(plot, header[0], ylabel, title)
 
 
 def _out_dir(values) -> Path:
     out = Path(values.get("out_dir", "."))
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+def _finish(out: Path, command, csv_paths, svg, draw, meta) -> int:
+    """Draw the chart when asked, write the meta sidecar, list every file.
+
+    draw() returns the SVG text, drawn from the CSVs already written.
+    """
+    written = list(csv_paths)
+    if svg:
+        written.append(out / f"{command}.svg")
+        written[-1].write_text(draw(), encoding="utf-8")
+    written.append(out / f"{command}_meta.json")
+    meta = {"command": command, **meta, "files": [p.name for p in written]}
+    written[-1].write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n",
+                           encoding="utf-8")
+    for p in written:
+        print(f"wrote {p}")
+    return 0
 
 
 def _channel_meta(ch: ChannelParams) -> dict:
@@ -175,16 +172,13 @@ def _channel_meta(ch: ChannelParams) -> dict:
 
 
 def cmd_region(args) -> int:
-    values = _merge_values(args, ("h11", "h22", "h21", "p1", "p2", "p1_db",
-                                  "p2_db", "rk", "out_dir"))
-    if args.schemes:
-        values["schemes"] = parse_value("schemes", args.schemes)
+    values = _merge_values(args)
     ch = build_channel(values)
     grid = _resolve_grid(args, values)
     if values.get("full_power"):
         grid = replace(grid, full_power=True)
     schemes = _validate_schemes(values.get("schemes", DEFAULT_VARIANTS),
-                                SCHEME_VARIANTS)
+                                VARIANTS)
     regime = classify_regime(ch)
     suppressed = tuple(s for s in schemes
                        if regime == "high" and s in HIGH_REGIME_UNSUPPORTED)
@@ -195,44 +189,27 @@ def cmd_region(args) -> int:
 
     out = _out_dir(values)
     csv_paths = []
+
+    def write(name, region):
+        csv_paths.append(out / f"region_{name}.csv")
+        _write_csv(csv_paths[-1], ("scheme", "R1", "R2"),
+                   _vertex_rows(name, region))
+
     for name in kept:
-        core, flags = SCHEME_VARIANTS[name]
-        region = sweep_region(ch, core, replace(grid, **flags))
-        path = out / f"region_{name}.csv"
-        _write_csv(path, ("scheme", "R1", "R2"),
-                   [(name, _f(x), _f(y)) for x, y in region.vertices])
-        csv_paths.append(path)
+        write(name, sweep_region(ch, name, grid))
     include_ns = bool(values.get("nonsecrecy_bound", False))
-    outer = composite_outer_region(ch, include_nonsecrecy=include_ns)
-    path = out / "region_outer.csv"
-    _write_csv(path, ("scheme", "R1", "R2"),
-               [("outer", _f(x), _f(y)) for x, y in outer.vertices])
-    csv_paths.append(path)
-    written = list(csv_paths)
-    files = [p.name for p in csv_paths]
-    if values.get("svg"):
-        svg_path = out / "region.svg"
-        _svg_polygons_from_csv(csv_paths, svg_path, "R1 [bits/use]",
-                               "R2 [bits/use]", "secrecy rate regions")
-        written.append(svg_path)
-        files.append("region.svg")
+    write("outer", composite_outer_region(ch, include_nonsecrecy=include_ns))
     ob = evaluate_outer_bounds(ch, include_nonsecrecy=include_ns)
-    meta_path = out / "region_meta.json"
-    _write_meta(meta_path, {
-        "command": "region",
-        "channel": _channel_meta(ch),
-        "regime": regime,
-        "grid": asdict(grid),
-        "schemes": list(kept),
-        "suppressed": list(suppressed),
-        "nonsecrecy_bound": include_ns,
-        "outer_bounds": asdict(ob),
-        "files": files + ["region_meta.json"],
-    })
-    written.append(meta_path)
-    for p in written:
-        print(f"wrote {p}")
-    return 0
+    return _finish(out, "region", csv_paths, values.get("svg"),
+                   lambda: _svg_polygons(csv_paths, "R1 [bits/use]",
+                                         "R2 [bits/use]", "secrecy rate regions"),
+                   {"channel": _channel_meta(ch),
+                    "regime": regime,
+                    "grid": asdict(grid),
+                    "schemes": list(kept),
+                    "suppressed": list(suppressed),
+                    "nonsecrecy_bound": include_ns,
+                    "outer_bounds": asdict(ob)})
 
 
 def _family_channel(p: float, alpha: float, rk: float) -> ChannelParams:
@@ -263,20 +240,12 @@ def _outer_sum_cell(ch: ChannelParams, include_nonsecrecy: bool):
 
 
 def cmd_sumrate(args) -> int:
-    values = _merge_values(args, ("h11", "h22", "h21", "p1", "p2", "p1_db",
-                                  "p2_db", "rk", "p", "alpha", "alpha_min",
-                                  "alpha_max", "alpha_steps", "rk_min",
-                                  "rk_max", "rk_steps", "out_dir"))
-    for key in ("alpha_list", "rk_list", "schemes"):
-        raw = getattr(args, key, None)
-        if raw is not None:
-            values[key] = parse_value(key, raw)
+    values = _merge_values(args)
     schemes = _validate_schemes(values.get("schemes", DEFAULT_VARIANTS),
-                                SCHEME_VARIANTS)
+                                VARIANTS)
     grid = _resolve_grid(args, values)
-    full_power = bool(values.get("full_power", True))
-    if getattr(args, "sweep_powers", False):
-        full_power = False
+    full_power = bool(values.get("full_power", True)) and not args.sweep_powers
+    swept_grid = replace(grid, full_power=full_power)
     include_ns = bool(values.get("nonsecrecy_bound", False))
 
     alpha_axis = {"alpha_min", "alpha_max", "alpha_steps", "alpha_list"} & set(values)
@@ -320,9 +289,7 @@ def cmd_sumrate(args) -> int:
                 suppressed.add(name)
                 row.append("")
                 continue
-            core, flags = SCHEME_VARIANTS[name]
-            g = replace(grid, full_power=full_power, **flags)
-            row.append(_f(max_sum_rate(ch, core, g)))
+            row.append(_f(max_sum_rate(ch, name, swept_grid)))
         cell = _outer_sum_cell(ch, include_ns)
         row.append("" if cell is None else _f(cell))
         table.append(row)
@@ -333,17 +300,7 @@ def cmd_sumrate(args) -> int:
     out = _out_dir(values)
     csv_path = out / "sumrate.csv"
     _write_csv(csv_path, [axis_name, *schemes, "outer"], table)
-    written = [csv_path]
-    files = ["sumrate.csv"]
-    if values.get("svg"):
-        svg_path = out / "sumrate.svg"
-        _svg_curves_from_csv(csv_path, svg_path, "sum rate [bits/use]",
-                             f"largest sum rate vs {axis_name}")
-        written.append(svg_path)
-        files.append("sumrate.svg")
-    meta_path = out / "sumrate_meta.json"
     meta = {
-        "command": "sumrate",
         "axis": axis_name,
         "axis_values": [float(v) for v in axis_vals],
         "schemes": list(schemes),
@@ -351,62 +308,38 @@ def cmd_sumrate(args) -> int:
         "full_power": full_power,
         "nonsecrecy_bound": include_ns,
         "grid": asdict(grid),
-        "files": files + ["sumrate_meta.json"],
     }
     if axis_name == "alpha":
         meta["family"] = {"p": values["p"], "rk": values.get("rk", 0.0)}
     else:
         meta["channel"] = _channel_meta(chans[0])
-    _write_meta(meta_path, meta)
-    written.append(meta_path)
-    for p in written:
-        print(f"wrote {p}")
-    return 0
+    return _finish(out, "sumrate", [csv_path], values.get("svg"),
+                   lambda: _svg_curves(csv_path, "sum rate [bits/use]",
+                                       f"largest sum rate vs {axis_name}"),
+                   meta)
 
 
 def cmd_gdof(args) -> int:
-    values = _merge_values(args, ("alpha", "gamma", "eta", "out_dir"))
-    if args.schemes:
-        values["schemes"] = parse_value("schemes", args.schemes)
+    values = _merge_values(args)
     missing = [k for k in ("alpha", "gamma") if k not in values]
     if missing:
         raise ConfigError("missing: " + ", ".join(missing))
     gp = GdofParams(alpha=values["alpha"], gamma=values["gamma"],
                     eta=values.get("eta", 1.0))
-    schemes = _validate_schemes(values.get("schemes", GDOF_SCHEMES),
-                                GDOF_SCHEMES)
-    rows = []
-    for name in schemes:
-        region = gdof_region(gp, name)
-        rows += [(name, _f(x), _f(y)) for x, y in region.vertices]
+    schemes = _validate_schemes(values.get("schemes", SCHEMES), SCHEMES)
+    rows = [row for name in schemes
+            for row in _vertex_rows(name, gdof_region(gp, name))]
     # no-secrecy reference shape, always included for comparison
-    rows += [("no_secrecy", _f(x), _f(y))
-             for x, y in no_secrecy_gdof(gp.alpha).vertices]
+    rows += _vertex_rows("no_secrecy", no_secrecy_gdof(gp.alpha))
 
     out = _out_dir(values)
     csv_path = out / "gdof.csv"
     _write_csv(csv_path, ("scheme", "d1", "d2"), rows)
-    written = [csv_path]
-    files = ["gdof.csv"]
-    if values.get("svg"):
-        svg_path = out / "gdof.svg"
-        _svg_polygons_from_csv([csv_path], svg_path, "d1", "d2",
-                               "normalized high-power regions")
-        written.append(svg_path)
-        files.append("gdof.svg")
-    meta_path = out / "gdof_meta.json"
-    _write_meta(meta_path, {
-        "command": "gdof",
-        "alpha": gp.alpha,
-        "gamma": gp.gamma,
-        "eta": gp.eta,
-        "schemes": list(schemes),
-        "files": files + ["gdof_meta.json"],
-    })
-    written.append(meta_path)
-    for p in written:
-        print(f"wrote {p}")
-    return 0
+    return _finish(out, "gdof", [csv_path], values.get("svg"),
+                   lambda: _svg_polygons([csv_path], "d1", "d2",
+                                         "normalized high-power regions"),
+                   {"alpha": gp.alpha, "gamma": gp.gamma, "eta": gp.eta,
+                    "schemes": list(schemes)})
 
 
 def cmd_verify(args) -> int:
@@ -433,59 +366,46 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(sp):
         sp.add_argument("--config", help="key=value scenario file")
-        sp.add_argument("--out-dir", dest="out_dir",
-                        help="output directory (default: current)")
+        sp.add_argument("--out-dir", help="output directory (default: current)")
         sp.add_argument("--svg", action="store_true",
                         help="draw an SVG chart from the emitted CSV")
+
+    def swept(sp, outer, *floats):
+        # the channel, the schemes and the sweep grid of region and sumrate
+        for name in ("h11", "h22", "h21", "p1", "p2", "rk", *floats):
+            sp.add_argument(f"--{name.replace('_', '-')}", type=float)
+        sp.add_argument("--p1-db", type=float,
+                        help="p1 in dB (alternative to --p1)")
+        sp.add_argument("--p2-db", type=float)
+        sp.add_argument("--schemes",
+                        help="comma list of: " + ", ".join(VARIANTS))
+        sp.add_argument("--grid",
+                        help="preset (coarse|default|fine) or name=value pairs")
+        sp.add_argument("--nonsecrecy-bound", action="store_true",
+                        help="fold the no-secrecy sum-rate reference into "
+                             f"the outer {outer}")
 
     region = sub.add_parser(
         "region", help="achievable rate region polygons plus the outer bound")
     common(region)
-    for name in ("h11", "h22", "h21", "p1", "p2", "rk"):
-        region.add_argument(f"--{name}", type=float)
-    region.add_argument("--p1-db", dest="p1_db", type=float,
-                        help="p1 in dB (alternative to --p1)")
-    region.add_argument("--p2-db", dest="p2_db", type=float)
-    region.add_argument("--schemes",
-                        help="comma list of: " + ", ".join(SCHEME_VARIANTS))
-    region.add_argument("--grid",
-                        help="preset (coarse|default|fine) or name=value pairs")
-    region.add_argument("--full-power", dest="full_power", action="store_true",
+    swept(region, "region")
+    region.add_argument("--full-power", action="store_true",
                         help="pin beta1 = beta2 = 1 in the sweep")
-    region.add_argument("--nonsecrecy-bound", dest="nonsecrecy_bound",
-                        action="store_true",
-                        help="fold the no-secrecy sum-rate reference into "
-                             "the outer region")
     region.set_defaults(func=cmd_region)
 
     sumrate = sub.add_parser(
         "sumrate", help="largest sum rate along an alpha or key-rate sweep")
     common(sumrate)
-    for name in ("h11", "h22", "h21", "p1", "p2", "rk", "p", "alpha",
-                 "alpha_min", "alpha_max", "rk_min", "rk_max"):
-        sumrate.add_argument(f"--{name.replace('_', '-')}",
-                             dest=name, type=float)
-    sumrate.add_argument("--p1-db", dest="p1_db", type=float)
-    sumrate.add_argument("--p2-db", dest="p2_db", type=float)
+    swept(sumrate, "column", "p", "alpha", "alpha_min", "alpha_max", "rk_min",
+          "rk_max")
     for name in ("alpha_steps", "rk_steps"):
-        sumrate.add_argument(f"--{name.replace('_', '-')}",
-                             dest=name, type=int)
-    sumrate.add_argument("--alpha-list", dest="alpha_list",
+        sumrate.add_argument(f"--{name.replace('_', '-')}", type=int)
+    sumrate.add_argument("--alpha-list",
                          help="comma list of alpha values to sweep")
-    sumrate.add_argument("--rk-list", dest="rk_list",
-                         help="comma list of key rates to sweep")
-    sumrate.add_argument("--schemes",
-                         help="comma list of: " + ", ".join(SCHEME_VARIANTS))
-    sumrate.add_argument("--grid",
-                         help="preset (coarse|default|fine) or name=value pairs")
-    sumrate.add_argument("--sweep-powers", dest="sweep_powers",
-                         action="store_true",
+    sumrate.add_argument("--rk-list", help="comma list of key rates to sweep")
+    sumrate.add_argument("--sweep-powers", action="store_true",
                          help="also sweep the power back-off fractions "
                               "(default pins beta1 = beta2 = 1)")
-    sumrate.add_argument("--nonsecrecy-bound", dest="nonsecrecy_bound",
-                         action="store_true",
-                         help="fold the no-secrecy sum-rate reference into "
-                              "the outer column")
     sumrate.set_defaults(func=cmd_sumrate)
 
     gdof = sub.add_parser(
@@ -498,7 +418,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gdof.add_argument("--eta", type=float,
                       help="key fraction spent on the common layer")
     gdof.add_argument("--schemes",
-                      help="comma list of: " + ", ".join(GDOF_SCHEMES))
+                      help="comma list of: " + ", ".join(SCHEMES))
     gdof.set_defaults(func=cmd_gdof)
 
     verify = sub.add_parser(

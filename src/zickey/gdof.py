@@ -16,11 +16,9 @@ import numpy as np
 
 from .channel import ChannelParams, DomainError, SchemeParams, as_real
 from .geometry import Region, distance_to_region, hull, intersect_halfplanes
-from .schemes import (_otp_caps, _wiretap_caps, gdof_split_lambda2,
+from .schemes import (SCHEMES, _otp_caps, _wiretap_caps, gdof_split_lambda2,
                       key_splitting_point, polygon_points)
 
-GDOF_SCHEMES = ("key_splitting", "rate_splitting", "key_as_wiretap",
-                "one_time_pad")
 GAP_TOL = 1e-12  # a convergence gap may rise this much and stay monotone
 
 
@@ -105,17 +103,15 @@ def no_secrecy_gdof(alpha: float) -> Region:
     ], mode="gdof")
 
 
+GDOF_REGIONS = dict(zip(SCHEMES, (key_splitting_gdof, rate_splitting_gdof,
+                                   key_wc_gdof, otp_gdof)))
+
+
 def gdof_region(gp: GdofParams, scheme: str) -> Region:
     """Claimed GDOF region of a scheme."""
-    if scheme == "key_splitting":
-        return key_splitting_gdof(gp)
-    if scheme == "rate_splitting":
-        return rate_splitting_gdof(gp)
-    if scheme == "key_as_wiretap":
-        return key_wc_gdof(gp)
-    if scheme == "one_time_pad":
-        return otp_gdof(gp)
-    raise DomainError(f"unknown scheme {scheme!r}; expected one of {GDOF_SCHEMES}")
+    if scheme not in GDOF_REGIONS:
+        raise DomainError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+    return GDOF_REGIONS[scheme](gp)
 
 
 @dataclass(frozen=True)
@@ -150,13 +146,12 @@ class ConvergenceReport:
 
 def _achieved_region(ch: ChannelParams, scheme: str, eta: float,
                      n_exponent: int) -> Region:
-    """Finite-power region of a scheme at the allocations its claim uses."""
+    """Finite-power region of a scheme at its claim's allocations and eta."""
     if scheme in ("key_splitting", "rate_splitting"):
         # pinned split: full power, no noise layer, private power at the
         # cross-link noise floor
         sp = SchemeParams(lambda1=1.0, lambda2=gdof_split_lambda2(ch),
-                          beta1=1.0, beta2=1.0,
-                          eta=1.0 if scheme == "rate_splitting" else eta)
+                          beta1=1.0, beta2=1.0, eta=eta)
         rc = key_splitting_point(ch, sp)
         return hull(polygon_points(rc.r1_cap, rc.r2_cap, rc.sum_cap))
     # power-controlled schemes: exponent-uniform beta2 ladder tracks the
@@ -165,11 +160,8 @@ def _achieved_region(ch: ChannelParams, scheme: str, eta: float,
     snr = ch.h11**2 * ch.p1
     b2 = np.unique(np.concatenate([
         snr ** (-u), [0.0, 1.0, gdof_split_lambda2(ch)]]))
-    if scheme == "key_as_wiretap":
-        r1, r2 = _wiretap_caps(ch, 1.0, b2)
-    else:
-        r1, r2 = _otp_caps(ch, 1.0, b2)
-    return hull(polygon_points(r1, r2, math.inf))
+    caps = _wiretap_caps if scheme == "key_as_wiretap" else _otp_caps
+    return hull(polygon_points(*caps(ch, 1.0, b2), math.inf))
 
 
 def gdof_convergence_check(gp: GdofParams, scheme: str,
@@ -182,8 +174,8 @@ def gdof_convergence_check(gp: GdofParams, scheme: str,
     distance from a claimed-polytope corner to the achieved normalized
     region. Raises DomainError for ladders shorter than 4 rungs.
     """
-    if scheme not in GDOF_SCHEMES:
-        raise DomainError(f"unknown scheme {scheme!r}; expected one of {GDOF_SCHEMES}")
+    if scheme not in SCHEMES:
+        raise DomainError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     ladder = sorted(float(s) for s in snr_ladder)
     if len(ladder) < 4:
         raise DomainError("snr ladder too short: need at least 4 rungs")

@@ -8,6 +8,8 @@ Command line flags override file values of the same name.
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 from .channel import ChannelParams, db_to_linear
 from .schemes import GridSpec
 
@@ -20,15 +22,13 @@ FLOAT_KEYS = frozenset({
     "h11", "h22", "h21", "p1", "p2", "p1_db", "p2_db", "rk", "p",
     "alpha", "gamma", "eta", "alpha_min", "alpha_max", "rk_min", "rk_max",
 })
-INT_KEYS = frozenset({
-    "alpha_steps", "rk_steps", "seed",
-    "grid.n_lambda1", "grid.n_lambda2", "grid.n_beta1", "grid.n_beta2",
-    "grid.n_eta",
-})
-BOOL_KEYS = frozenset({
-    "nonsecrecy_bound", "full_power", "svg", "corrupt",
-    "grid.include_gdof_split", "grid.no_an", "grid.full_power",
-})
+# the GridSpec fields, each set by a dotted grid.<field> key
+GRID_KEYS = tuple(f.name for f in fields(GridSpec))
+_GRID_TYPES = {f"grid.{f.name}": type(f.default) for f in fields(GridSpec)}
+INT_KEYS = frozenset({"alpha_steps", "rk_steps", "seed"}
+                     | {k for k, t in _GRID_TYPES.items() if t is int})
+BOOL_KEYS = frozenset({"nonsecrecy_bound", "full_power", "svg", "corrupt"}
+                      | {k for k, t in _GRID_TYPES.items() if t is bool})
 STR_KEYS = frozenset({"out_dir"})
 LIST_FLOAT_KEYS = frozenset({"alpha_list", "rk_list"})
 LIST_STR_KEYS = frozenset({"schemes"})
@@ -79,15 +79,12 @@ def parse_value(key: str, raw: str):
         return _parse_int(key, raw)
     if key in BOOL_KEYS:
         return _parse_bool(key, raw)
-    if key in LIST_FLOAT_KEYS:
-        items = [s.strip() for s in raw.split(",") if s.strip()]
-        if not items:
-            raise ConfigError(f"key {key!r}: empty list")
-        return tuple(_parse_float(key, s) for s in items)
-    if key in LIST_STR_KEYS:
+    if key in LIST_FLOAT_KEYS | LIST_STR_KEYS:
         items = tuple(s.strip() for s in raw.split(",") if s.strip())
         if not items:
             raise ConfigError(f"key {key!r}: empty list")
+        if key in LIST_FLOAT_KEYS:
+            return tuple(_parse_float(key, s) for s in items)
         return items
     if key in STR_KEYS:
         return raw
@@ -149,10 +146,5 @@ def build_channel(values: dict) -> ChannelParams:
 
 def build_grid(values: dict) -> GridSpec:
     """Sweep grid from the dotted grid.* scenario keys."""
-    kwargs = {}
-    for field in ("n_lambda1", "n_lambda2", "n_beta1", "n_beta2", "n_eta",
-                  "include_gdof_split", "no_an", "full_power"):
-        key = f"grid.{field}"
-        if key in values:
-            kwargs[field] = values[key]
-    return GridSpec(**kwargs)
+    return GridSpec(**{k: values[f"grid.{k}"] for k in GRID_KEYS
+                       if f"grid.{k}" in values})

@@ -27,15 +27,27 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import ChannelParams, DomainError, SchemeParams, as_real
+from .channel import ChannelParams, DomainError, SchemeParams, _c, as_real
 from .geometry import Region, hull, pareto_filter
 
 SCHEMES = ("key_splitting", "rate_splitting", "key_as_wiretap", "one_time_pad")
+# every scheme name the sweeps take -> (core scheme, GridSpec fields it pins),
+# in the order of the command line's output columns
+VARIANTS = {
+    "key_splitting": ("key_splitting", {}),
+    "rate_splitting": ("rate_splitting", {}),
+    "rate_splitting_no_an": ("rate_splitting", {"no_an": True}),
+    "key_as_wiretap": ("key_as_wiretap", {}),
+    "one_time_pad": ("one_time_pad", {}),
+}
 # caps are evaluated in blocks of whole rows (first axis) of about CHUNK
 # polygons, so that a block's temporaries stay in cache
 CHUNK = 32768
 # sweep_region buckets the x of its running Pareto front into STAIR_BINS bins
 STAIR_BINS = 4096
+# largest n_lambda1 * (n_lambda2 + 1) * n_beta1 * n_beta2, the polygons of
+# one eta slice with the gdof split ("fine" has 5.9 M), and largest n_eta
+MAX_POLYGONS = 2**23
 
 
 @dataclass(frozen=True)
@@ -55,7 +67,9 @@ class GridSpec:
     layer exactly at the cross-link noise floor (p2_private = 1/h21^2),
     which is where the private layer stops hurting receiver 1's decoding.
     no_an pins lambda1 = 1 (no artificial noise); full_power pins
-    beta1 = beta2 = 1.
+    beta1 = beta2 = 1. A grid of more than MAX_POLYGONS polygons per eta
+    slice, counted as if every axis were swept, or of more eta values, is
+    refused before anything is allocated.
     """
 
     n_lambda1: int = 33
@@ -72,11 +86,13 @@ class GridSpec:
             n = getattr(self, name)
             if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
                 raise DomainError(f"{name} must be an integer >= 1, got {n!r}")
-
-
-def _c(x):
-    """Gaussian capacity term in bits, 0.5*log2(1+x), elementwise."""
-    return 0.5 * np.log2(1.0 + x)
+        l1, l2, b1, b2, eta = map(int, (self.n_lambda1, self.n_lambda2,
+                                        self.n_beta1, self.n_beta2, self.n_eta))
+        size = l1 * (l2 + 1) * b1 * b2
+        if max(size, eta) > MAX_POLYGONS:
+            raise DomainError(f"grid of {size} polygons per key fraction and "
+                              f"{eta} key fractions exceeds the budget of "
+                              f"{MAX_POLYGONS} of each")
 
 
 def _finite(*caps):
@@ -118,26 +134,25 @@ def _key_splitting_eta(ch, base, eta):
     return r1, term_c + term_p, rsum + term_p
 
 
-def _wiretap_caps(ch, b1, b2):
-    """Vectorized caps of the key-as-wiretap scheme."""
+def _unlayered_terms(ch, b1, b2):
+    """(r1, cap2, leak) when user 2 sends one codeword that receiver 1
+    treats as noise: user 1's rate, user 2's link capacity and its leak."""
     g11, g22, g21 = ch.h11**2, ch.h22**2, ch.h21**2
     q1 = b1 * ch.p1
     q2 = b2 * ch.p2
-    r1 = _c(g11 * q1 / (1.0 + g21 * q2))
-    cap2 = _c(g22 * q2)
-    leak = _c(g21 * q2)
-    r2 = np.maximum(0.0, np.minimum(cap2, cap2 - leak + ch.rk))
-    return _finite(r1, r2)
+    return _c(g11 * q1 / (1.0 + g21 * q2)), _c(g22 * q2), _c(g21 * q2)
+
+
+def _wiretap_caps(ch, b1, b2):
+    """Vectorized caps of the key-as-wiretap scheme."""
+    r1, cap2, leak = _unlayered_terms(ch, b1, b2)
+    return _finite(r1, np.maximum(0.0, np.minimum(cap2, cap2 - leak + ch.rk)))
 
 
 def _otp_caps(ch, b1, b2):
     """Vectorized caps of the one-time-pad scheme."""
-    g11, g22, g21 = ch.h11**2, ch.h22**2, ch.h21**2
-    q1 = b1 * ch.p1
-    q2 = b2 * ch.p2
-    r1 = _c(g11 * q1 / (1.0 + g21 * q2))
-    r2 = np.minimum(ch.rk, _c(g22 * q2))
-    return _finite(r1, r2)
+    r1, cap2, _ = _unlayered_terms(ch, b1, b2)
+    return _finite(r1, np.minimum(ch.rk, cap2))
 
 
 def key_splitting_point(ch: ChannelParams, sp: SchemeParams) -> RateConstraints:
@@ -217,39 +232,51 @@ def point_region(rc: RateConstraints) -> Region:
     return hull(polygon_points(rc.r1_cap, rc.r2_cap, rc.sum_cap))
 
 
-def _axis(n: int, pinned: bool) -> np.ndarray:
-    if pinned:
-        return np.array([1.0])
-    return np.linspace(0.0, 1.0, n)
+def _swept(scheme, grid):
+    """The core scheme and the point count of each axis, 0 where pinned.
+
+    lambda1 and lambda2 are swept by the layered schemes only, lambda1 not
+    under no_an; full_power pins beta1 and beta2; eta is swept by
+    key_splitting only. A pinned axis holds the single value 1.
+    """
+    if scheme not in VARIANTS:
+        raise DomainError(f"unknown scheme {scheme!r}; "
+                          f"expected one of {tuple(VARIANTS)}")
+    core, pins = VARIANTS[scheme]
+    grid = replace(grid, **pins)
+    layered = core in ("key_splitting", "rate_splitting")
+    return core, {
+        "lambda1": grid.n_lambda1 if layered and not grid.no_an else 0,
+        "lambda2": grid.n_lambda2 if layered else 0,
+        "beta1": 0 if grid.full_power else grid.n_beta1,
+        "beta2": 0 if grid.full_power else grid.n_beta2,
+        "eta": grid.n_eta if core == "key_splitting" else 0,
+    }
 
 
 def _cap_slices(ch, scheme, grid):
     """The scheme's (r1, r2, sum) cap arrays over the grid, block by block.
 
     Each eta slice comes in blocks of whole rows of about CHUNK polygons.
-    The eta-free key-splitting terms are computed once for all slices.
+    The eta-free terms are computed once for all slices.
     """
-    if scheme not in SCHEMES:
-        raise DomainError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    b1 = _axis(grid.n_beta1, grid.full_power)
-    b2 = _axis(grid.n_beta2, grid.full_power)
-    if scheme in ("key_as_wiretap", "one_time_pad"):
-        caps = _wiretap_caps if scheme == "key_as_wiretap" else _otp_caps
-        caps = np.broadcast_arrays(*caps(ch, b1[:, None], b2[None, :]), math.inf)
-        return (tuple(c[rows] for c in caps) for rows in _row_blocks(caps[0]))
-    lam1 = _axis(grid.n_lambda1, grid.no_an)
-    lam2 = np.linspace(0.0, 1.0, grid.n_lambda2)
-    if grid.include_gdof_split:
-        lam2 = np.unique(np.concatenate([lam2, [gdof_split_lambda2(ch)]]))
-    if scheme == "key_splitting":
-        eta = np.linspace(0.0, 1.0, grid.n_eta)
+    core, counts = _swept(scheme, grid)
+    lam1, lam2, b1, b2, eta = (np.linspace(0.0, 1.0, n) if n else np.ones(1)
+                               for n in counts.values())
+    if core in ("key_as_wiretap", "one_time_pad"):
+        caps = _wiretap_caps if core == "key_as_wiretap" else _otp_caps
+        base = (*caps(ch, b1[:, None], b2[None, :]), math.inf)
+        clip = lambda ch, caps, eta: caps  # no key to split: the caps as is
     else:
-        eta = np.array([1.0])
-    base = np.broadcast_arrays(*_key_splitting_base(
-        ch, lam1[:, None, None, None], lam2[None, :, None, None],
-        b1[None, None, :, None], b2[None, None, None, :]))
+        if grid.include_gdof_split:
+            lam2 = np.unique(np.concatenate([lam2, [gdof_split_lambda2(ch)]]))
+        base = _key_splitting_base(
+            ch, lam1[:, None, None, None], lam2[None, :, None, None],
+            b1[None, None, :, None], b2[None, None, None, :])
+        clip = _key_splitting_eta
+    base = np.broadcast_arrays(*base)
     blocks = _row_blocks(base[0])
-    return (_key_splitting_eta(ch, [b[rows] for b in base], float(e))
+    return (clip(ch, [b[rows] for b in base], float(e))
             for e in eta for rows in blocks)
 
 
@@ -264,34 +291,21 @@ def _row_blocks(a):
     return [slice(i, i + step) for i in range(0, len(a), step)][::-1]
 
 
-def _warn_coarse(scheme, grid):
-    swept = []
-    if scheme in ("key_splitting", "rate_splitting"):
-        if not grid.no_an:
-            swept.append(("lambda1", grid.n_lambda1))
-        swept.append(("lambda2", grid.n_lambda2))
-    if not grid.full_power:
-        swept.append(("beta1", grid.n_beta1))
-        swept.append(("beta2", grid.n_beta2))
-    if scheme == "key_splitting":
-        swept.append(("eta", grid.n_eta))
-    for name, n in swept:
-        if n < 2:
-            warnings.warn(f"swept axis {name} has fewer than 2 points; "
-                          "the region will be badly undersampled", stacklevel=3)
-
-
 def sweep_region(ch: ChannelParams, scheme: str,
                  grid: GridSpec | None = None) -> Region:
     """Down-closed hull of a scheme's rate polygons over a parameter grid.
 
-    The grid is the full cartesian product of the scheme's free parameter
-    axes; pinned axes (no_an, full_power, eta for schemes that fix it)
-    contribute a single point. Deterministic for identical inputs.
+    The scheme is any name in VARIANTS. The grid is the full cartesian
+    product of the scheme's free parameter axes; pinned axes (no_an,
+    full_power, eta for schemes that fix it) contribute a single point.
+    Deterministic for identical inputs.
     """
     grid = grid or GridSpec()
     blocks = _cap_slices(ch, scheme, grid)
-    _warn_coarse(scheme, grid)
+    for axis, n in _swept(scheme, grid)[1].items():
+        if n == 1:
+            warnings.warn(f"swept axis {axis} has fewer than 2 points; "
+                          "the region will be badly undersampled", stacklevel=2)
     front = np.empty((0, 2))  # Pareto set of every corner so far
     for r1, r2, rsum in blocks:
         if len(front):
@@ -330,7 +344,7 @@ def _staircase(front, x):
 
 def max_sum_rate(ch: ChannelParams, scheme: str,
                  grid: GridSpec | None = None) -> float:
-    """Largest R1 + R2 the scheme achieves on the grid."""
+    """Largest R1 + R2 the scheme (any name in VARIANTS) achieves on the grid."""
     best = 0.0
     for r1, r2, rsum in _cap_slices(ch, scheme, grid or GridSpec()):
         best = max(best, float(np.minimum(rsum, r1 + r2).max()))

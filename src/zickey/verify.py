@@ -19,8 +19,8 @@ from .bounds import composite_outer_region, r2_outer_high, sum_rate_outer, \
     evaluate_outer_bounds
 from .channel import ChannelParams, SchemeParams, classify_regime, snr_inr
 from .gdof import GAP_TOL, GdofParams, gdof_convergence_check, gdof_region, \
-    key_splitting_gdof, no_secrecy_gdof, rate_splitting_gdof, GDOF_SCHEMES
-from .geometry import REGION_TOL, containment_margin, contains, hull, \
+    key_splitting_gdof, no_secrecy_gdof, rate_splitting_gdof
+from .geometry import REGION_TOL, containment_margin, hull, \
     intersect_halfplanes, subset_of
 from .schemes import GridSpec, SCHEMES, key_as_wiretap_point, \
     key_splitting_point, one_time_pad_point, sweep_region
@@ -132,26 +132,18 @@ def _inv_eta0_lambda1_matches_wiretap(rng, corrupt):
     return rows
 
 
-def _inv_rate_split_in_key_split(rng, corrupt):
-    rows = []
-    for _ in range(2):
-        ch = _draw_channel(rng)
-        inner = sweep_region(ch, "rate_splitting", _GRID)
-        outer = sweep_region(ch, "key_splitting", _GRID)
-        m = containment_margin(outer, inner.vertices)
-        rows.append(_row(_fmt(ch), REGION_TOL - m))
-    return rows
-
-
-def _inv_wiretap_in_key_split(rng, corrupt):
-    rows = []
-    for _ in range(2):
-        ch = _draw_channel(rng)
-        inner = sweep_region(ch, "key_as_wiretap", _GRID)
-        outer = sweep_region(ch, "key_splitting", _GRID)
-        m = containment_margin(outer, inner.vertices)
-        rows.append(_row(_fmt(ch), REGION_TOL - m))
-    return rows
+def _inv_in_key_split(scheme):
+    """The invariant that the scheme's region lies inside key splitting's."""
+    def check(rng, corrupt):
+        rows = []
+        for _ in range(2):
+            ch = _draw_channel(rng)
+            inner = sweep_region(ch, scheme, _GRID)
+            outer = sweep_region(ch, "key_splitting", _GRID)
+            m = containment_margin(outer, inner.vertices)
+            rows.append(_row(_fmt(ch), REGION_TOL - m))
+        return rows
+    return check
 
 
 def _inv_otp_r2_at_most_key(rng, corrupt):
@@ -271,7 +263,7 @@ def _inv_gdof_gamma_monotone(rng, corrupt):
     for _ in range(2):
         alpha = float(rng.uniform(0.0, 1.0))
         gamma = float(rng.uniform(0.0, 1.0))
-        for scheme in GDOF_SCHEMES:
+        for scheme in SCHEMES:
             small = gdof_region(GdofParams(alpha=alpha, gamma=gamma), scheme)
             big = gdof_region(GdofParams(alpha=alpha, gamma=gamma + 0.3), scheme)
             m = containment_margin(big, small.vertices)
@@ -287,7 +279,7 @@ def _inv_gdof_no_secrecy_cap(rng, corrupt):
         gp = GdofParams(alpha=alpha, gamma=float(rng.uniform(0.0, 1.5)),
                         eta=float(rng.uniform(0.0, 1.0)))
         cap = no_secrecy_gdof(alpha)
-        for scheme in GDOF_SCHEMES:
+        for scheme in SCHEMES:
             m = containment_margin(cap, gdof_region(gp, scheme).vertices)
             rows.append(_row(f"{scheme} alpha={alpha:.4g} gamma={gp.gamma:.4g}",
                              REGION_TOL - m))
@@ -388,8 +380,8 @@ INVARIANTS = (
     ("caps_nonnegative", _inv_caps_nonnegative),
     ("rk_monotone_caps", _inv_rk_monotone_caps),
     ("eta0_lambda1_matches_wiretap", _inv_eta0_lambda1_matches_wiretap),
-    ("rate_split_region_in_key_split", _inv_rate_split_in_key_split),
-    ("wiretap_region_in_key_split", _inv_wiretap_in_key_split),
+    ("rate_split_region_in_key_split", _inv_in_key_split("rate_splitting")),
+    ("wiretap_region_in_key_split", _inv_in_key_split("key_as_wiretap")),
     ("otp_r2_at_most_key", _inv_otp_r2_at_most_key),
     ("schemes_within_outer", _inv_schemes_within_outer),
     ("outer_rk_slope_one", _inv_outer_rk_slope_one),

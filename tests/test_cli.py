@@ -10,6 +10,7 @@ import xml.etree.ElementTree as ET
 import jsonschema
 import pytest
 
+from zickey import schemes
 from zickey.cli import main
 from zickey.verify import REPORT_SCHEMA
 
@@ -342,3 +343,31 @@ def test_verify_corrupt_self_test(capsys):
     failed = {r["invariant"] for r in report["results"] if not r["pass"]}
     assert failed == {"schemes_within_outer"}
     assert "schemes_within_outer" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["region", *WEAK, "--grid", "coarse"],
+    ["sumrate", "--p", "10", "--alpha-list", "0.5", "--grid", "coarse"],
+    ["gdof", "--alpha", "0.5", "--gamma", "0.1"],
+])
+def test_empty_scheme_list_is_a_config_error(tmp_path, capsys, argv):
+    assert main([*argv, "--schemes", "", "--out-dir", str(tmp_path)]) == 2
+    assert "empty list" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_huge_grid_exits_3_before_any_sweep(tmp_path, capsys, monkeypatch):
+    # the grid is refused before a cap array is built: a sweep that starts
+    # fails this test instead of allocating terabytes
+    def unreachable(*args):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr(schemes, "_cap_slices", unreachable)
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("grid.n_beta2 = 10000000\n")
+    for argv in (["region", *WEAK, "--grid", "n_beta2=10000000"],
+                 ["region", *WEAK, "--config", str(cfg)],
+                 ["sumrate", *WEAK[:-2], "--rk-list", "0,1",
+                  "--grid", "n_beta2=10000000"]):
+        assert main([*argv, "--out-dir", str(tmp_path / "o")]) == 3
+        assert "exceeds the budget" in capsys.readouterr().err

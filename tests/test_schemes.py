@@ -5,6 +5,7 @@ the float64 implementation must match them to ~1 ulp, asserted at 1e-12.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from zickey import (ChannelParams, DomainError, GridSpec, SchemeParams,
                     key_splitting_point, max_sum_rate, max_y_at_x,
                     one_time_pad_point, point_region, polygon_points,
                     rate_splitting_point, subset_of, sweep_region)
+from zickey.schemes import MAX_POLYGONS, VARIANTS
 
 CH = ChannelParams(1, 1, 0.6, 100, 100, rk=1.0)
 
@@ -294,3 +296,55 @@ def test_region_r1_reach():
         reg = sweep_region(CH, scheme, SMALL)
         assert reg.max_x == pytest.approx(c(100.0), abs=1e-12)
         assert max_y_at_x(reg, 0.0) == pytest.approx(reg.max_y, abs=1e-12)
+
+
+def _coarse_axes(scheme, **counts):
+    """The axes sweep_region warns about, in order, on a grid of `counts`."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        sweep_region(CH, scheme, GridSpec(**{"n_lambda1": 3, "n_lambda2": 3,
+                                             "n_beta1": 3, "n_beta2": 3,
+                                             "n_eta": 3, **counts}))
+    return [str(w.message).split()[2] for w in caught]
+
+
+def test_coarse_grid_warns_only_for_swept_axes():
+    ones = dict(n_lambda1=1, n_lambda2=1, n_beta1=1, n_beta2=1, n_eta=1)
+    assert _coarse_axes("key_splitting", **ones) == [
+        "lambda1", "lambda2", "beta1", "beta2", "eta"]
+    assert _coarse_axes("key_splitting", n_beta2=1, n_lambda2=1) == [
+        "lambda2", "beta2"]
+    # pinned axes hold one point by design
+    assert _coarse_axes("rate_splitting", n_eta=1) == []
+    assert _coarse_axes("rate_splitting_no_an", n_lambda1=1, n_eta=1) == []
+    assert _coarse_axes("key_as_wiretap", n_lambda1=1, n_lambda2=1,
+                        n_eta=1) == []
+    assert _coarse_axes("one_time_pad", **ones, full_power=True) == []
+    assert _coarse_axes("key_splitting", n_lambda1=1, no_an=True) == []
+    assert _coarse_axes("rate_splitting", **ones, full_power=True) == [
+        "lambda1", "lambda2"]
+
+
+def test_unknown_scheme_names_every_variant():
+    assert tuple(VARIANTS) == ("key_splitting", "rate_splitting",
+                               "rate_splitting_no_an", "key_as_wiretap",
+                               "one_time_pad")
+    for fn in (sweep_region, max_sum_rate):
+        with pytest.raises(DomainError) as err:
+            fn(CH, "bogus", SMALL)
+        assert all(name in str(err.value) for name in VARIANTS)
+
+
+def test_grid_polygon_budget():
+    # the fine preset (49 x 50 x 49 x 49 polygons per key fraction) fits
+    GridSpec(n_lambda1=49, n_lambda2=49, n_beta1=49, n_beta2=49, n_eta=31)
+    # counted as n_lambda1 * (n_lambda2 + 1) * n_beta1 * n_beta2
+    GridSpec(n_lambda1=1, n_lambda2=MAX_POLYGONS - 1, n_beta1=1, n_beta2=1)
+    GridSpec(n_lambda1=1, n_lambda2=1, n_beta1=1, n_beta2=1,
+             n_eta=MAX_POLYGONS)
+    for big in ({"n_lambda2": MAX_POLYGONS}, {"n_beta2": 10**7},
+                {"n_lambda1": np.int64(2**40), "n_beta1": np.int64(2**40)},
+                {"n_eta": MAX_POLYGONS + 1}):
+        with pytest.raises(DomainError, match="budget"):
+            GridSpec(**{"n_lambda1": 1, "n_lambda2": 1, "n_beta1": 1,
+                        "n_beta2": 1, **big})

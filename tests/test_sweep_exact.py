@@ -8,6 +8,7 @@ point above both its corners. Each step is checked here against a literal,
 unoptimized version of itself kept in this file.
 """
 
+import dataclasses
 import functools
 import math
 from unittest import mock
@@ -235,3 +236,13 @@ def test_row_blocks_cover_every_row_once(chunk):
         assert sorted(got) == list(rows), (chunk, shape)
         # whole rows, and no more than CHUNK polygons unless one row is more
         assert all(len(rows[b]) * width <= max(chunk, width) for b in blocks)
+
+
+def test_no_an_variant_is_rate_splitting_without_noise():
+    no_an = dataclasses.replace(GRID17, no_an=True)
+    for ch in SHOWCASE + EDGE:
+        want = sweep_region(ch, "rate_splitting", no_an)
+        got = sweep_region(ch, "rate_splitting_no_an", GRID17)
+        assert got.vertices.tobytes() == want.vertices.tobytes(), ch
+        assert max_sum_rate(ch, "rate_splitting_no_an", GRID17) == \
+            max_sum_rate(ch, "rate_splitting", no_an), ch
