@@ -33,10 +33,6 @@ from .verify import render_report, run_battery
 
 DEFAULT_VARIANTS = tuple(VARIANTS)
 
-# these two are only claimed to be achievable while the cross link does
-# not dominate (inr1 <= snr2); elsewhere they are skipped with a note
-HIGH_REGIME_UNSUPPORTED = ("rate_splitting_no_an", "key_as_wiretap")
-
 GRID_PRESETS = {
     "coarse": GridSpec(n_lambda1=9, n_lambda2=9, n_beta1=9, n_beta2=9, n_eta=7),
     "default": GridSpec(),
@@ -181,7 +177,7 @@ def cmd_region(args) -> int:
                                 VARIANTS)
     regime = classify_regime(ch)
     suppressed = tuple(s for s in schemes
-                       if regime == "high" and s in HIGH_REGIME_UNSUPPORTED)
+                       if regime == "high" and VARIANTS[s][2])
     kept = tuple(s for s in schemes if s not in suppressed)
     for name in suppressed:
         print(f"note: skipping {name}: only claimed while the cross link "
@@ -218,8 +214,12 @@ def _family_channel(p: float, alpha: float, rk: float) -> ChannelParams:
         raise ConfigError("the symmetric family needs p > 0")
     if alpha < 0.0:
         raise ConfigError("alpha must be >= 0")
-    return ChannelParams(h11=1.0, h22=1.0, h21=p ** ((alpha - 1.0) / 2.0),
-                         p1=p, p2=p, rk=rk)
+    try:
+        h21 = p ** ((alpha - 1.0) / 2.0)
+    except OverflowError:
+        raise DomainError("cross gain p**((alpha - 1)/2) overflows float64 "
+                          f"at p = {p!r}, alpha = {alpha!r}") from None
+    return ChannelParams(h11=1.0, h22=1.0, h21=h21, p1=p, p2=p, rk=rk)
 
 
 def _axis_values(values, prefix, lo_default, hi_default, n_default):
@@ -285,7 +285,7 @@ def cmd_sumrate(args) -> int:
         regime = classify_regime(ch)
         row = [_f(axis_v)]
         for name in schemes:
-            if regime == "high" and name in HIGH_REGIME_UNSUPPORTED:
+            if regime == "high" and VARIANTS[name][2]:
                 suppressed.add(name)
                 row.append("")
                 continue

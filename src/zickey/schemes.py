@@ -31,20 +31,24 @@ from .channel import ChannelParams, DomainError, SchemeParams, _c, as_real
 from .geometry import Region, hull, pareto_filter
 
 SCHEMES = ("key_splitting", "rate_splitting", "key_as_wiretap", "one_time_pad")
-# every scheme name the sweeps take -> (core scheme, GridSpec fields it pins),
-# in the order of the command line's output columns
+# every scheme name the sweeps take -> (core scheme, GridSpec fields it pins,
+# whether it is only claimed while the cross link does not dominate, that
+# is while inr1 <= snr2), in the order of the command line's output columns
 VARIANTS = {
-    "key_splitting": ("key_splitting", {}),
-    "rate_splitting": ("rate_splitting", {}),
-    "rate_splitting_no_an": ("rate_splitting", {"no_an": True}),
-    "key_as_wiretap": ("key_as_wiretap", {}),
-    "one_time_pad": ("one_time_pad", {}),
+    "key_splitting": ("key_splitting", {}, False),
+    "rate_splitting": ("rate_splitting", {}, False),
+    "rate_splitting_no_an": ("rate_splitting", {"no_an": True}, True),
+    "key_as_wiretap": ("key_as_wiretap", {}, True),
+    "one_time_pad": ("one_time_pad", {}, False),
 }
 # caps are evaluated in blocks of whole rows (first axis) of about CHUNK
 # polygons, so that a block's temporaries stay in cache
 CHUNK = 32768
 # sweep_region buckets the x of its running Pareto front into STAIR_BINS bins
 STAIR_BINS = 4096
+# max_sum_rate seeds its best sum rate of a block with the polygons of the
+# SEED_POLYGONS largest upper bounds
+SEED_POLYGONS = 16
 # largest n_lambda1 * (n_lambda2 + 1) * n_beta1 * n_beta2, the polygons of
 # one eta slice with the gdof split ("fine" has 5.9 M), and largest n_eta
 MAX_POLYGONS = 2**23
@@ -242,7 +246,7 @@ def _swept(scheme, grid):
     if scheme not in VARIANTS:
         raise DomainError(f"unknown scheme {scheme!r}; "
                           f"expected one of {tuple(VARIANTS)}")
-    core, pins = VARIANTS[scheme]
+    core, pins, _ = VARIANTS[scheme]
     grid = replace(grid, **pins)
     layered = core in ("key_splitting", "rate_splitting")
     return core, {
@@ -254,30 +258,60 @@ def _swept(scheme, grid):
     }
 
 
-def _cap_slices(ch, scheme, grid):
-    """The scheme's (r1, r2, sum) cap arrays over the grid, block by block.
+def _points(n):
+    """The n points of a swept axis on [0, 1]; 0 points: pinned at 1."""
+    return np.linspace(0.0, 1.0, n) if n else np.ones(1)
 
-    Each eta slice comes in blocks of whole rows of about CHUNK polygons.
-    The eta-free terms are computed once for all slices.
+
+def _cap_slices(ch, scheme, grid):
+    """(base, clip, eta values): the scheme's caps over the grid, in parts.
+
+    base holds the eta-free terms of every polygon as arrays of one shape;
+    clip(ch, polygons of base, eta) gives their (r1, r2, sum) caps at key
+    fraction eta, or at each of a column of key fractions.
     """
     core, counts = _swept(scheme, grid)
-    lam1, lam2, b1, b2, eta = (np.linspace(0.0, 1.0, n) if n else np.ones(1)
-                               for n in counts.values())
+    eta = _points(counts["eta"])
     if core in ("key_as_wiretap", "one_time_pad"):
+        b1, b2 = _points(counts["beta1"]), _points(counts["beta2"])
         caps = _wiretap_caps if core == "key_as_wiretap" else _otp_caps
-        base = (*caps(ch, b1[:, None], b2[None, :]), math.inf)
-        clip = lambda ch, caps, eta: caps  # no key to split: the caps as is
-    else:
-        if grid.include_gdof_split:
-            lam2 = np.unique(np.concatenate([lam2, [gdof_split_lambda2(ch)]]))
-        base = _key_splitting_base(
-            ch, lam1[:, None, None, None], lam2[None, :, None, None],
-            b1[None, None, :, None], b2[None, None, None, :])
-        clip = _key_splitting_eta
-    base = np.broadcast_arrays(*base)
-    blocks = _row_blocks(base[0])
-    return (clip(ch, [b[rows] for b in base], float(e))
-            for e in eta for rows in blocks)
+        base = np.broadcast_arrays(*caps(ch, b1[:, None], b2[None, :]),
+                                   math.inf)
+        return base, lambda ch, caps, eta: caps, eta  # no key to split
+    return _layered_base(ch, grid, counts), _key_splitting_eta, eta
+
+
+# the last layered base _layered_base built and cached, under "key" and "base"
+_base_slot = {}
+
+
+def _layered_base(ch, grid, counts):
+    """The eta-free key-splitting terms over the grid, as read-only arrays.
+
+    The terms read neither rk nor eta, so every layered scheme on the same
+    channel (rk aside) and axes shares them: the last base built stays in
+    _base_slot until another is needed. A base without a lambda1 axis
+    (no_an) is one row, cheap to rebuild, and is not kept, so that it does
+    not evict the full base that alternating schemes share.
+    """
+    axes = tuple(counts[a] for a in ("lambda1", "lambda2", "beta1", "beta2"))
+    key = (ch.h11, ch.h22, ch.h21, ch.p1, ch.p2, grid.include_gdof_split, axes)
+    if _base_slot.get("key") == key:
+        return _base_slot["base"]
+    keep = counts["lambda1"] > 0
+    if keep:
+        _base_slot.clear()  # free the old base before the new one is built
+    lam1, lam2, b1, b2 = map(_points, axes)
+    if grid.include_gdof_split:
+        lam2 = np.unique(np.concatenate([lam2, [gdof_split_lambda2(ch)]]))
+    base = np.broadcast_arrays(*_key_splitting_base(
+        ch, lam1[:, None, None, None], lam2[None, :, None, None],
+        b1[None, None, :, None], b2[None, None, None, :]))
+    for b in base:
+        b.flags.writeable = False
+    if keep:
+        _base_slot.update(key=key, base=base)
+    return base
 
 
 def _row_blocks(a):
@@ -301,7 +335,9 @@ def sweep_region(ch: ChannelParams, scheme: str,
     Deterministic for identical inputs.
     """
     grid = grid or GridSpec()
-    blocks = _cap_slices(ch, scheme, grid)
+    base, clip, etas = _cap_slices(ch, scheme, grid)
+    blocks = (clip(ch, [b[rows] for b in base], float(e))
+              for e in etas for rows in _row_blocks(base[0]))
     for axis, n in _swept(scheme, grid)[1].items():
         if n == 1:
             warnings.warn(f"swept axis {axis} has fewer than 2 points; "
@@ -342,10 +378,55 @@ def _staircase(front, x):
     return above[bucket(x)]
 
 
+def _sum_rate_bound(ch, r1, common, cap_priv, slack, rsum):
+    """(ub, margin): per polygon, ub + margin bounds its sum rate at every
+    key fraction; margin is one number for the whole block.
+
+    term_p never exceeds max(0, min(cap_priv, slack + rk)); term_c + term_p
+    never exceeds common plus that, nor min(common, rk) where term_p is 0,
+    nor slack + rk elsewhere. The last holds in exact arithmetic only: the
+    rounding of the key clips may pass it by some 6 ulps of rk + |slack|,
+    plus 2 of the sum rate, which the margin of 8 ulps of their block
+    maxima covers.
+    """
+    rk = ch.rk
+    reach = slack + rk
+    tpmax = np.maximum(0.0, np.minimum(cap_priv, reach))
+    r2max = np.minimum(common + tpmax,
+                       np.maximum(reach, np.minimum(common, rk)))
+    ub = np.minimum(rsum + tpmax, r1 + r2max)
+    scale = float(ub.max()) + max(float(slack.max()), -float(slack.min())) + rk
+    return ub, 8.0 * math.ulp(scale)
+
+
 def max_sum_rate(ch: ChannelParams, scheme: str,
                  grid: GridSpec | None = None) -> float:
-    """Largest R1 + R2 the scheme (any name in VARIANTS) achieves on the grid."""
+    """Largest R1 + R2 the scheme (any name in VARIANTS) achieves on the grid.
+
+    With several key fractions, each block of rows is first bounded over
+    all of them at once; only polygons whose bound reaches the best sum
+    rate so far are evaluated at every fraction. A polygon is skipped only
+    when none of its sum rates can reach that best, so the maximum is the
+    one over every polygon, to the bit.
+    """
+    base, clip, etas = _cap_slices(ch, scheme, grid or GridSpec())
+
+    def best_of(polygons):
+        # about CHUNK (polygon, key fraction) pairs at a time
+        step = max(1, CHUNK // max(1, polygons[0].size))
+        caps = (clip(ch, polygons, etas[i:i + step, None])
+                for i in range(0, len(etas), step))
+        return max(float(np.minimum(rsum, r1 + r2).max(initial=0.0))
+                   for r1, r2, rsum in caps)
+
     best = 0.0
-    for r1, r2, rsum in _cap_slices(ch, scheme, grid or GridSpec()):
-        best = max(best, float(np.minimum(rsum, r1 + r2).max()))
+    for rows in _row_blocks(base[0]):
+        block = [b[rows].ravel() for b in base]
+        if len(etas) > 1:
+            ub, margin = _sum_rate_bound(ch, *block)
+            top = np.argpartition(ub, max(0, ub.size - SEED_POLYGONS))
+            best = max(best, best_of([b[top[-SEED_POLYGONS:]] for b in block]))
+            live = ub >= best - margin
+            block = [b[live] for b in block]
+        best = max(best, best_of(block))
     return best

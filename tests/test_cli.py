@@ -371,3 +371,56 @@ def test_huge_grid_exits_3_before_any_sweep(tmp_path, capsys, monkeypatch):
                   "--grid", "n_beta2=10000000"]):
         assert main([*argv, "--out-dir", str(tmp_path / "o")]) == 3
         assert "exceeds the budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alphas", ["1000", "0,1000"])
+def test_overflowing_cross_gain_is_a_domain_error(tmp_path, capsys, alphas):
+    # p**((alpha - 1)/2) overflows a Python float, which raises instead of
+    # giving inf; the command ends in one error line and writes nothing
+    out = tmp_path / "o"
+    assert main(["sumrate", "--p", "10", "--alpha-list", alphas,
+                 "--grid", "coarse", "--out-dir", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "overflows" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+# sumrate.csv of two coarse-grid power sweeps, pinned before the sum rate
+# was bounded and pruned and the layered base was shared between calls
+GOLDEN_SUMRATE = [
+    (["--h11", "1", "--h22", "1", "--h21", "0.6", "--p1", "100", "--p2", "100",
+      "--rk-min", "0", "--rk-max", "2", "--rk-steps", "5"],
+     "rk,key_splitting,rate_splitting,rate_splitting_no_an,key_as_wiretap,"
+     "one_time_pad,outer\n"
+     "0.0,3.389367122058918,3.389367122058918,3.389367122058918,"
+     "3.3291057413758973,3.3291057413758973,4.053484799937319\n"
+     "0.5,3.838223843729626,3.549016041480263,3.549016041480263,"
+     "3.3291057413758973,3.3291057413758973,4.553484799937319\n"
+     "1.0,4.063443472816356,3.549016041480263,3.549016041480263,"
+     "3.7785617267980296,3.3291057413758973,5.053484799937319\n"
+     "1.5,4.1967439832433495,3.549016041480263,3.549016041480263,"
+     "4.008277536116679,3.630833785034944,5.553484799937319\n"
+     "2.0,4.238271853107128,3.549016041480263,3.549016041480263,"
+     "4.124004666832136,4.008277536116679,6.053484799937319\n"),
+    (["--p", "100", "--rk", "1", "--alpha-min", "0.25", "--alpha-max", "1.25",
+      "--alpha-steps", "5"],
+     "alpha,key_splitting,rate_splitting,rate_splitting_no_an,key_as_wiretap,"
+     "one_time_pad,outer\n"
+     "0.25,5.625698009052771,4.8652483818591135,4.8652483818591135,"
+     "5.625698009052771,4.091643609408374,6.629524878448397\n"
+     "0.5,4.815642582526886,4.126923742493702,4.126923742493702,"
+     "4.793285876791407,3.753016015749718,5.9284956734331455\n"
+     "0.75,4.106806148322189,3.5542789815935314,3.5542789815935314,"
+     "3.925984420867677,3.3291057413758973,5.144307646076535\n"
+     "1.0,3.8255258455894645,3.8255258455894645,3.8255258455894645,"
+     "3.3291057413758973,3.3291057413758973,\n"
+     "1.25,4.329105741375898,4.329105741375898,,,3.3291057413758973,\n"),
+]
+
+
+@pytest.mark.parametrize("argv, want", GOLDEN_SUMRATE, ids=["rk", "alpha"])
+def test_sumrate_power_sweeps_match_golden_bytes(tmp_path, argv, want):
+    assert main(["sumrate", *argv, "--grid", "coarse", "--sweep-powers",
+                 "--out-dir", str(tmp_path)]) == 0
+    assert (tmp_path / "sumrate.csv").read_bytes() == want.encode()

@@ -4,8 +4,11 @@ sweep_region computes the eta-free key-splitting terms once per grid, emits
 two corners per rate polygon, and prefilters large point sets by x buckets
 before sorting. It works through the caps in blocks of whole rows and drops
 a polygon when its running Pareto front, bucketed by x, already holds a
-point above both its corners. Each step is checked here against a literal,
-unoptimized version of itself kept in this file.
+point above both its corners. max_sum_rate bounds each block over every key
+fraction at once and evaluates only the polygons whose bound reaches its
+best sum rate so far. The layered base is kept between calls for the same
+channel and axes. Each step is checked here against a literal, unoptimized
+version of itself kept in this file.
 """
 
 import dataclasses
@@ -18,18 +21,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zickey import ChannelParams, GridSpec, max_sum_rate, sweep_region
-from zickey import geometry, schemes
+from zickey import ChannelParams, DomainError, GridSpec, max_sum_rate
+from zickey import geometry, schemes, sweep_region
 from zickey.geometry import hull, pareto_filter
 from zickey.schemes import (SCHEMES, _key_splitting_base, _key_splitting_eta,
-                            _otp_caps, _row_blocks, _staircase, _wiretap_caps,
-                            gdof_split_lambda2)
+                            _otp_caps, _row_blocks, _staircase,
+                            _sum_rate_bound, _wiretap_caps, gdof_split_lambda2)
 
 SHOWCASE = [ChannelParams(1, 1, h21, 100, 100, rk=rk)
             for h21 in (0.6, 0.8, 1.2) for rk in (0.2, 1.0, 2.0)]
 EDGE = [ChannelParams(1, 1, 0.0, 100, 100, rk=1.0),     # no cross link
         ChannelParams(1, 1, 0.6, 0.0, 100, rk=1.0),     # silent user 1
         ChannelParams(1.3, 0.7, 0.0, 0.0, 20, rk=0.3)]
+# tiny P1, huge P2: many polygons come close to the best sum rate
+CROWDED = [ChannelParams(1, 1, h21, 1e-9, 1e9, rk=rk)
+           for h21 in (0.6, 1.2) for rk in (0.0, 0.7, 30.0)]
 GRID17 = GridSpec(n_lambda1=17, n_lambda2=17, n_beta1=17, n_beta2=17,
                   n_eta=17)
 
@@ -246,3 +252,151 @@ def test_no_an_variant_is_rate_splitting_without_noise():
         assert got.vertices.tobytes() == want.vertices.tobytes(), ch
         assert max_sum_rate(ch, "rate_splitting_no_an", GRID17) == \
             max_sum_rate(ch, "rate_splitting", no_an), ch
+
+
+@functools.lru_cache(maxsize=None)
+def _ref_best(ch, scheme, n_eta):
+    """Brute-force best sum rate on GRID17 with n_eta key fractions."""
+    grid = dataclasses.replace(GRID17, n_eta=n_eta)
+    return max(float(np.minimum(rsum, r1 + r2).max())
+               for r1, r2, rsum in _ref_slices(ch, scheme, grid))
+
+
+@pytest.mark.parametrize("n_eta", [1, 2, 17])
+@pytest.mark.parametrize("seeds", [1, 10**9])  # one seed polygon, or all
+def test_pruned_max_sum_rate_matches_brute_force(n_eta, seeds):
+    grid = dataclasses.replace(GRID17, n_eta=n_eta)
+    with mock.patch.object(schemes, "SEED_POLYGONS", seeds):
+        for ch in SHOWCASE + EDGE + CROWDED:
+            for scheme in ("key_splitting", "rate_splitting"):
+                assert max_sum_rate(ch, scheme, grid) == \
+                    _ref_best(ch, scheme, n_eta), (n_eta, ch, scheme)
+
+
+magnitude = st.one_of(st.floats(0.0, 1e6),
+                      st.sampled_from([0.0, 5e-324, 1e-310,
+                                       float(np.finfo(float).tiny), 1e-16,
+                                       1.0, 1e6]))
+
+
+@st.composite
+def bases(draw):
+    """rk and a few polygons' base terms (r1, common, cap_priv, slack, rsum)."""
+    rk = draw(magnitude)
+    polygons = []
+    for _ in range(draw(st.integers(1, 8))):
+        r1, common, cap_priv, leak, rsum = (draw(magnitude) for _ in range(5))
+        slack = draw(st.one_of(
+            st.just(cap_priv - leak),
+            # slack + (1 - eta) * rk cancels: the key clips round on the
+            # scale of rk, not of the sum rate
+            st.floats(0.0, 1.0).map(lambda d: -rk * (1.0 - d**3)),
+            st.floats(-1e6, 1e6)))
+        polygons.append((r1, common, cap_priv, slack, rsum))
+    return rk, [np.array(col) for col in zip(*polygons)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(bases(), st.lists(st.floats(0.0, 1.0), max_size=20))
+def test_sum_rate_bound_covers_every_key_fraction(case, etas):
+    rk, base = case
+    ch = ChannelParams(1, 1, 0.5, 1, 1, rk=rk)
+    ub, margin = _sum_rate_bound(ch, *base)
+    for eta in [*np.linspace(0.0, 1.0, 21), *etas]:
+        r1, r2, rsum = _key_splitting_eta(ch, base, float(eta))
+        # as in max_sum_rate, which keeps a polygon when ub >= best - margin
+        assert np.all(ub >= np.minimum(rsum, r1 + r2) - margin), \
+            (rk, base, eta)
+
+
+def test_sum_rate_bound_under_cancellation():
+    # slack close to -rk: slack + (1 - eta) * rk is small, but rounds on the
+    # scale of rk; the margin must cover that when every sum rate of a
+    # block is small against rk, at fine key fractions as well
+    rng = np.random.default_rng(5)
+    n = 20000
+    for rk in (1e-3, 0.7, 1e6):
+        ch = ChannelParams(1, 1, 0.5, 1, 1, rk=rk)
+        for width in (1.0, 1e-2, 1e-5):
+            small = rng.random((3, n)) * width
+            base = [np.where(rng.random(n) < 0.5, 0.0, small[0] * rk),
+                    small[1] * rk, np.full(n, 1e300), -rk * (1.0 - small[2]),
+                    np.full(n, 1e300)]
+            ub, margin = _sum_rate_bound(ch, *base)
+            for eta in np.concatenate([np.linspace(0.0, 1.0, 101),
+                                       np.linspace(0.0, width, 101)]):
+                r1, r2, rsum = _key_splitting_eta(ch, base, float(eta))
+                assert np.all(ub >= np.minimum(rsum, r1 + r2) - margin), \
+                    (rk, width, eta)
+
+
+def _builds(fn, *args):
+    """fn(*args) and how many times it built a key-splitting base."""
+    with mock.patch.object(schemes, "_key_splitting_base",
+                           wraps=_key_splitting_base) as spy:
+        got = fn(*args)
+    return got, spy.call_count
+
+
+def _fresh(fn, *args):
+    schemes._base_slot.clear()
+    return fn(*args)
+
+
+COARSE = GridSpec(n_lambda1=9, n_lambda2=9, n_beta1=9, n_beta2=9, n_eta=7)
+
+
+def test_base_is_reused_across_key_rates_and_schemes():
+    ch = SHOWCASE[1]
+    cases = [(dataclasses.replace(ch, rk=rk), scheme)
+             for rk in (0.0, 0.2, 3.0)
+             for scheme in ("key_splitting", "rate_splitting")]
+    want = [_fresh(max_sum_rate, c, scheme, COARSE) for c, scheme in cases]
+    region = _fresh(sweep_region, ch, "rate_splitting", COARSE)
+    _fresh(max_sum_rate, ch, "key_splitting", COARSE)
+    base = schemes._base_slot["base"]
+    assert all(not b.flags.writeable for b in base)
+    for (c, scheme), best in zip(cases, want):
+        assert _builds(max_sum_rate, c, scheme, COARSE) == (best, 0)
+    got, built = _builds(sweep_region, ch, "rate_splitting", COARSE)
+    assert built == 0 and schemes._base_slot["base"] is base
+    assert got.vertices.tobytes() == region.vertices.tobytes()
+    # the one-row no_an base is built apart and leaves the shared one in place
+    assert _builds(max_sum_rate, ch, "rate_splitting_no_an", COARSE)[1] == 1
+    assert _builds(max_sum_rate, ch, "key_splitting", COARSE)[1] == 0
+
+
+@pytest.mark.parametrize("change", [
+    {"h11": 1.1}, {"h22": 0.9}, {"h21": 0.7}, {"p1": 90.0}, {"p2": 110.0},
+    {"h21": -0.6},  # the same base, but another channel
+    {"n_lambda1": 8}, {"n_lambda2": 8}, {"n_beta1": 8}, {"n_beta2": 8},
+    {"no_an": True}, {"full_power": True}, {"include_gdof_split": False},
+])
+def test_base_is_rebuilt_when_channel_or_axes_change(change):
+    ch = SHOWCASE[1]
+    ch_fields = {k: v for k, v in change.items() if hasattr(ch, k)}
+    other = dataclasses.replace(ch, **ch_fields)
+    grid = dataclasses.replace(COARSE, **{k: v for k, v in change.items()
+                                          if k not in ch_fields})
+    for scheme in ("key_splitting", "rate_splitting"):
+        _fresh(max_sum_rate, ch, scheme, COARSE)
+        got, built = _builds(max_sum_rate, other, scheme, grid)
+        assert built == 1, (change, scheme)
+        assert got == _fresh(max_sum_rate, other, scheme, grid), change
+        _fresh(sweep_region, ch, scheme, COARSE)
+        region, built = _builds(sweep_region, other, scheme, grid)
+        assert built == 1, (change, scheme)
+        assert region.vertices.tobytes() == \
+            _fresh(sweep_region, other, scheme, grid).vertices.tobytes()
+
+
+def test_failed_base_build_leaves_the_slot_empty():
+    ch = SHOWCASE[1]
+    _fresh(max_sum_rate, ch, "key_splitting", COARSE)
+    # finite powers whose received sums overflow inside the base
+    huge = ChannelParams(1, 1, 1, 1.5e308, 1.5e308, rk=1.0)
+    for fn in (max_sum_rate, sweep_region):
+        with pytest.raises(DomainError, match="overflow"):
+            fn(huge, "key_splitting", COARSE)
+        assert schemes._base_slot == {}
+    assert _builds(max_sum_rate, ch, "key_splitting", COARSE)[1] == 1
