@@ -14,17 +14,16 @@ from .bounds import (OuterBounds, composite_outer_region,
                      outer_max_sum, r2_outer_high, r2_sum_component,
                      sum_rate_outer)
 from .channel import (ChannelParams, DomainError, SchemeParams,
-                      classify_regime, db_to_linear, snr_inr, split_powers)
-from .gdof import (ConvergenceReport, ConvergenceRung, GdofParams, gdof_convergence_check, gdof_region,
-                   key_splitting_gdof, key_wc_gdof, key_wc_gdof_components,
-                   no_secrecy_gdof, otp_gdof, otp_gdof_components,
-                   rate_splitting_gdof)
+                      classify_regime, db_to_linear, snr_inr)
+from .gdof import (ConvergenceReport, GdofParams, gdof_convergence_check,
+                   gdof_region, key_splitting_gdof, key_wc_gdof,
+                   key_wc_gdof_components, no_secrecy_gdof, otp_gdof,
+                   otp_gdof_components, rate_splitting_gdof)
 from .geometry import (GEOM_TOL, REGION_TOL, Region, UnboundedRegionError,
                        containment_margin, contains, distance_to_region,
                        hull, intersect_halfplanes, max_y_at_x, pareto_filter,
                        subset_of)
-from .scenario import (ConfigError, build_channel, build_grid, load_config,
-                       parse_config)
+from .scenario import ConfigError, build_channel, build_grid, load_config
 from .schemes import (SCHEMES, GridSpec, RateConstraints, gdof_split_lambda2,
                       key_as_wiretap_point, key_splitting_point,
                       max_sum_rate, one_time_pad_point, point_region,
@@ -35,7 +34,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChannelParams", "SchemeParams", "DomainError", "ConfigError",
-    "classify_regime", "snr_inr", "split_powers", "db_to_linear",
+    "classify_regime", "snr_inr", "db_to_linear",
     "Region", "UnboundedRegionError", "GEOM_TOL", "REGION_TOL",
     "hull", "intersect_halfplanes", "contains", "containment_margin",
     "subset_of", "distance_to_region", "max_y_at_x", "pareto_filter",
@@ -46,10 +45,10 @@ __all__ = [
     "OuterBounds", "evaluate_outer_bounds", "sum_rate_outer",
     "r2_sum_component", "r2_outer_high", "nonsecrecy_sum_bound",
     "composite_outer_region", "outer_max_sum",
-    "GdofParams", "ConvergenceReport", "ConvergenceRung",
+    "GdofParams", "ConvergenceReport",
     "gdof_region", "key_splitting_gdof", "rate_splitting_gdof",
     "key_wc_gdof", "key_wc_gdof_components", "otp_gdof",
     "otp_gdof_components", "no_secrecy_gdof", "gdof_convergence_check",
-    "parse_config", "load_config", "build_channel", "build_grid",
+    "load_config", "build_channel", "build_grid",
     "run_battery", "render_report", "REPORT_SCHEMA", "INVARIANTS",
 ]

@@ -24,7 +24,10 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .channel import ChannelParams, DomainError, _c, snr_inr
-from .geometry import Region, intersect_halfplanes
+from .geometry import Region, hull
+# unused here; benchmarks/spans.py traces it under this module's name
+from .geometry import intersect_halfplanes  # noqa: F401
+from .schemes import polygon_points
 
 
 @dataclass(frozen=True)
@@ -37,6 +40,13 @@ class OuterBounds:
     r2_sum_part: float | None
     sum_keyed: float | None
     sum_nonsecrecy: float | None = None
+
+    @property
+    def caps(self) -> tuple[float, float, float]:
+        """(R1, R2, R1 + R2) caps of the outer pentagon; inf: no sum face."""
+        sums = {self.sum_keyed, self.sum_nonsecrecy} - {None}
+        return (self.r1_p2p, min(self.r2_keyed, self.r2_p2p),
+                min(sums, default=math.inf))
 
 
 def sum_rate_outer(ch: ChannelParams):
@@ -101,22 +111,11 @@ def evaluate_outer_bounds(ch: ChannelParams,
 
 def composite_outer_region(ch: ChannelParams,
                            include_nonsecrecy: bool = False) -> Region:
-    """Intersection of every applicable outer bound as a rate region.
-
-    Faces: R1 <= r1_p2p, R2 <= min(r2_keyed, r2_p2p), and the keyed sum
-    bound when applicable. The no-secrecy sum face is stacked on only when
-    include_nonsecrecy is set.
-    """
-    ob = evaluate_outer_bounds(ch, include_nonsecrecy)
-    planes = [
-        (1.0, 0.0, ob.r1_p2p),
-        (0.0, 1.0, min(ob.r2_keyed, ob.r2_p2p)),
-    ]
-    if ob.sum_keyed is not None:
-        planes.append((1.0, 1.0, ob.sum_keyed))
-    if ob.sum_nonsecrecy is not None:
-        planes.append((1.0, 1.0, ob.sum_nonsecrecy))
-    return intersect_halfplanes(planes)
+    """Intersection of every applicable outer bound: the pentagon of
+    OuterBounds.caps, whose sum face takes the no-secrecy bound only when
+    include_nonsecrecy is set."""
+    caps = evaluate_outer_bounds(ch, include_nonsecrecy).caps
+    return hull(polygon_points(*caps))
 
 
 def outer_max_sum(ch: ChannelParams, include_nonsecrecy: bool = False) -> float:

@@ -100,15 +100,6 @@ def classify_regime(ch: ChannelParams) -> str:
     return "weak_moderate" if inr1 <= snr2 else "high"
 
 
-def split_powers(ch: ChannelParams, sp: SchemeParams):
-    """Transmit powers (p1_message, p1_noise, p2_private, p2_common)."""
-    p1m = sp.lambda1 * sp.beta1 * ch.p1
-    p1a = (1.0 - sp.lambda1) * sp.beta1 * ch.p1
-    p2p = sp.lambda2 * sp.beta2 * ch.p2
-    p2c = (1.0 - sp.lambda2) * sp.beta2 * ch.p2
-    return p1m, p1a, p2p, p2c
-
-
 def _c(x):
     """Gaussian capacity term in bits, 0.5*log2(1+x), elementwise.
 

@@ -234,9 +234,8 @@ def _axis_values(values, prefix, lo_default, hi_default, n_default):
 
 
 def _outer_sum_cell(ch: ChannelParams, include_nonsecrecy: bool):
-    ob = evaluate_outer_bounds(ch, include_nonsecrecy=include_nonsecrecy)
-    vals = [v for v in (ob.sum_keyed, ob.sum_nonsecrecy) if v is not None]
-    return min(vals) if vals else None
+    c = evaluate_outer_bounds(ch, include_nonsecrecy=include_nonsecrecy).caps[2]
+    return None if np.isinf(c) else c
 
 
 def cmd_sumrate(args) -> int:

@@ -15,7 +15,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import ChannelParams, DomainError, SchemeParams, as_real
-from .geometry import Region, distance_to_region, hull, intersect_halfplanes
+from .geometry import Region, distance_to_region, hull
+# unused here; benchmarks/spans.py traces it under this module's name
+from .geometry import intersect_halfplanes  # noqa: F401
 from .schemes import (SCHEMES, _otp_caps, _wiretap_caps, gdof_split_lambda2,
                       key_splitting_point, polygon_points)
 
@@ -46,11 +48,7 @@ def key_splitting_gdof(gp: GdofParams) -> Region:
     """GDOF polytope of the key-splitting scheme (no artificial noise)."""
     _check_alpha(gp)
     d2 = min(gp.alpha, gp.eta * gp.gamma) + 1.0 - gp.alpha
-    return intersect_halfplanes([
-        (1.0, 0.0, 1.0),
-        (0.0, 1.0, d2),
-        (1.0, 1.0, 2.0 - gp.alpha),
-    ], mode="gdof")
+    return _pentagon(1.0, d2, 2.0 - gp.alpha)
 
 
 def rate_splitting_gdof(gp: GdofParams) -> Region:
@@ -58,8 +56,8 @@ def rate_splitting_gdof(gp: GdofParams) -> Region:
     return key_splitting_gdof(replace(gp, eta=1.0))
 
 
-def _box(d1: float, d2: float) -> Region:
-    return intersect_halfplanes([(1.0, 0.0, d1), (0.0, 1.0, d2)], mode="gdof")
+def _pentagon(d1: float, d2: float, dsum: float = math.inf) -> Region:
+    return hull(polygon_points(d1, d2, dsum), mode="gdof")
 
 
 def key_wc_gdof_components(gp: GdofParams) -> tuple[Region, Region]:
@@ -69,9 +67,8 @@ def key_wc_gdof_components(gp: GdofParams) -> tuple[Region, Region]:
     power off to the cross-link noise floor.
     """
     _check_alpha(gp)
-    box1 = _box(1.0 - gp.alpha, min(1.0, 1.0 - gp.alpha + gp.gamma))
-    box2 = _box(1.0, 1.0 - gp.alpha)
-    return box1, box2
+    return (_pentagon(1.0 - gp.alpha, min(1.0, 1.0 - gp.alpha + gp.gamma)),
+            _pentagon(1.0, 1.0 - gp.alpha))
 
 
 def key_wc_gdof(gp: GdofParams) -> Region:
@@ -82,9 +79,8 @@ def key_wc_gdof(gp: GdofParams) -> Region:
 def otp_gdof_components(gp: GdofParams) -> tuple[Region, Region]:
     """The two power-allocation boxes whose hull is the one-time-pad region."""
     _check_alpha(gp)
-    box1 = _box(1.0 - gp.alpha, min(gp.gamma, 1.0))
-    box2 = _box(1.0, min(gp.gamma, 1.0 - gp.alpha))
-    return box1, box2
+    return (_pentagon(1.0 - gp.alpha, min(gp.gamma, 1.0)),
+            _pentagon(1.0, min(gp.gamma, 1.0 - gp.alpha)))
 
 
 def otp_gdof(gp: GdofParams) -> Region:
@@ -96,11 +92,7 @@ def no_secrecy_gdof(alpha: float) -> Region:
     """Reference GDOF region without any secrecy constraint."""
     if alpha > 1.0:
         raise DomainError("alpha > 1 is outside the supported regime")
-    return intersect_halfplanes([
-        (1.0, 0.0, 1.0),
-        (0.0, 1.0, 1.0),
-        (1.0, 1.0, 2.0 - alpha),
-    ], mode="gdof")
+    return _pentagon(1.0, 1.0, 2.0 - alpha)
 
 
 GDOF_REGIONS = dict(zip(SCHEMES, (key_splitting_gdof, rate_splitting_gdof,

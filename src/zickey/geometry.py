@@ -16,10 +16,10 @@ import numpy as np
 
 GEOM_TOL = 1e-12   # orientation and self-consistency predicates
 REGION_TOL = 1e-9  # cross-module containment queries
-# pareto_filter buckets inputs of at least PREFILTER_MIN points into
-# PREFILTER_BINS x bins; below that the plain sort is already fast
-PREFILTER_BINS = 4096
-PREFILTER_MIN = 16 * PREFILTER_BINS
+# staircase buckets x into STAIR_BINS bins; pareto_filter runs it first on
+# inputs of at least PREFILTER_MIN points, below which a plain sort is fast
+STAIR_BINS = 4096
+PREFILTER_MIN = 16 * STAIR_BINS
 
 
 class UnboundedRegionError(ValueError):
@@ -68,7 +68,7 @@ def _chain(pts: np.ndarray) -> np.ndarray:
         p = p[keep]
     if len(p) <= 2:
         return p
-    pts_list = [(float(x), float(y)) for x, y in p]
+    pts_list = p.tolist()
     lower = []
     for q in pts_list:
         while len(lower) >= 2 and _cross(lower[-2], lower[-1], q) <= 0.0:
@@ -82,6 +82,30 @@ def _chain(pts: np.ndarray) -> np.ndarray:
     return np.array(lower[:-1] + upper[:-1])
 
 
+def staircase(front, x):
+    """Per x, a y that some front point with larger x reaches, else -inf.
+
+    Binned dominance (Kung, Luccio & Preparata 1975): [0, the front's
+    largest x] is cut into STAIR_BINS buckets by a monotone index, x < 0
+    landing in the first; the y returned is the largest of the front
+    points in buckets strictly above that of x, which all have a larger x.
+    """
+    hi = float(front[:, 0].max())
+    scale = (STAIR_BINS - 1) / hi if hi > 0.0 else 0.0
+    if not 0.0 < scale < math.inf:  # one bucket, or no or a subnormal x range
+        return np.full(np.shape(x), -math.inf)
+
+    def bucket(v):
+        # both roundings are monotone, so larger x never lands lower
+        with np.errstate(over="ignore"):
+            return np.clip(v * scale, 0.0, STAIR_BINS).astype(np.intp)
+
+    top = np.full(STAIR_BINS + 2, -math.inf)
+    np.maximum.at(top, bucket(front[:, 0]), front[:, 1])
+    above = np.maximum.accumulate(top[::-1])[::-1][1:]
+    return above[bucket(x)]
+
+
 def pareto_filter(pts: np.ndarray) -> np.ndarray:
     """Points not dominated by another point in both coordinates.
 
@@ -90,24 +114,13 @@ def pareto_filter(pts: np.ndarray) -> np.ndarray:
     a down-closed region, so this is a safe (and large) reduction before
     hulling swept point clouds. Survivors come sorted by decreasing x.
 
-    Large inputs first pass a binned prefilter (Kung, Luccio & Preparata
-    1975): x is bucketed by a monotone index, and a point goes when a
-    strictly higher bucket, whose points all have larger x, holds a y at
-    least as large. It drops only dominated points, so the result is exact.
+    Large inputs first drop the points their own staircase claims: all of
+    them are dominated, so the result is exact.
     """
     if len(pts) == 0:
         return pts
     if len(pts) >= PREFILTER_MIN:
-        x, y = pts[:, 0], pts[:, 1]
-        lo, hi = x.min(), x.max()
-        scale = (PREFILTER_BINS - 1) / (hi - lo) if lo < hi else 0.0
-        if 0.0 < scale < math.inf:
-            # both roundings are monotone, so larger x never lands lower
-            idx = ((x - lo) * scale).astype(np.intp)
-            top = np.full(PREFILTER_BINS + 1, np.nan)  # nan: empty bucket
-            np.fmax.at(top, idx, y)
-            above = np.fmax.accumulate(top[::-1])[::-1][1:]
-            pts = pts[np.flatnonzero(~(y <= above[idx]))]
+        pts = pts[pts[:, 1] > staircase(pts, pts[:, 0])]
     p = pts[np.argsort(-pts[:, 0])]
     ymax = np.maximum.accumulate(p[:, 1])
     keep = np.empty(len(p), dtype=bool)
@@ -128,14 +141,13 @@ def _planes_from_vertices(v: np.ndarray) -> tuple:
         # point or axis-aligned segment; down-closure keeps it on the axes
         return ((-1.0, 0.0, 0.0), (0.0, -1.0, 0.0),
                 (1.0, 0.0, xmax), (0.0, 1.0, ymax))
+    tol = GEOM_TOL * min(1.0, max(xmax, ymax))  # tiny regions, tiny edges
     planes = []
-    n = len(v)
-    for i in range(n):
-        x0, y0 = v[i]
-        x1, y1 = v[(i + 1) % n]
+    pts = v.tolist()
+    for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1]):
         dx, dy = x1 - x0, y1 - y0
         norm = math.hypot(dx, dy)
-        if norm <= GEOM_TOL:
+        if norm <= tol:
             continue
         a, b = dy / norm, -dx / norm
         planes.append((a, b, a * x0 + b * y0))
@@ -193,7 +205,7 @@ def intersect_halfplanes(planes, mode: str = "rate") -> Region:
     """Region cut out by half-planes a*x + b*y <= c inside the first quadrant.
 
     x >= 0 and y >= 0 are implicit. Raises UnboundedRegionError when the
-    planes fail to bound x or y from above.
+    planes fail to bound x or y from above. Corners within REGION_TOL merge.
     """
     norm_planes = []
     for a, b, c in planes:

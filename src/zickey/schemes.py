@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import ChannelParams, DomainError, SchemeParams, _c, as_real
-from .geometry import Region, hull, pareto_filter
+from .geometry import Region, hull, pareto_filter, staircase
 
 SCHEMES = ("key_splitting", "rate_splitting", "key_as_wiretap", "one_time_pad")
 # every scheme name the sweeps take -> (core scheme, GridSpec fields it pins,
@@ -44,8 +44,6 @@ VARIANTS = {
 # caps are evaluated in blocks of whole rows (first axis) of about CHUNK
 # polygons, so that a block's temporaries stay in cache
 CHUNK = 32768
-# sweep_region buckets the x of its running Pareto front into STAIR_BINS bins
-STAIR_BINS = 4096
 # max_sum_rate seeds its best sum rate of a block with the polygons of the
 # SEED_POLYGONS largest upper bounds
 SEED_POLYGONS = 16
@@ -348,34 +346,11 @@ def sweep_region(ch: ChannelParams, scheme: str,
             # (ax, by) is at least as large as both corners of a polygon, so
             # the polygon goes when a front point matches it in x and y
             ax, by = np.minimum(r1, rsum), np.minimum(r2, rsum)
-            live = by > _staircase(front, ax)
+            live = by > staircase(front, ax)
             r1, r2, rsum = r1[live], r2[live], rsum[live]
         front = pareto_filter(np.vstack([front, _corners(r1, r2, rsum)]))
     # hull adds the axis corners back as projections of the other two
     return hull(front)
-
-
-def _staircase(front, x):
-    """Per x, a y that some front point with larger x reaches, else -inf.
-
-    The front's x range is cut into STAIR_BINS buckets by a monotone index;
-    the y returned is the largest of the front points in buckets strictly
-    above that of x, which all have a larger x.
-    """
-    hi = float(front[:, 0].max())
-    scale = (STAIR_BINS - 1) / hi if hi > 0.0 else 0.0
-    if not 0.0 < scale < math.inf:  # one bucket, or no or a subnormal x range
-        return np.full(np.shape(x), -math.inf)
-
-    def bucket(v):
-        # both roundings are monotone, so larger x never lands lower
-        with np.errstate(over="ignore"):
-            return np.clip(v * scale, 0.0, STAIR_BINS).astype(np.intp)
-
-    top = np.full(STAIR_BINS + 2, -math.inf)
-    np.maximum.at(top, bucket(front[:, 0]), front[:, 1])
-    above = np.maximum.accumulate(top[::-1])[::-1][1:]
-    return above[bucket(x)]
 
 
 def _sum_rate_bound(ch, r1, common, cap_priv, slack, rsum):

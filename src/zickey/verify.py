@@ -23,7 +23,7 @@ from .gdof import GAP_TOL, GdofParams, gdof_convergence_check, gdof_region, \
 from .geometry import REGION_TOL, containment_margin, hull, \
     intersect_halfplanes, subset_of
 from .schemes import GridSpec, SCHEMES, key_as_wiretap_point, \
-    key_splitting_point, one_time_pad_point, sweep_region
+    key_splitting_point, one_time_pad_point, polygon_points, sweep_region
 
 # coarse but fast grid for region-level checks
 _GRID = GridSpec(n_lambda1=7, n_lambda2=8, n_beta1=7, n_beta2=7, n_eta=5)
@@ -158,17 +158,12 @@ def _inv_otp_r2_at_most_key(rng, corrupt):
 
 
 def _outer_for_check(ch: ChannelParams, corrupt: bool):
-    region = composite_outer_region(ch)
     if not corrupt:
-        return region
+        return composite_outer_region(ch)
     # shave the R1 face, which every scheme meets exactly at zero
     # cross power, so the containment check must light up
-    planes, done = [], False
-    for a, b, c in region.halfplanes:
-        if not done and a > 0.9 and abs(b) <= 1e-9:
-            c, done = c - 0.25, True
-        planes.append((a, b, c))
-    return intersect_halfplanes(planes)
+    a, b, c = evaluate_outer_bounds(ch).caps
+    return hull(polygon_points(a - 0.25, b, c))
 
 
 def _inv_schemes_within_outer(rng, corrupt):

@@ -1,5 +1,6 @@
 """Outer bounds: frozen values, applicability gates, composite region."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -117,6 +118,21 @@ def test_composite_region_pentagon():
     assert np.allclose(np.asarray(reg.vertices),
                        [[0, 0], [p2p, 0], [p2p, s - p2p], [s - p2p, p2p],
                         [0, p2p]], atol=1e-9)
+
+
+def test_composite_region_vertices_are_its_caps():
+    # the pentagon R1 <= a, R2 <= b, R1 + R2 <= c, corners exact in floats
+    ob = evaluate_outer_bounds(CH)
+    a, b, c = ob.caps
+    assert (a, b, c) == (ob.r1_p2p, min(ob.r2_keyed, ob.r2_p2p), ob.sum_keyed)
+    assert composite_outer_region(CH).vertices.tolist() == [
+        [0.0, 0.0], [a, 0.0], [a, c - a], [c - b, b], [0.0, b]]
+    ns = evaluate_outer_bounds(CH, include_nonsecrecy=True)
+    assert ns.caps[2] == min(ns.sum_keyed, ns.sum_nonsecrecy)
+    # no applicable sum face: a box; caps is not a field of the meta JSON
+    high = evaluate_outer_bounds(ChannelParams(1, 1, 2.0, 10, 10, rk=0.2))
+    assert high.caps[2] == math.inf
+    assert "caps" not in dataclasses.asdict(high)
 
 
 def test_composite_region_rectangle_without_cross_link():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from zickey import (ChannelParams, DomainError, SchemeParams, classify_regime,
-                    db_to_linear, snr_inr, split_powers)
+                    db_to_linear, snr_inr)
 
 
 def test_snr_inr_reference_points():
@@ -106,18 +106,6 @@ def test_scheme_params_types():
     assert sp == SchemeParams(lambda1=0.5, lambda2=1.0, eta=0.25)
     assert all(type(getattr(sp, f)) is float
                for f in ("lambda1", "lambda2", "beta1", "beta2", "eta"))
-
-
-def test_split_powers_conserve_budgets():
-    ch = ChannelParams(1, 1, 0.6, 100, 40)
-    sp = SchemeParams(lambda1=0.3, lambda2=0.8, beta1=0.9, beta2=0.5)
-    p1m, p1a, p2p, p2c = split_powers(ch, sp)
-    assert p1m + p1a == pytest.approx(0.9 * 100, abs=1e-12)
-    assert p2p + p2c == pytest.approx(0.5 * 40, abs=1e-12)
-    assert min(p1m, p1a, p2p, p2c) >= 0.0
-    # lambda picks the message/private share
-    assert p1m == pytest.approx(0.3 * 0.9 * 100, abs=1e-12)
-    assert p2p == pytest.approx(0.8 * 0.5 * 40, abs=1e-12)
 
 
 def test_db_conversion():

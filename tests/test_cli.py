@@ -10,7 +10,7 @@ import xml.etree.ElementTree as ET
 import jsonschema
 import pytest
 
-from zickey import schemes
+from zickey import containment_margin, hull, schemes
 from zickey.cli import main
 from zickey.verify import REPORT_SCHEMA
 
@@ -103,6 +103,26 @@ def test_region_zero_key_pad_collapses(tmp_path):
     _, rows = read_rows(out / "region_one_time_pad.csv")
     assert all(float(r[2]) == 0.0 for r in rows)
     assert "region_key_splitting.csv" not in region_files(out)
+
+
+def test_tiny_powers_keep_the_outer_square(tmp_path):
+    # at P = 1e-12 every rate is about 7.2e-13 bits/use
+    out = tmp_path / "w"
+    rc = main(["region", "--h11", "1", "--h22", "1", "--h21", "0.6",
+               "--p1", "1e-12", "--p2", "1e-12", "--rk", "1",
+               "--grid", "coarse", "--out-dir", str(out)])
+    assert rc == 0
+    _, rows = read_rows(out / "region_outer.csv")
+    pts = [(float(r[1]), float(r[2])) for r in rows]
+    side = pts[1][0]
+    assert side == pytest.approx(7.214e-13, rel=1e-3)
+    assert pts == [(0.0, 0.0), (side, 0.0), (side, side), (0.0, side)]
+    outer = hull(pts)
+    assert len(outer.halfplanes) == 4
+    for name in ALL_SCHEMES:
+        _, rows = read_rows(out / f"region_{name}.csv")
+        inner = [(float(r[1]), float(r[2])) for r in rows]
+        assert containment_margin(outer, inner) <= 0.0, name
 
 
 def test_region_config_file_and_flag_override(tmp_path):

@@ -89,6 +89,23 @@ def test_otp_hull_cases():
     assert box2.max_x == 1.0 and box2.max_y == pytest.approx(0.7)
 
 
+def test_polytope_vertices_are_exact_expressions():
+    # every corner is a cap or a cap minus a cap, rounded once
+    assert no_secrecy_gdof(0.9).vertices.tolist() == [
+        [0.0, 0.0], [1.0, 0.0], [1.0, (2.0 - 0.9) - 1.0],
+        [(2.0 - 0.9) - 1.0, 1.0], [0.0, 1.0]]
+    d2 = min(0.8, 0.3) + 1.0 - 0.8
+    reg = key_splitting_gdof(GdofParams(alpha=0.8, gamma=0.3, eta=1.0))
+    assert reg.vertices.tolist() == [
+        [0.0, 0.0], [1.0, 0.0], [1.0, (2.0 - 0.8) - 1.0],
+        [(2.0 - 0.8) - d2, d2], [0.0, d2]]
+    box1, box2 = key_wc_gdof_components(GdofParams(alpha=0.3, gamma=0.5))
+    assert box1.vertices.tolist() == [[0.0, 0.0], [1.0 - 0.3, 0.0],
+                                      [1.0 - 0.3, 1.0], [0.0, 1.0]]
+    assert box2.vertices.tolist() == [[0.0, 0.0], [1.0, 0.0],
+                                      [1.0, 1.0 - 0.3], [0.0, 1.0 - 0.3]]
+
+
 def test_eta_zero_sum_face_redundant():
     """With no common-layer key the sum face never binds."""
     from zickey import intersect_halfplanes

@@ -185,6 +185,16 @@ def test_degenerate_regions():
     assert seg.max_x == 2.0 and seg.max_y == 0.0
 
 
+def test_tiny_region_keeps_its_faces():
+    # edges shorter than GEOM_TOL still bound a region of their own size
+    r = hull([[7e-13, 7e-13]])
+    assert len(r.halfplanes) == 4
+    assert contains(r, (7e-13, 7e-13), tol=0.0)
+    assert not contains(r, (5.0, 5.0))
+    assert not contains(r, (8e-13, 0.0), tol=0.0)
+    assert not subset_of(hull([[3.0, 3.0]]), r)
+
+
 def test_pareto_filter_drops_dominated():
     pts = np.array([[1.0, 1.0], [0.5, 0.5], [2.0, 0.1], [0.1, 2.0],
                     [1.0, 0.9]])

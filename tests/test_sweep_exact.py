@@ -23,10 +23,10 @@ from hypothesis import strategies as st
 
 from zickey import ChannelParams, DomainError, GridSpec, max_sum_rate
 from zickey import geometry, schemes, sweep_region
-from zickey.geometry import hull, pareto_filter
+from zickey.geometry import hull, pareto_filter, staircase
 from zickey.schemes import (SCHEMES, _key_splitting_base, _key_splitting_eta,
-                            _otp_caps, _row_blocks, _staircase,
-                            _sum_rate_bound, _wiretap_caps, gdof_split_lambda2)
+                            _otp_caps, _row_blocks, _sum_rate_bound,
+                            _wiretap_caps, gdof_split_lambda2)
 
 SHOWCASE = [ChannelParams(1, 1, h21, 100, 100, rk=rk)
             for h21 in (0.6, 0.8, 1.2) for rk in (0.2, 1.0, 2.0)]
@@ -124,17 +124,20 @@ def _assert_exact(pts):
 
 coord = st.one_of(st.floats(0.0, 10.0, allow_nan=False),
                   st.sampled_from([0.0, 0.5, 1.0, 2.0]))  # forces ties
+# the staircase puts every x < 0 in its first bucket
+signed = st.one_of(coord, st.floats(-10.0, 0.0, allow_nan=False),
+                   st.sampled_from([-1.0, -0.5]))
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(coord, coord), max_size=120),
+@given(st.lists(st.tuples(signed, signed), max_size=120),
        st.integers(1, 8))
 def test_pareto_filter_matches_brute_force(rows, bins):
     pts = np.array(rows, dtype=float).reshape(-1, 2)
     kept = _assert_exact(pts)
     # the same set once the prefilter runs, on coarse buckets
     with mock.patch.object(geometry, "PREFILTER_MIN", 1), \
-            mock.patch.object(geometry, "PREFILTER_BINS", bins):
+            mock.patch.object(geometry, "STAIR_BINS", bins):
         assert np.array_equal(_assert_exact(pts), kept)
 
 
@@ -206,7 +209,8 @@ ROW17 = 18 * 17 * 17  # polygons in one lambda1 row of GRID17 (gdof split on)
     ("STAIR_BINS", 7),
 ])
 def test_blocked_sweep_matches_brute_force(name, value):
-    with mock.patch.object(schemes, name, value):
+    owner = geometry if name == "STAIR_BINS" else schemes
+    with mock.patch.object(owner, name, value):
         for i, ch in enumerate(SHOWCASE + EDGE):
             for scheme in SCHEMES:
                 want, best = _ref_sweep(i, scheme)
@@ -222,12 +226,12 @@ tiny = st.sampled_from([0.0, 5e-324, 1e-300, 1e-16])
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(st.one_of(coord, tiny), coord), min_size=1,
                 max_size=60),
-       st.lists(st.one_of(coord, tiny), max_size=30), st.integers(1, 9))
+       st.lists(st.one_of(signed, tiny), max_size=30), st.integers(1, 9))
 def test_staircase_only_claims_points_with_larger_x(rows, xs, bins):
     front = pareto_filter(np.array(rows))
     x = np.array(xs, dtype=float)
-    with mock.patch.object(schemes, "STAIR_BINS", bins):
-        got = _staircase(front, x)
+    with mock.patch.object(geometry, "STAIR_BINS", bins):
+        got = staircase(front, x)
     for xi, yi in zip(x, got):
         assert yi == -math.inf or yi in front[front[:, 0] > xi, 1], (xi, yi)
 
