@@ -246,9 +246,16 @@ def intersect_halfplanes(planes, mode: str = "rate") -> Region:
     return Region(vertices=v, halfplanes=_planes_from_vertices(v), mode=mode)
 
 
-def contains(region: Region, point, tol: float = REGION_TOL) -> bool:
+def _tol(region: Region, tol) -> float:
+    """tol, by default REGION_TOL shrunk with a region of scale below 1."""
+    return REGION_TOL * min(1.0, max(region.max_x, region.max_y)) \
+        if tol is None else tol
+
+
+def contains(region: Region, point, tol: float | None = None) -> bool:
     """Whether a point satisfies every face of the region within tol."""
     x, y = float(point[0]), float(point[1])
+    tol = _tol(region, tol)
     return all(a * x + b * y <= c + tol for a, b, c in region.halfplanes)
 
 
@@ -261,9 +268,9 @@ def containment_margin(region: Region, points) -> float:
     return worst
 
 
-def subset_of(inner: Region, outer: Region, tol: float = REGION_TOL) -> bool:
+def subset_of(inner: Region, outer: Region, tol: float | None = None) -> bool:
     """Whether every vertex of `inner` lies inside `outer` within tol."""
-    return containment_margin(outer, inner.vertices) <= tol
+    return containment_margin(outer, inner.vertices) <= _tol(outer, tol)
 
 
 def distance_to_region(region: Region, point) -> float:

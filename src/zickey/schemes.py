@@ -330,48 +330,65 @@ def sweep_region(ch: ChannelParams, scheme: str,
     The scheme is any name in VARIANTS. The grid is the full cartesian
     product of the scheme's free parameter axes; pinned axes (no_an,
     full_power, eta for schemes that fix it) contribute a single point.
-    Deterministic for identical inputs.
+    Deterministic for identical inputs. With several key fractions, each
+    block of rows after the first is bounded over all of them at once;
+    only the polygons whose bound no front point matches are evaluated.
     """
     grid = grid or GridSpec()
     base, clip, etas = _cap_slices(ch, scheme, grid)
-    blocks = (clip(ch, [b[rows] for b in base], float(e))
-              for e in etas for rows in _row_blocks(base[0]))
     for axis, n in _swept(scheme, grid)[1].items():
         if n == 1:
             warnings.warn(f"swept axis {axis} has fewer than 2 points; "
                           "the region will be badly undersampled", stacklevel=2)
     front = np.empty((0, 2))  # Pareto set of every corner so far
-    for r1, r2, rsum in blocks:
-        if len(front):
-            # (ax, by) is at least as large as both corners of a polygon, so
-            # the polygon goes when a front point matches it in x and y
-            ax, by = np.minimum(r1, rsum), np.minimum(r2, rsum)
-            live = by > staircase(front, ax)
-            r1, r2, rsum = r1[live], r2[live], rsum[live]
-        front = pareto_filter(np.vstack([front, _corners(r1, r2, rsum)]))
+    for rows in _row_blocks(base[0]):
+        block = [b[rows].ravel() for b in base]
+        if len(etas) > 1 and len(front):
+            # (ax, by) + margin is at least as large as both corners of a
+            # polygon at every key fraction
+            top, r2max, margin = _key_bound(ch.rk, block)
+            ax, by = np.minimum(block[0], top), np.minimum(r2max, top)
+            live = by + margin > staircase(front, ax + margin)
+            block = [b[live] for b in block]
+            if not block[0].size:
+                continue
+        # no more (polygon, key fraction) pairs at a time than polygons
+        step = max(1, base[0][rows].size // block[0].size)
+        for i in range(0, len(etas), step):
+            r1, r2, rsum = np.broadcast_arrays(
+                *clip(ch, block, etas[i:i + step, None]))
+            if len(front):
+                # (ax, by) is at least as large as both corners of a
+                # polygon: it goes when a front point matches that in x, y
+                ax, by = np.minimum(r1, rsum), np.minimum(r2, rsum)
+                live = by > staircase(front, ax)
+                r1, r2, rsum = r1[live], r2[live], rsum[live]
+            front = pareto_filter(np.vstack([front, _corners(r1, r2, rsum)]))
     # hull adds the axis corners back as projections of the other two
     return hull(front)
 
 
-def _sum_rate_bound(ch, r1, common, cap_priv, slack, rsum):
-    """(ub, margin): per polygon, ub + margin bounds its sum rate at every
-    key fraction; margin is one number for the whole block.
+def _key_bound(rk, base):
+    """(top, r2max, margin): per polygon of base, its sum cap never exceeds
+    top, nor its r2 cap r2max + margin, at any key fraction; margin is one
+    number for the whole block.
 
-    term_p never exceeds max(0, min(cap_priv, slack + rk)); term_c + term_p
-    never exceeds common plus that, nor min(common, rk) where term_p is 0,
-    nor slack + rk elsewhere. The last holds in exact arithmetic only: the
-    rounding of the key clips may pass it by some 6 ulps of rk + |slack|,
-    plus 2 of the sum rate, which the margin of 8 ulps of their block
-    maxima covers.
+    term_p never exceeds tpmax = max(0, min(cap_priv, slack + rk)), to the
+    bit, as every step rounds monotonically; so the sum cap never exceeds
+    top = rsum + tpmax. term_c + term_p never exceeds common + tpmax, to
+    the bit, nor min(common, rk) where term_p is 0, nor slack + rk
+    elsewhere. The last holds in exact arithmetic only: the rounding of the
+    key clips may pass it by some 6 ulps of rk + |slack|, plus 2 of
+    r1 + r2max, which the margin of 8 ulps of their block maxima covers.
     """
-    rk = ch.rk
+    r1, common, cap_priv, slack, rsum = base
     reach = slack + rk
     tpmax = np.maximum(0.0, np.minimum(cap_priv, reach))
     r2max = np.minimum(common + tpmax,
                        np.maximum(reach, np.minimum(common, rk)))
-    ub = np.minimum(rsum + tpmax, r1 + r2max)
-    scale = float(ub.max()) + max(float(slack.max()), -float(slack.min())) + rk
-    return ub, 8.0 * math.ulp(scale)
+    scale = float((r1 + r2max).max()) + rk
+    scale += max(float(slack.max()), -float(slack.min()))
+    return rsum + tpmax, r2max, 8.0 * math.ulp(scale)
 
 
 def max_sum_rate(ch: ChannelParams, scheme: str,
@@ -398,7 +415,8 @@ def max_sum_rate(ch: ChannelParams, scheme: str,
     for rows in _row_blocks(base[0]):
         block = [b[rows].ravel() for b in base]
         if len(etas) > 1:
-            ub, margin = _sum_rate_bound(ch, *block)
+            ub, r2max, margin = _key_bound(ch.rk, block)
+            ub = np.minimum(ub, block[0] + r2max)
             top = np.argpartition(ub, max(0, ub.size - SEED_POLYGONS))
             best = max(best, best_of([b[top[-SEED_POLYGONS:]] for b in block]))
             live = ub >= best - margin

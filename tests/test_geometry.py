@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from zickey import (Region, UnboundedRegionError, containment_margin, contains,
-                    distance_to_region, hull, intersect_halfplanes, max_y_at_x,
-                    pareto_filter, subset_of)
+from zickey import (REGION_TOL, Region, UnboundedRegionError,
+                    containment_margin, contains, distance_to_region, hull,
+                    intersect_halfplanes, max_y_at_x, pareto_filter, subset_of)
 
 
 def _verts(region):
@@ -193,6 +193,20 @@ def test_tiny_region_keeps_its_faces():
     assert not contains(r, (5.0, 5.0))
     assert not contains(r, (8e-13, 0.0), tol=0.0)
     assert not subset_of(hull([[3.0, 3.0]]), r)
+
+
+def test_default_tolerance_scales_with_a_tiny_region():
+    # an absolute 1e-9 would take in points 700 times the region's size
+    r = hull([[7e-13, 7e-13]])
+    assert not contains(r, (5e-10, 5e-10))
+    assert not subset_of(hull([[5e-10, 5e-10]]), r)
+    assert contains(r, (7e-13 * (1 + 1e-12), 7e-13))
+    assert subset_of(r, hull([[7e-13 * (1 - 1e-12), 7e-13]]))
+    # regions of scale 1 or more keep the absolute REGION_TOL
+    square = hull([[1.0, 1.0]])
+    assert contains(square, (1 + 0.9 * REGION_TOL, 0.5))
+    assert not contains(square, (1 + 1.1 * REGION_TOL, 0.5))
+    assert subset_of(hull([[1 + 0.9 * REGION_TOL, 1.0]]), square)
 
 
 def test_pareto_filter_drops_dominated():

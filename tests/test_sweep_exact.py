@@ -4,11 +4,12 @@ sweep_region computes the eta-free key-splitting terms once per grid, emits
 two corners per rate polygon, and prefilters large point sets by x buckets
 before sorting. It works through the caps in blocks of whole rows and drops
 a polygon when its running Pareto front, bucketed by x, already holds a
-point above both its corners. max_sum_rate bounds each block over every key
-fraction at once and evaluates only the polygons whose bound reaches its
-best sum rate so far. The layered base is kept between calls for the same
-channel and axes. Each step is checked here against a literal, unoptimized
-version of itself kept in this file.
+point above both its corners. Both sweeps bound each block over every key
+fraction at once: max_sum_rate evaluates only the polygons whose bound
+reaches its best sum rate so far, sweep_region only those whose bounded
+corners no front point matches. The layered base is kept between calls
+for the same channel and axes. Each step is checked here against a
+literal, unoptimized version of itself kept in this file.
 """
 
 import dataclasses
@@ -24,8 +25,8 @@ from hypothesis import strategies as st
 from zickey import ChannelParams, DomainError, GridSpec, max_sum_rate
 from zickey import geometry, schemes, sweep_region
 from zickey.geometry import hull, pareto_filter, staircase
-from zickey.schemes import (SCHEMES, _key_splitting_base, _key_splitting_eta,
-                            _otp_caps, _row_blocks, _sum_rate_bound,
+from zickey.schemes import (SCHEMES, _key_bound, _key_splitting_base,
+                            _key_splitting_eta, _otp_caps, _row_blocks,
                             _wiretap_caps, gdof_split_lambda2)
 
 SHOWCASE = [ChannelParams(1, 1, h21, 100, 100, rk=rk)
@@ -172,29 +173,42 @@ def test_hoisted_caps_are_bitwise_equal():
                 assert g.tobytes() == w.tobytes(), (ch, e)
 
 
-def test_sweep_matches_brute_force_sweep():
-    for ch in SHOWCASE + EDGE:
-        for scheme in SCHEMES:
-            slices = _ref_slices(ch, scheme, GRID17)
-            want = hull(np.vstack([_ref_sort_filter(_ref_polygon_points(*s))
-                                   for s in slices]))
-            got = sweep_region(ch, scheme, GRID17)
-            assert got.vertices.tobytes() == want.vertices.tobytes(), \
-                (ch, scheme)
-            best = max(float(np.minimum(rsum, r1 + r2).max())
-                       for r1, r2, rsum in slices)
-            assert max_sum_rate(ch, scheme, GRID17) == best, (ch, scheme)
-
-
-@functools.lru_cache(maxsize=None)
-def _ref_sweep(i, scheme):
-    """Brute-force vertex bytes and best sum rate of channel i on GRID17."""
-    slices = _ref_slices((SHOWCASE + EDGE)[i], scheme, GRID17)
+def _ref_region(ch, scheme, grid):
+    """Brute-force vertex bytes and best sum rate of a channel on a grid."""
+    slices = _ref_slices(ch, scheme, grid)
     want = hull(np.vstack([_ref_sort_filter(_ref_polygon_points(*s))
                            for s in slices]))
     best = max(float(np.minimum(rsum, r1 + r2).max())
                for r1, r2, rsum in slices)
     return want.vertices.tobytes(), best
+
+
+@functools.lru_cache(maxsize=None)
+def _ref_sweep(i, scheme):
+    """_ref_region of channel i of SHOWCASE + EDGE on GRID17, built once."""
+    return _ref_region((SHOWCASE + EDGE)[i], scheme, GRID17)
+
+
+def test_sweep_matches_brute_force_sweep():
+    for i, ch in enumerate(SHOWCASE + EDGE):
+        for scheme in SCHEMES:
+            want, best = _ref_sweep(i, scheme)
+            got = sweep_region(ch, scheme, GRID17)
+            assert got.vertices.tobytes() == want, (ch, scheme)
+            assert max_sum_rate(ch, scheme, GRID17) == best, (ch, scheme)
+
+
+def test_crowded_sweep_matches_brute_force_row_by_row():
+    # one lambda1 row per block, so that the key-fraction bound runs on
+    # every block but the first, against a crowded front
+    grid = GridSpec(n_lambda1=9, n_lambda2=9, n_beta1=9, n_beta2=9)
+    with mock.patch.object(schemes, "CHUNK", 10 * 9 * 9):
+        for ch in CROWDED:
+            for scheme in SCHEMES:
+                want, best = _ref_region(ch, scheme, grid)
+                got = sweep_region(ch, scheme, grid)
+                assert got.vertices.tobytes() == want, (ch, scheme)
+                assert max_sum_rate(ch, scheme, grid) == best, (ch, scheme)
 
 
 ROW17 = 18 * 17 * 17  # polygons in one lambda1 row of GRID17 (gdof split on)
@@ -305,7 +319,8 @@ def bases(draw):
 def test_sum_rate_bound_covers_every_key_fraction(case, etas):
     rk, base = case
     ch = ChannelParams(1, 1, 0.5, 1, 1, rk=rk)
-    ub, margin = _sum_rate_bound(ch, *base)
+    top, r2max, margin = _key_bound(rk, base)
+    ub = np.minimum(top, base[0] + r2max)  # as max_sum_rate bounds it
     for eta in [*np.linspace(0.0, 1.0, 21), *etas]:
         r1, r2, rsum = _key_splitting_eta(ch, base, float(eta))
         # as in max_sum_rate, which keeps a polygon when ub >= best - margin
@@ -326,12 +341,47 @@ def test_sum_rate_bound_under_cancellation():
             base = [np.where(rng.random(n) < 0.5, 0.0, small[0] * rk),
                     small[1] * rk, np.full(n, 1e300), -rk * (1.0 - small[2]),
                     np.full(n, 1e300)]
-            ub, margin = _sum_rate_bound(ch, *base)
+            top, r2max, margin = _key_bound(rk, base)
+            ub = np.minimum(top, base[0] + r2max)
             for eta in np.concatenate([np.linspace(0.0, 1.0, 101),
                                        np.linspace(0.0, width, 101)]):
                 r1, r2, rsum = _key_splitting_eta(ch, base, float(eta))
                 assert np.all(ub >= np.minimum(rsum, r1 + r2) - margin), \
                     (rk, width, eta)
+                # the bound sweep_region puts on r2's corner, too
+                assert np.all(np.minimum(r2max, top) + margin >=
+                              np.minimum(r2, rsum)), (rk, width, eta)
+
+
+@settings(max_examples=150, deadline=None)
+@given(bases(), st.lists(st.floats(0.0, 1.0), max_size=20))
+def test_corner_bound_covers_every_key_fraction(case, etas):
+    rk, base = case
+    ch = ChannelParams(1, 1, 0.5, 1, 1, rk=rk)
+    top, r2max, margin = _key_bound(rk, base)
+    # as in sweep_region, which drops a polygon when a front point reaches
+    # (AX, BY) + margin
+    ax = np.minimum(base[0], top) + margin
+    by = np.minimum(r2max, top) + margin
+    for eta in [*np.linspace(0.0, 1.0, 21), *etas]:
+        r1, r2, rsum = _key_splitting_eta(ch, base, float(eta))
+        assert np.all(ax >= np.minimum(r1, rsum)), (rk, base, eta)
+        assert np.all(by >= np.minimum(r2, rsum)), (rk, base, eta)
+
+
+def test_key_splitting_sweep_evaluates_few_key_fractions():
+    ch = ChannelParams(1, 1, 0.8, 100, 100, rk=1.0)
+    grid = GridSpec()
+    with mock.patch.object(schemes, "_key_splitting_eta",
+                           wraps=_key_splitting_eta) as spy:
+        sweep_region(ch, "key_splitting", grid)
+    pairs = sum(np.broadcast(call.args[1][0], call.args[2]).size
+                for call in spy.call_args_list)
+    polygons = grid.n_lambda1 * (grid.n_lambda2 + 1) * grid.n_beta1 \
+        * grid.n_beta2
+    assert 0 < pairs < 0.15 * polygons * grid.n_eta
+    # at least the first block, which has no front yet, at every fraction
+    assert pairs > polygons // grid.n_lambda1 * grid.n_eta
 
 
 def _builds(fn, *args):
