@@ -27,7 +27,9 @@ from .channel import ChannelParams, DomainError, classify_regime, snr_inr
 from .gdof import GdofParams, gdof_region, no_secrecy_gdof
 from .scenario import (GRID_KEYS, KNOWN_KEYS, ConfigError, build_channel,
                        build_grid, load_config, parse_value)
-from .schemes import SCHEMES, VARIANTS, GridSpec, max_sum_rate, sweep_region
+from .schemes import SCHEMES, VARIANTS, GridSpec, max_sum_rates, sweep_regions
+# unused here; benchmarks/spans.py traces them under this module's name
+from .schemes import max_sum_rate, sweep_region  # noqa: F401
 from .svg import polyline_chart
 from .verify import render_report, run_battery
 
@@ -191,8 +193,8 @@ def cmd_region(args) -> int:
         _write_csv(csv_paths[-1], ("scheme", "R1", "R2"),
                    _vertex_rows(name, region))
 
-    for name in kept:
-        write(name, sweep_region(ch, name, grid))
+    for name, region in sweep_regions(ch, kept, grid).items():
+        write(name, region)
     include_ns = bool(values.get("nonsecrecy_bound", False))
     write("outer", composite_outer_region(ch, include_nonsecrecy=include_ns))
     ob = evaluate_outer_bounds(ch, include_nonsecrecy=include_ns)
@@ -260,6 +262,7 @@ def cmd_sumrate(args) -> int:
             raise ConfigError("the alpha sweep needs the symmetric power p")
         rk = values.get("rk", 0.0)
         chans = [_family_channel(values["p"], a, rk) for a in axis_vals]
+        runs = [(ch, [ch.rk]) for ch in chans]
     else:
         axis_name = "rk"
         axis_vals = _axis_values(values, "rk", 0.0, 2.0, 21)
@@ -277,21 +280,25 @@ def cmd_sumrate(args) -> int:
             raise ConfigError("give a channel (h11, h22, h21, p1, p2) or "
                               "the symmetric family (p and alpha)")
         chans = [replace(ch0, rk=r) for r in axis_vals]
+        # the key rate changes no scheme's terms: one sweep for every rk
+        runs = [(ch0, axis_vals)]
 
     suppressed = set()
+    sums = []  # per axis value: {scheme left in: its largest sum rate}
+    for ch, rks in runs:
+        high = classify_regime(ch) == "high"
+        kept = [name for name in schemes if not (high and VARIANTS[name][2])]
+        suppressed.update(set(schemes) - set(kept))
+        best = max_sum_rates(ch, kept, swept_grid, rks)
+        sums += [{name: best[name][k] for name in kept}
+                 for k in range(len(rks))]
     table = []
-    for axis_v, ch in zip(axis_vals, chans):
-        regime = classify_regime(ch)
-        row = [_f(axis_v)]
-        for name in schemes:
-            if regime == "high" and VARIANTS[name][2]:
-                suppressed.add(name)
-                row.append("")
-                continue
-            row.append(_f(max_sum_rate(ch, name, swept_grid)))
+    for axis_v, ch, best in zip(axis_vals, chans, sums):
         cell = _outer_sum_cell(ch, include_ns)
-        row.append("" if cell is None else _f(cell))
-        table.append(row)
+        table.append([_f(axis_v),
+                      *(_f(best[name]) if name in best else ""
+                        for name in schemes),
+                      "" if cell is None else _f(cell)])
     for name in sorted(suppressed):
         print(f"note: {name} left blank where the cross link dominates "
               "(inr1 > snr2)", file=sys.stderr)

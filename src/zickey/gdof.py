@@ -18,8 +18,8 @@ from .channel import ChannelParams, DomainError, SchemeParams, as_real
 from .geometry import Region, distance_to_region, hull
 # unused here; benchmarks/spans.py traces it under this module's name
 from .geometry import intersect_halfplanes  # noqa: F401
-from .schemes import (SCHEMES, _otp_caps, _wiretap_caps, gdof_split_lambda2,
-                      key_splitting_point, polygon_points)
+from .schemes import (SCHEMES, _otp_clip, _unlayered_terms, _wiretap_clip,
+                      gdof_split_lambda2, key_splitting_point, polygon_points)
 
 GAP_TOL = 1e-12  # a convergence gap may rise this much and stay monotone
 
@@ -152,8 +152,8 @@ def _achieved_region(ch: ChannelParams, scheme: str, eta: float,
     snr = ch.h11**2 * ch.p1
     b2 = np.unique(np.concatenate([
         snr ** (-u), [0.0, 1.0, gdof_split_lambda2(ch)]]))
-    caps = _wiretap_caps if scheme == "key_as_wiretap" else _otp_caps
-    return hull(polygon_points(*caps(ch, 1.0, b2), math.inf))
+    clip = _wiretap_clip if scheme == "key_as_wiretap" else _otp_clip
+    return hull(polygon_points(*clip(ch, _unlayered_terms(ch, 1.0, b2), 1.0)))
 
 
 def gdof_convergence_check(gp: GdofParams, scheme: str,

@@ -14,14 +14,16 @@ at receiver 1 for user 2's message:
   link is treated as noise.
 
 Each scheme maps parameters to caps (r1_cap, r2_cap, sum_cap); a missing sum
-face is +inf. sweep_region evaluates a scheme over a parameter grid and
-returns the down-closed convex hull of every induced rate polygon.
+face is +inf. sweep_regions evaluates schemes over a parameter grid and
+returns, per scheme, the down-closed convex hull of every induced rate
+polygon; max_sum_rates gives their largest sum rates at several key rates.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import sys
 import warnings
 from dataclasses import dataclass, replace
 
@@ -41,8 +43,9 @@ VARIANTS = {
     "key_as_wiretap": ("key_as_wiretap", {}, True),
     "one_time_pad": ("one_time_pad", {}, False),
 }
-# caps are evaluated in blocks of whole rows (first axis) of about CHUNK
-# polygons, so that a block's temporaries stay in cache
+# caps are built and evaluated in blocks of whole rows (first axis) of about
+# CHUNK polygons, so that a block's temporaries stay in cache and no array
+# spans the whole grid
 CHUNK = 32768
 # max_sum_rate seeds its best sum rate of a block with the polygons of the
 # SEED_POLYGONS largest upper bounds
@@ -142,19 +145,20 @@ def _unlayered_terms(ch, b1, b2):
     g11, g22, g21 = ch.h11**2, ch.h22**2, ch.h21**2
     q1 = b1 * ch.p1
     q2 = b2 * ch.p2
-    return _c(g11 * q1 / (1.0 + g21 * q2)), _c(g22 * q2), _c(g21 * q2)
+    return _finite(_c(g11 * q1 / (1.0 + g21 * q2)), _c(g22 * q2),
+                   _c(g21 * q2))
 
 
-def _wiretap_caps(ch, b1, b2):
-    """Vectorized caps of the key-as-wiretap scheme."""
-    r1, cap2, leak = _unlayered_terms(ch, b1, b2)
-    return _finite(r1, np.maximum(0.0, np.minimum(cap2, cap2 - leak + ch.rk)))
+def _wiretap_clip(ch, terms, eta):
+    """Key-as-wiretap caps (r1, r2, sum) of the unlayered terms."""
+    r1, cap2, leak = terms
+    return r1, np.maximum(0.0, np.minimum(cap2, cap2 - leak + ch.rk)), math.inf
 
 
-def _otp_caps(ch, b1, b2):
-    """Vectorized caps of the one-time-pad scheme."""
-    r1, cap2, _ = _unlayered_terms(ch, b1, b2)
-    return _finite(r1, np.minimum(ch.rk, cap2))
+def _otp_clip(ch, terms, eta):
+    """One-time-pad caps (r1, r2, sum) of the unlayered terms."""
+    r1, cap2, _ = terms
+    return r1, np.minimum(ch.rk, cap2), math.inf
 
 
 def key_splitting_point(ch: ChannelParams, sp: SchemeParams) -> RateConstraints:
@@ -169,20 +173,23 @@ def rate_splitting_point(ch: ChannelParams, sp: SchemeParams) -> RateConstraints
     return key_splitting_point(ch, replace(sp, eta=1.0))
 
 
+def _unlayered_point(clip, ch, beta1, beta2):
+    """Caps of a scheme without layers or key split at one (beta1, beta2)."""
+    terms = _unlayered_terms(ch, as_real("beta1", beta1, 0.0, 1.0),
+                             as_real("beta2", beta2, 0.0, 1.0))
+    return RateConstraints(*map(float, clip(ch, terms, 1.0)))
+
+
 def key_as_wiretap_point(ch: ChannelParams, beta1: float = 1.0,
                          beta2: float = 1.0) -> RateConstraints:
     """Caps when the key only enlarges the wiretap code (no layering)."""
-    r1, r2 = _wiretap_caps(ch, as_real("beta1", beta1, 0.0, 1.0),
-                           as_real("beta2", beta2, 0.0, 1.0))
-    return RateConstraints(float(r1), float(r2), math.inf)
+    return _unlayered_point(_wiretap_clip, ch, beta1, beta2)
 
 
 def one_time_pad_point(ch: ChannelParams, beta1: float = 1.0,
                        beta2: float = 1.0) -> RateConstraints:
     """Caps when the key is spent as a one-time pad."""
-    r1, r2 = _otp_caps(ch, as_real("beta1", beta1, 0.0, 1.0),
-                       as_real("beta2", beta2, 0.0, 1.0))
-    return RateConstraints(float(r1), float(r2), math.inf)
+    return _unlayered_point(_otp_clip, ch, beta1, beta2)
 
 
 def gdof_split_lambda2(ch: ChannelParams) -> float:
@@ -262,110 +269,130 @@ def _points(n):
 
 
 def _cap_slices(ch, scheme, grid):
-    """(base, clip, eta values): the scheme's caps over the grid, in parts.
+    """(terms, axes, clip, eta values): the scheme's caps over the grid, in parts.
 
-    base holds the eta-free terms of every polygon as arrays of one shape;
-    clip(ch, polygons of base, eta) gives their (r1, r2, sum) caps at key
-    fraction eta, or at each of a column of key fractions.
+    terms(ch, *open mesh of the axes) gives the eta-free terms of those
+    polygons; clip(ch, polygons of terms, eta) gives their (r1, r2, sum)
+    caps at key fraction eta, or at each of a column of key fractions.
     """
     core, counts = _swept(scheme, grid)
     eta = _points(counts["eta"])
-    if core in ("key_as_wiretap", "one_time_pad"):
-        b1, b2 = _points(counts["beta1"]), _points(counts["beta2"])
-        caps = _wiretap_caps if core == "key_as_wiretap" else _otp_caps
-        base = np.broadcast_arrays(*caps(ch, b1[:, None], b2[None, :]),
-                                   math.inf)
-        return base, lambda ch, caps, eta: caps, eta  # no key to split
-    return _layered_base(ch, grid, counts), _key_splitting_eta, eta
-
-
-# the last layered base _layered_base built and cached, under "key" and "base"
-_base_slot = {}
-
-
-def _layered_base(ch, grid, counts):
-    """The eta-free key-splitting terms over the grid, as read-only arrays.
-
-    The terms read neither rk nor eta, so every layered scheme on the same
-    channel (rk aside) and axes shares them: the last base built stays in
-    _base_slot until another is needed. A base without a lambda1 axis
-    (no_an) is one row, cheap to rebuild, and is not kept, so that it does
-    not evict the full base that alternating schemes share.
-    """
-    axes = tuple(counts[a] for a in ("lambda1", "lambda2", "beta1", "beta2"))
-    key = (ch.h11, ch.h22, ch.h21, ch.p1, ch.p2, grid.include_gdof_split, axes)
-    if _base_slot.get("key") == key:
-        return _base_slot["base"]
-    keep = counts["lambda1"] > 0
-    if keep:
-        _base_slot.clear()  # free the old base before the new one is built
-    lam1, lam2, b1, b2 = map(_points, axes)
+    if core in ("key_as_wiretap", "one_time_pad"):  # no key to split
+        clip = _wiretap_clip if core == "key_as_wiretap" else _otp_clip
+        return (_unlayered_terms,
+                (_points(counts["beta1"]), _points(counts["beta2"])), clip, eta)
+    lam1, lam2, b1, b2 = (_points(counts[a])
+                          for a in ("lambda1", "lambda2", "beta1", "beta2"))
     if grid.include_gdof_split:
         lam2 = np.unique(np.concatenate([lam2, [gdof_split_lambda2(ch)]]))
-    base = np.broadcast_arrays(*_key_splitting_base(
-        ch, lam1[:, None, None, None], lam2[None, :, None, None],
-        b1[None, None, :, None], b2[None, None, None, :]))
-    for b in base:
-        b.flags.writeable = False
-    if keep:
-        _base_slot.update(key=key, base=base)
-    return base
+    return _key_splitting_base, (lam1, lam2, b1, b2), _key_splitting_eta, eta
 
 
-def _row_blocks(a):
-    """Slices of whole rows of `a` holding about CHUNK elements each.
+def _row_blocks(shape):
+    """Slices of whole rows of a grid of `shape`, about CHUNK polygons each.
 
     The last rows come first: the first axis is lambda1 or beta1, whose
     largest values give the largest r1, so a running Pareto front soon
     spans the whole x range.
     """
-    step = max(1, CHUNK // math.prod(a.shape[1:]))
-    return [slice(i, i + step) for i in range(0, len(a), step)][::-1]
+    step = max(1, CHUNK // math.prod(shape[1:]))
+    return [slice(i, i + step) for i in range(0, shape[0], step)][::-1]
+
+
+def _passes(ch, schemes, grid):
+    """One pass over the row blocks per group of schemes sharing their terms.
+
+    Returns (members, blocks) per group: members lists (scheme, clip, eta
+    values), and blocks yields the terms of each row block as flat arrays,
+    built just before the block is used, so that no array spans the grid.
+    key_splitting and rate_splitting share their terms, and so do
+    key_as_wiretap and one_time_pad.
+    """
+    groups = {}
+    for scheme in schemes:
+        terms, axes, clip, etas = _cap_slices(ch, scheme, grid)
+        key = (terms, *(a.tobytes() for a in axes))
+        groups.setdefault(key, (terms, axes, []))[2].append((scheme, clip, etas))
+
+    def blocks(terms, axes):
+        for rows in _row_blocks(tuple(map(len, axes))):
+            mesh = np.ix_(axes[0][rows], *axes[1:])
+            yield [b.ravel() for b in np.broadcast_arrays(*terms(ch, *mesh))]
+
+    return [(members, blocks(terms, axes))
+            for terms, axes, members in groups.values()]
+
+
+def _add_block(ch, clip, etas, base, front):
+    """The Pareto front of `front` and the corners of a block's polygons.
+
+    With several key fractions and a front, the block is first bounded over
+    all of them at once; only the polygons whose bounded corners no front
+    point matches are evaluated.
+    """
+    block = base
+    if len(etas) > 1 and len(front):
+        # (ax, by) + margin is at least as large as both corners of a
+        # polygon at every key fraction
+        top, r2max, margin = _key_bound(ch.rk, block)
+        ax, by = np.minimum(block[0], top), np.minimum(r2max, top)
+        live = by + margin > staircase(front, ax + margin)
+        block = [b[live] for b in block]
+        if not block[0].size:
+            return front
+    # no more (polygon, key fraction) pairs at a time than polygons
+    step = max(1, base[0].size // block[0].size)
+    for i in range(0, len(etas), step):
+        r1, r2, rsum = np.broadcast_arrays(
+            *clip(ch, block, etas[i:i + step, None]))
+        if len(front):
+            # (ax, by) is at least as large as both corners of a
+            # polygon: it goes when a front point matches that in x, y
+            ax, by = np.minimum(r1, rsum), np.minimum(r2, rsum)
+            live = by > staircase(front, ax)
+            r1, r2, rsum = r1[live], r2[live], rsum[live]
+        front = pareto_filter(np.vstack([front, _corners(r1, r2, rsum)]))
+    return front
+
+
+def sweep_regions(ch: ChannelParams, schemes,
+                  grid: GridSpec | None = None) -> dict:
+    """{scheme: down-closed hull of its rate polygons over a parameter grid}.
+
+    A scheme is any name in VARIANTS. The grid is the full cartesian
+    product of the scheme's free parameter axes; pinned axes (no_an,
+    full_power, eta for schemes that fix it) contribute a single point.
+    Deterministic for identical inputs. Each row block of terms is built
+    once and feeds the running Pareto front of every scheme that shares
+    it; the front is the same, to the bit, as one swept scheme by scheme.
+    """
+    grid = grid or GridSpec()
+    passes = _passes(ch, schemes, grid)
+    # the warning points at the first caller outside this module
+    level = 2
+    while sys._getframe(level - 1).f_globals is globals():
+        level += 1
+    for scheme in schemes:
+        for axis, n in _swept(scheme, grid)[1].items():
+            if n == 1:
+                warnings.warn(f"swept axis {axis} has fewer than 2 points; "
+                              "the region will be badly undersampled",
+                              stacklevel=level)
+    # Pareto set of every corner so far, per scheme
+    fronts = {scheme: np.empty((0, 2)) for scheme in schemes}
+    for members, blocks in passes:
+        for base in blocks:
+            for scheme, clip, etas in members:
+                fronts[scheme] = _add_block(ch, clip, etas, base,
+                                            fronts[scheme])
+    # hull adds the axis corners back as projections of the other two
+    return {scheme: hull(fronts[scheme]) for scheme in schemes}
 
 
 def sweep_region(ch: ChannelParams, scheme: str,
                  grid: GridSpec | None = None) -> Region:
-    """Down-closed hull of a scheme's rate polygons over a parameter grid.
-
-    The scheme is any name in VARIANTS. The grid is the full cartesian
-    product of the scheme's free parameter axes; pinned axes (no_an,
-    full_power, eta for schemes that fix it) contribute a single point.
-    Deterministic for identical inputs. With several key fractions, each
-    block of rows after the first is bounded over all of them at once;
-    only the polygons whose bound no front point matches are evaluated.
-    """
-    grid = grid or GridSpec()
-    base, clip, etas = _cap_slices(ch, scheme, grid)
-    for axis, n in _swept(scheme, grid)[1].items():
-        if n == 1:
-            warnings.warn(f"swept axis {axis} has fewer than 2 points; "
-                          "the region will be badly undersampled", stacklevel=2)
-    front = np.empty((0, 2))  # Pareto set of every corner so far
-    for rows in _row_blocks(base[0]):
-        block = [b[rows].ravel() for b in base]
-        if len(etas) > 1 and len(front):
-            # (ax, by) + margin is at least as large as both corners of a
-            # polygon at every key fraction
-            top, r2max, margin = _key_bound(ch.rk, block)
-            ax, by = np.minimum(block[0], top), np.minimum(r2max, top)
-            live = by + margin > staircase(front, ax + margin)
-            block = [b[live] for b in block]
-            if not block[0].size:
-                continue
-        # no more (polygon, key fraction) pairs at a time than polygons
-        step = max(1, base[0][rows].size // block[0].size)
-        for i in range(0, len(etas), step):
-            r1, r2, rsum = np.broadcast_arrays(
-                *clip(ch, block, etas[i:i + step, None]))
-            if len(front):
-                # (ax, by) is at least as large as both corners of a
-                # polygon: it goes when a front point matches that in x, y
-                ax, by = np.minimum(r1, rsum), np.minimum(r2, rsum)
-                live = by > staircase(front, ax)
-                r1, r2, rsum = r1[live], r2[live], rsum[live]
-            front = pareto_filter(np.vstack([front, _corners(r1, r2, rsum)]))
-    # hull adds the axis corners back as projections of the other two
-    return hull(front)
+    """Down-closed hull of one scheme's rate polygons: see sweep_regions."""
+    return sweep_regions(ch, [scheme], grid)[scheme]
 
 
 def _key_bound(rk, base):
@@ -391,17 +418,31 @@ def _key_bound(rk, base):
     return rsum + tpmax, r2max, 8.0 * math.ulp(scale)
 
 
-def max_sum_rate(ch: ChannelParams, scheme: str,
-                 grid: GridSpec | None = None) -> float:
-    """Largest R1 + R2 the scheme (any name in VARIANTS) achieves on the grid.
+def max_sum_rates(ch: ChannelParams, schemes, grid: GridSpec | None,
+                  rks) -> dict:
+    """{scheme: [largest R1 + R2 on the grid at each key rate of rks]}.
 
-    With several key fractions, each block of rows is first bounded over
-    all of them at once; only polygons whose bound reaches the best sum
-    rate so far are evaluated at every fraction. A polygon is skipped only
-    when none of its sum rates can reach that best, so the maximum is the
-    one over every polygon, to the bit.
+    A scheme is any name in VARIANTS; the channel's own rk is not read.
+    Each row block of terms is built once and serves every scheme that
+    shares it, at every key rate. With several key fractions, a block is
+    first bounded over all of them at once; only polygons whose bound
+    reaches the best sum rate so far are evaluated at every fraction. A
+    polygon is skipped only when none of its sum rates can reach that
+    best, so the maximum is the one over every polygon, to the bit.
     """
-    base, clip, etas = _cap_slices(ch, scheme, grid or GridSpec())
+    chs = [replace(ch, rk=rk) for rk in rks]
+    best = {scheme: [0.0] * len(chs) for scheme in schemes}
+    for members, blocks in _passes(ch, schemes, grid or GridSpec()):
+        for base in blocks:
+            for scheme, clip, etas in members:
+                for k, c in enumerate(chs):
+                    best[scheme][k] = _best_in_block(c, clip, etas, base,
+                                                     best[scheme][k])
+    return best
+
+
+def _best_in_block(ch, clip, etas, block, best):
+    """The larger of best and the block's largest sum rate."""
 
     def best_of(polygons):
         # about CHUNK (polygon, key fraction) pairs at a time
@@ -411,15 +452,17 @@ def max_sum_rate(ch: ChannelParams, scheme: str,
         return max(float(np.minimum(rsum, r1 + r2).max(initial=0.0))
                    for r1, r2, rsum in caps)
 
-    best = 0.0
-    for rows in _row_blocks(base[0]):
-        block = [b[rows].ravel() for b in base]
-        if len(etas) > 1:
-            ub, r2max, margin = _key_bound(ch.rk, block)
-            ub = np.minimum(ub, block[0] + r2max)
-            top = np.argpartition(ub, max(0, ub.size - SEED_POLYGONS))
-            best = max(best, best_of([b[top[-SEED_POLYGONS:]] for b in block]))
-            live = ub >= best - margin
-            block = [b[live] for b in block]
-        best = max(best, best_of(block))
-    return best
+    if len(etas) > 1:
+        ub, r2max, margin = _key_bound(ch.rk, block)
+        ub = np.minimum(ub, block[0] + r2max)
+        top = np.argpartition(ub, max(0, ub.size - SEED_POLYGONS))
+        best = max(best, best_of([b[top[-SEED_POLYGONS:]] for b in block]))
+        live = ub >= best - margin
+        block = [b[live] for b in block]
+    return max(best, best_of(block))
+
+
+def max_sum_rate(ch: ChannelParams, scheme: str,
+                 grid: GridSpec | None = None) -> float:
+    """Largest R1 + R2 one scheme achieves at ch.rk: see max_sum_rates."""
+    return max_sum_rates(ch, [scheme], grid, [ch.rk])[scheme][0]

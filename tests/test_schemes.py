@@ -14,7 +14,8 @@ from zickey import (ChannelParams, DomainError, GridSpec, SchemeParams,
                     gdof_split_lambda2, key_as_wiretap_point,
                     key_splitting_point, max_sum_rate, max_y_at_x,
                     one_time_pad_point, point_region, polygon_points,
-                    rate_splitting_point, subset_of, sweep_region)
+                    rate_splitting_point, subset_of, sweep_region,
+                    sweep_regions)
 from zickey.schemes import MAX_POLYGONS, VARIANTS
 
 CH = ChannelParams(1, 1, 0.6, 100, 100, rk=1.0)
@@ -243,10 +244,13 @@ def test_full_power_restriction_contained():
 
 
 def test_coarse_grid_warns():
-    with pytest.warns(UserWarning, match="fewer than 2 points"):
-        sweep_region(CH, "key_splitting",
-                     GridSpec(n_lambda1=1, n_lambda2=8, n_beta1=7, n_beta2=7,
-                              n_eta=5))
+    grid = GridSpec(n_lambda1=1, n_lambda2=8, n_beta1=7, n_beta2=7, n_eta=5)
+    for sweep, scheme in ((sweep_region, "key_splitting"),
+                          (sweep_regions, ["key_splitting"])):
+        with pytest.warns(UserWarning, match="fewer than 2 points") as caught:
+            sweep(CH, scheme, grid)
+        # the warning points at the line that asked for the sweep
+        assert [w.filename for w in caught] == [__file__], sweep
 
 
 def test_gdof_split_sample():

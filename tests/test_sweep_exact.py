@@ -1,20 +1,22 @@
 """The fast sweep against plain brute force, bit for bit.
 
-sweep_region computes the eta-free key-splitting terms once per grid, emits
-two corners per rate polygon, and prefilters large point sets by x buckets
-before sorting. It works through the caps in blocks of whole rows and drops
-a polygon when its running Pareto front, bucketed by x, already holds a
-point above both its corners. Both sweeps bound each block over every key
+sweep_region computes the eta-free key-splitting terms one block of whole
+rows at a time, just before the block is used, emits two corners per rate
+polygon, and prefilters large point sets by x buckets before sorting. It
+drops a polygon when its running Pareto front, bucketed by x, already holds
+a point above both its corners. Both sweeps bound each block over every key
 fraction at once: max_sum_rate evaluates only the polygons whose bound
 reaches its best sum rate so far, sweep_region only those whose bounded
-corners no front point matches. The layered base is kept between calls
-for the same channel and axes. Each step is checked here against a
-literal, unoptimized version of itself kept in this file.
+corners no front point matches. sweep_regions and max_sum_rates build each
+block once for every scheme that shares it, at every key rate. Each step is
+checked here against a literal, unoptimized version of itself kept in this
+file.
 """
 
 import dataclasses
 import functools
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -25,9 +27,10 @@ from hypothesis import strategies as st
 from zickey import ChannelParams, DomainError, GridSpec, max_sum_rate
 from zickey import geometry, schemes, sweep_region
 from zickey.geometry import hull, pareto_filter, staircase
-from zickey.schemes import (SCHEMES, _key_bound, _key_splitting_base,
-                            _key_splitting_eta, _otp_caps, _row_blocks,
-                            _wiretap_caps, gdof_split_lambda2)
+from zickey.schemes import (SCHEMES, VARIANTS, _key_bound,
+                            _key_splitting_base, _key_splitting_eta,
+                            _row_blocks, _unlayered_terms, gdof_split_lambda2,
+                            max_sum_rates, sweep_regions)
 
 SHOWCASE = [ChannelParams(1, 1, h21, 100, 100, rk=rk)
             for h21 in (0.6, 0.8, 1.2) for rk in (0.2, 1.0, 2.0)]
@@ -66,6 +69,18 @@ def _ref_caps(ch, lam1, lam2, b1, b2, eta):
     return np.broadcast_arrays(r1, r2, rsum)
 
 
+def _ref_unlayered_caps(ch, scheme, b1, b2):
+    """(r1, r2) caps of the schemes without layers or key split."""
+    g11, g22, g21 = ch.h11**2, ch.h22**2, ch.h21**2
+    q1 = b1 * ch.p1
+    q2 = b2 * ch.p2
+    r1 = _c(g11 * q1 / (1.0 + g21 * q2))
+    cap2 = _c(g22 * q2)
+    if scheme == "one_time_pad":
+        return r1, np.minimum(ch.rk, cap2)
+    return r1, np.maximum(0.0, np.minimum(cap2, cap2 - _c(g21 * q2) + ch.rk))
+
+
 def _ref_polygon_points(a, b, c):
     """All four corners of every polygon {R1<=a, R2<=b, R1+R2<=c}."""
     a, b, c = (v.ravel() for v in np.broadcast_arrays(a, b, c))
@@ -102,8 +117,7 @@ def _ref_slices(ch, scheme, grid):
     if scheme in ("key_as_wiretap", "one_time_pad"):
         b1 = np.linspace(0.0, 1.0, grid.n_beta1)[:, None]
         b2 = np.linspace(0.0, 1.0, grid.n_beta2)[None, :]
-        caps = _wiretap_caps if scheme == "key_as_wiretap" else _otp_caps
-        return [(*caps(ch, b1, b2), math.inf)]
+        return [(*_ref_unlayered_caps(ch, scheme, b1, b2), math.inf)]
     l1, l2, b1, b2, eta = _axes(ch, scheme, grid)
     return [_ref_caps(ch, l1, l2, b1, b2, float(e)) for e in eta]
 
@@ -174,13 +188,16 @@ def test_hoisted_caps_are_bitwise_equal():
 
 
 def _ref_region(ch, scheme, grid):
-    """Brute-force vertex bytes and best sum rate of a channel on a grid."""
+    """Brute-force vertex bytes, Pareto front bytes and best sum rate of a
+    channel on a grid. The front is that of every corner of every polygon,
+    one slice's corners thinned by a plain sort at a time."""
     slices = _ref_slices(ch, scheme, grid)
-    want = hull(np.vstack([_ref_sort_filter(_ref_polygon_points(*s))
-                           for s in slices]))
+    corners = np.vstack([_ref_sort_filter(_ref_polygon_points(*s))
+                         for s in slices])
     best = max(float(np.minimum(rsum, r1 + r2).max())
                for r1, r2, rsum in slices)
-    return want.vertices.tobytes(), best
+    return (hull(corners).vertices.tobytes(),
+            pareto_filter(corners).tobytes(), best)
 
 
 @functools.lru_cache(maxsize=None)
@@ -189,13 +206,28 @@ def _ref_sweep(i, scheme):
     return _ref_region((SHOWCASE + EDGE)[i], scheme, GRID17)
 
 
+def _sweep_with_front(ch, scheme, grid):
+    """sweep_region's vertex bytes and the bytes of the front it hulls."""
+    with mock.patch.object(schemes, "hull", wraps=hull) as spy:
+        region = sweep_region(ch, scheme, grid)
+    return region.vertices.tobytes(), spy.call_args.args[0].tobytes()
+
+
+def _assert_matches_brute_force(ch, scheme, grid, ref, *context):
+    want, front, best = ref
+    got, got_front = _sweep_with_front(ch, scheme, grid)
+    # the front holds every Pareto-optimal corner, so a polygon dropped in
+    # error shows here even where the hull does not move
+    assert got_front == front, (*context, ch, scheme)
+    assert got == want, (*context, ch, scheme)
+    assert max_sum_rate(ch, scheme, grid) == best, (*context, ch, scheme)
+
+
 def test_sweep_matches_brute_force_sweep():
     for i, ch in enumerate(SHOWCASE + EDGE):
         for scheme in SCHEMES:
-            want, best = _ref_sweep(i, scheme)
-            got = sweep_region(ch, scheme, GRID17)
-            assert got.vertices.tobytes() == want, (ch, scheme)
-            assert max_sum_rate(ch, scheme, GRID17) == best, (ch, scheme)
+            _assert_matches_brute_force(ch, scheme, GRID17,
+                                        _ref_sweep(i, scheme))
 
 
 def test_crowded_sweep_matches_brute_force_row_by_row():
@@ -205,10 +237,8 @@ def test_crowded_sweep_matches_brute_force_row_by_row():
     with mock.patch.object(schemes, "CHUNK", 10 * 9 * 9):
         for ch in CROWDED:
             for scheme in SCHEMES:
-                want, best = _ref_region(ch, scheme, grid)
-                got = sweep_region(ch, scheme, grid)
-                assert got.vertices.tobytes() == want, (ch, scheme)
-                assert max_sum_rate(ch, scheme, grid) == best, (ch, scheme)
+                _assert_matches_brute_force(ch, scheme, grid,
+                                            _ref_region(ch, scheme, grid))
 
 
 ROW17 = 18 * 17 * 17  # polygons in one lambda1 row of GRID17 (gdof split on)
@@ -227,11 +257,8 @@ def test_blocked_sweep_matches_brute_force(name, value):
     with mock.patch.object(owner, name, value):
         for i, ch in enumerate(SHOWCASE + EDGE):
             for scheme in SCHEMES:
-                want, best = _ref_sweep(i, scheme)
-                got = sweep_region(ch, scheme, GRID17)
-                assert got.vertices.tobytes() == want, (name, value, ch, scheme)
-                assert max_sum_rate(ch, scheme, GRID17) == best, \
-                    (name, value, ch, scheme)
+                _assert_matches_brute_force(ch, scheme, GRID17,
+                                            _ref_sweep(i, scheme), name, value)
 
 
 tiny = st.sampled_from([0.0, 5e-324, 1e-300, 1e-16])
@@ -255,7 +282,7 @@ def test_row_blocks_cover_every_row_once(chunk):
     for shape in ((17, 18, 17, 17), (17, 17), (1, 34, 33, 33), (33, 1, 1, 1)):
         rows, width = np.arange(shape[0]), math.prod(shape[1:])
         with mock.patch.object(schemes, "CHUNK", chunk):
-            blocks = _row_blocks(np.empty(shape))
+            blocks = _row_blocks(shape)
         got = np.concatenate([rows[b] for b in blocks])
         assert sorted(got) == list(rows), (chunk, shape)
         # whole rows, and no more than CHUNK polygons unless one row is more
@@ -384,73 +411,124 @@ def test_key_splitting_sweep_evaluates_few_key_fractions():
     assert pairs > polygons // grid.n_lambda1 * grid.n_eta
 
 
-def _builds(fn, *args):
-    """fn(*args) and how many times it built a key-splitting base."""
-    with mock.patch.object(schemes, "_key_splitting_base",
-                           wraps=_key_splitting_base) as spy:
-        got = fn(*args)
-    return got, spy.call_count
+def _whole_grid_terms(ch, scheme, grid):
+    """The eta-free terms of every polygon, built over the whole grid at once."""
+    if scheme in ("key_as_wiretap", "one_time_pad"):
+        return np.broadcast_arrays(*_unlayered_terms(
+            ch, np.linspace(0.0, 1.0, grid.n_beta1)[:, None],
+            np.linspace(0.0, 1.0, grid.n_beta2)[None, :]))
+    return np.broadcast_arrays(*_key_splitting_base(
+        ch, *_axes(ch, scheme, grid)[:4]))
 
 
-def _fresh(fn, *args):
-    schemes._base_slot.clear()
-    return fn(*args)
+@pytest.mark.parametrize("chunk", [1, 5 * ROW17 + 7, 10**9])
+def test_row_block_terms_equal_the_whole_grid_terms(chunk):
+    # log2 and the other ufuncs give every element the same bits whether it
+    # is computed in a block of rows or in the whole grid
+    with mock.patch.object(schemes, "CHUNK", chunk):
+        for ch in SHOWCASE + EDGE + CROWDED:
+            for scheme in SCHEMES:
+                whole = _whole_grid_terms(ch, scheme, GRID17)
+                [(_, blocks)] = schemes._passes(ch, [scheme], GRID17)
+                rows = _row_blocks(whole[0].shape)
+                got = list(blocks)
+                assert len(got) == len(rows), (chunk, ch, scheme)
+                for block, r in zip(got, rows):
+                    assert [b.tobytes() for b in block] == \
+                        [w[r].ravel().tobytes() for w in whole], \
+                        (chunk, ch, scheme, r)
 
 
 COARSE = GridSpec(n_lambda1=9, n_lambda2=9, n_beta1=9, n_beta2=9, n_eta=7)
 
 
+RKS = (0.0, 0.2, 3.0)
+
+
+def _assert_shared_pass_is_exact(ch, grid):
+    """sweep_regions and max_sum_rates over every variant equal, to the bit,
+    sweep_region and max_sum_rate called for one scheme and key rate."""
+    for chunk in (1, 10**9):  # one row per block, or one block
+        with mock.patch.object(schemes, "CHUNK", chunk):
+            regions = sweep_regions(ch, VARIANTS, grid)
+            sums = max_sum_rates(ch, VARIANTS, grid, RKS)
+            assert list(regions) == list(sums) == list(VARIANTS)
+            for scheme in VARIANTS:
+                assert regions[scheme].vertices.tobytes() == \
+                    sweep_region(ch, scheme, grid).vertices.tobytes(), scheme
+                assert sums[scheme] == [
+                    max_sum_rate(dataclasses.replace(ch, rk=rk), scheme, grid)
+                    for rk in RKS], scheme
+
+
+def _spy(name):
+    return mock.patch.object(schemes, name, wraps=getattr(schemes, name))
+
+
 def test_base_is_reused_across_key_rates_and_schemes():
+    # each row block of terms is built once per pass, for every scheme that
+    # shares it and every key rate
     ch = SHOWCASE[1]
-    cases = [(dataclasses.replace(ch, rk=rk), scheme)
-             for rk in (0.0, 0.2, 3.0)
-             for scheme in ("key_splitting", "rate_splitting")]
-    want = [_fresh(max_sum_rate, c, scheme, COARSE) for c, scheme in cases]
-    region = _fresh(sweep_region, ch, "rate_splitting", COARSE)
-    _fresh(max_sum_rate, ch, "key_splitting", COARSE)
-    base = schemes._base_slot["base"]
-    assert all(not b.flags.writeable for b in base)
-    for (c, scheme), best in zip(cases, want):
-        assert _builds(max_sum_rate, c, scheme, COARSE) == (best, 0)
-    got, built = _builds(sweep_region, ch, "rate_splitting", COARSE)
-    assert built == 0 and schemes._base_slot["base"] is base
-    assert got.vertices.tobytes() == region.vertices.tobytes()
-    # the one-row no_an base is built apart and leaves the shared one in place
-    assert _builds(max_sum_rate, ch, "rate_splitting_no_an", COARSE)[1] == 1
-    assert _builds(max_sum_rate, ch, "key_splitting", COARSE)[1] == 0
+    _assert_shared_pass_is_exact(ch, COARSE)
+    lam1 = np.linspace(0.0, 1.0, COARSE.n_lambda1)
+    for chunk, blocks in ((1, COARSE.n_lambda1), (10**9, 1)):
+        for sweep, args in ((sweep_regions, ()), (max_sum_rates, (RKS,))):
+            with mock.patch.object(schemes, "CHUNK", chunk), \
+                    _spy("_key_splitting_base") as layered, \
+                    _spy("_unlayered_terms") as unlayered:
+                sweep(ch, VARIANTS, COARSE, *args)
+            # key_splitting and rate_splitting share one group, built block
+            # by block; rate_splitting_no_an's one row at lambda1 = 1 is
+            # another
+            assert layered.call_count == blocks + 1, (chunk, sweep)
+            built = np.concatenate([c.args[1].ravel()
+                                    for c in layered.call_args_list])
+            assert sorted(built) == sorted([*lam1, 1.0]), (chunk, sweep)
+            # key_as_wiretap and one_time_pad share the other, beta1 rows
+            assert unlayered.call_count == (COARSE.n_beta1 if chunk == 1
+                                            else 1), (chunk, sweep)
 
 
 @pytest.mark.parametrize("change", [
     {"h11": 1.1}, {"h22": 0.9}, {"h21": 0.7}, {"p1": 90.0}, {"p2": 110.0},
-    {"h21": -0.6},  # the same base, but another channel
+    {"h21": -0.6},  # the same terms, but another channel
     {"n_lambda1": 8}, {"n_lambda2": 8}, {"n_beta1": 8}, {"n_beta2": 8},
     {"no_an": True}, {"full_power": True}, {"include_gdof_split": False},
 ])
 def test_base_is_rebuilt_when_channel_or_axes_change(change):
+    # nothing outlives a pass: the terms come from this call's channel and
+    # axes, and the shared pass stays exact on them
     ch = SHOWCASE[1]
     ch_fields = {k: v for k, v in change.items() if hasattr(ch, k)}
     other = dataclasses.replace(ch, **ch_fields)
     grid = dataclasses.replace(COARSE, **{k: v for k, v in change.items()
                                           if k not in ch_fields})
-    for scheme in ("key_splitting", "rate_splitting"):
-        _fresh(max_sum_rate, ch, scheme, COARSE)
-        got, built = _builds(max_sum_rate, other, scheme, grid)
-        assert built == 1, (change, scheme)
-        assert got == _fresh(max_sum_rate, other, scheme, grid), change
-        _fresh(sweep_region, ch, scheme, COARSE)
-        region, built = _builds(sweep_region, other, scheme, grid)
-        assert built == 1, (change, scheme)
-        assert region.vertices.tobytes() == \
-            _fresh(sweep_region, other, scheme, grid).vertices.tobytes()
+    sweep_regions(ch, VARIANTS, COARSE)
+    with _spy("_key_splitting_base") as layered:
+        max_sum_rates(other, VARIANTS, grid, RKS)
+    assert all(c.args[0] is other for c in layered.call_args_list), change
+    _assert_shared_pass_is_exact(other, grid)
 
 
-def test_failed_base_build_leaves_the_slot_empty():
-    ch = SHOWCASE[1]
-    _fresh(max_sum_rate, ch, "key_splitting", COARSE)
-    # finite powers whose received sums overflow inside the base
+def test_sweeps_never_hold_the_whole_grid():
+    # the default grid's terms are 37,026 polygons a row; four whole-grid
+    # arrays of them would take 39 MB (channels used by no other test)
+    for sweep, ch in ((sweep_region, ChannelParams(1, 1, 0.7, 120, 80, rk=0.9)),
+                      (max_sum_rate, ChannelParams(1, 1, 0.65, 90, 110, rk=0.4))):
+        tracemalloc.start()
+        try:
+            sweep(ch, "key_splitting")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6, (sweep, peak)
+
+
+def test_failed_base_build_raises_a_domain_error():
+    # finite powers whose received sums overflow inside the terms
     huge = ChannelParams(1, 1, 1, 1.5e308, 1.5e308, rk=1.0)
-    for fn in (max_sum_rate, sweep_region):
-        with pytest.raises(DomainError, match="overflow"):
-            fn(huge, "key_splitting", COARSE)
-        assert schemes._base_slot == {}
-    assert _builds(max_sum_rate, ch, "key_splitting", COARSE)[1] == 1
+    with pytest.raises(DomainError, match="overflow"):
+        sweep_regions(huge, ["key_splitting", "rate_splitting"], COARSE)
+    with pytest.raises(DomainError, match="overflow"):
+        max_sum_rates(huge, ["key_splitting", "rate_splitting"], COARSE,
+                      [0.0, 1.0])
