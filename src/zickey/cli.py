@@ -228,8 +228,6 @@ def _axis_values(values, prefix, lo_default, hi_default, n_default):
     if f"{prefix}_list" in values:
         return [float(v) for v in values[f"{prefix}_list"]]
     steps = values.get(f"{prefix}_steps", n_default)
-    if steps < 1:
-        raise ConfigError(f"{prefix}_steps must be >= 1")
     lo = values.get(f"{prefix}_min", lo_default)
     hi = values.get(f"{prefix}_max", hi_default)
     return [float(v) for v in np.linspace(lo, hi, steps)]
@@ -313,7 +311,7 @@ def cmd_sumrate(args) -> int:
         "suppressed_in_high_regime": sorted(suppressed),
         "full_power": full_power,
         "nonsecrecy_bound": include_ns,
-        "grid": asdict(grid),
+        "grid": asdict(swept_grid),
     }
     if axis_name == "alpha":
         meta["family"] = {"p": values["p"], "rk": values.get("rk", 0.0)}
@@ -379,10 +377,9 @@ def _build_parser() -> argparse.ArgumentParser:
     def swept(sp, outer, *floats):
         # the channel, the schemes and the sweep grid of region and sumrate
         for name in ("h11", "h22", "h21", "p1", "p2", "rk", *floats):
-            sp.add_argument(f"--{name.replace('_', '-')}", type=float)
-        sp.add_argument("--p1-db", type=float,
-                        help="p1 in dB (alternative to --p1)")
-        sp.add_argument("--p2-db", type=float)
+            sp.add_argument(f"--{name.replace('_', '-')}")
+        sp.add_argument("--p1-db", help="p1 in dB (alternative to --p1)")
+        sp.add_argument("--p2-db")
         sp.add_argument("--schemes",
                         help="comma list of: " + ", ".join(VARIANTS))
         sp.add_argument("--grid",
@@ -405,7 +402,7 @@ def _build_parser() -> argparse.ArgumentParser:
     swept(sumrate, "column", "p", "alpha", "alpha_min", "alpha_max", "rk_min",
           "rk_max")
     for name in ("alpha_steps", "rk_steps"):
-        sumrate.add_argument(f"--{name.replace('_', '-')}", type=int)
+        sumrate.add_argument(f"--{name.replace('_', '-')}")
     sumrate.add_argument("--alpha-list",
                          help="comma list of alpha values to sweep")
     sumrate.add_argument("--rk-list", help="comma list of key rates to sweep")
@@ -417,12 +414,10 @@ def _build_parser() -> argparse.ArgumentParser:
     gdof = sub.add_parser(
         "gdof", help="normalized high-power region polygons")
     common(gdof)
-    gdof.add_argument("--alpha", type=float,
+    gdof.add_argument("--alpha",
                       help="interference exponent log(inr)/log(snr)")
-    gdof.add_argument("--gamma", type=float,
-                      help="key rate normalized by 0.5*log2(snr)")
-    gdof.add_argument("--eta", type=float,
-                      help="key fraction spent on the common layer")
+    gdof.add_argument("--gamma", help="key rate normalized by 0.5*log2(snr)")
+    gdof.add_argument("--eta", help="key fraction spent on the common layer")
     gdof.add_argument("--schemes",
                       help="comma list of: " + ", ".join(SCHEMES))
     gdof.set_defaults(func=cmd_gdof)

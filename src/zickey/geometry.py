@@ -56,32 +56,6 @@ def _cross(o, a, b):
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-def _chain(pts: np.ndarray) -> np.ndarray:
-    """Monotone-chain convex hull, collinear points dropped, CCW order."""
-    pts = pts + 0.0  # folds -0.0 into 0.0, leaves every other value alone
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    p = pts[order]
-    if len(p) > 1:
-        keep = np.empty(len(p), dtype=bool)
-        keep[0] = True
-        keep[1:] = np.any(p[1:] != p[:-1], axis=1)
-        p = p[keep]
-    if len(p) <= 2:
-        return p
-    pts_list = p.tolist()
-    lower = []
-    for q in pts_list:
-        while len(lower) >= 2 and _cross(lower[-2], lower[-1], q) <= 0.0:
-            lower.pop()
-        lower.append(q)
-    upper = []
-    for q in reversed(pts_list):
-        while len(upper) >= 2 and _cross(upper[-2], upper[-1], q) <= 0.0:
-            upper.pop()
-        upper.append(q)
-    return np.array(lower[:-1] + upper[:-1])
-
-
 def staircase(front, x):
     """Per x, a y that some front point with larger x reaches, else -inf.
 
@@ -178,8 +152,10 @@ def _as_points(items) -> np.ndarray:
 def hull(items, mode: str = "rate") -> Region:
     """Down-closed convex hull of points and/or regions.
 
-    Every input point contributes its axis projections (x, 0) and (0, y),
-    plus the origin, before hulling; the result is therefore always a valid
+    The hull of the input points with their axis projections and the
+    origin. Its upper-right chain is a convex walk over the Pareto front,
+    from the largest-x point to the largest-y point and on to (0, max y);
+    the origin and (max x, 0) close it, so the result is always a valid
     down-closed region.
     """
     pts = _as_points(items)
@@ -189,15 +165,20 @@ def hull(items, mode: str = "rate") -> Region:
         raise ValueError("hull input must be finite")
     if np.any(pts < -REGION_TOL):
         raise ValueError("hull input must lie in the first quadrant")
-    pts = np.maximum(pts, 0.0)
-    pts = pareto_filter(pts)
-    aug = np.vstack([
-        pts,
-        np.column_stack([pts[:, 0], np.zeros(len(pts))]),
-        np.column_stack([np.zeros(len(pts)), pts[:, 1]]),
-        [[0.0, 0.0]],
-    ])
-    v = _chain(aug)
+    # + 0.0 folds -0.0 into 0.0 and leaves every other value alone
+    front = pareto_filter(np.maximum(pts, 0.0) + 0.0).tolist()
+    (x0, y0), (xn, yn) = front[0], front[-1]
+    if xn > 0.0 and yn > 0.0:
+        front.append([0.0, yn])
+    walk = []  # collinear points dropped
+    for q in front:
+        while len(walk) >= 2 and _cross(walk[-2], walk[-1], q) <= 0.0:
+            walk.pop()
+        walk.append(q)
+    head = [[0.0, 0.0]]
+    if x0 > 0.0 and y0 > 0.0:
+        head.append([x0, 0.0])
+    v = np.array(head + walk if walk != [[0.0, 0.0]] else head)
     return Region(vertices=v, halfplanes=_planes_from_vertices(v), mode=mode)
 
 
@@ -205,7 +186,8 @@ def intersect_halfplanes(planes, mode: str = "rate") -> Region:
     """Region cut out by half-planes a*x + b*y <= c inside the first quadrant.
 
     x >= 0 and y >= 0 are implicit. Raises UnboundedRegionError when the
-    planes fail to bound x or y from above. Corners within REGION_TOL merge.
+    planes fail to bound x or y from above. Corners within REGION_TOL merge,
+    and the result is the down-closed hull of the merged corners.
     """
     norm_planes = []
     for a, b, c in planes:
@@ -242,8 +224,7 @@ def intersect_halfplanes(planes, mode: str = "rate") -> Region:
     for p in feas[1:]:
         if abs(p[0] - dedup[-1][0]) > REGION_TOL or abs(p[1] - dedup[-1][1]) > REGION_TOL:
             dedup.append(p)
-    v = _chain(np.array(dedup))
-    return Region(vertices=v, halfplanes=_planes_from_vertices(v), mode=mode)
+    return hull(np.array(dedup), mode=mode)
 
 
 def _tol(region: Region, tol) -> float:

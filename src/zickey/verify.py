@@ -23,7 +23,8 @@ from .gdof import GAP_TOL, GdofParams, gdof_convergence_check, gdof_region, \
 from .geometry import REGION_TOL, containment_margin, hull, \
     intersect_halfplanes, subset_of
 from .schemes import GridSpec, SCHEMES, key_as_wiretap_point, \
-    key_splitting_point, one_time_pad_point, polygon_points, sweep_region
+    key_splitting_point, one_time_pad_point, polygon_points, sweep_region, \
+    sweep_regions
 
 # coarse but fast grid for region-level checks
 _GRID = GridSpec(n_lambda1=7, n_lambda2=8, n_beta1=7, n_beta2=7, n_eta=5)
@@ -138,9 +139,9 @@ def _inv_in_key_split(scheme):
         rows = []
         for _ in range(2):
             ch = _draw_channel(rng)
-            inner = sweep_region(ch, scheme, _GRID)
-            outer = sweep_region(ch, "key_splitting", _GRID)
-            m = containment_margin(outer, inner.vertices)
+            regions = sweep_regions(ch, (scheme, "key_splitting"), _GRID)
+            m = containment_margin(regions["key_splitting"],
+                                   regions[scheme].vertices)
             rows.append(_row(_fmt(ch), REGION_TOL - m))
         return rows
     return check
@@ -173,8 +174,7 @@ def _inv_schemes_within_outer(rng, corrupt):
     rows = []
     for ch in chans:
         outer = _outer_for_check(ch, corrupt)
-        for scheme in SCHEMES:
-            inner = sweep_region(ch, scheme, _GRID)
+        for scheme, inner in sweep_regions(ch, SCHEMES, _GRID).items():
             m = containment_margin(outer, inner.vertices)
             rows.append(_row(f"{scheme} {_fmt(ch)}", REGION_TOL - m))
     return rows

@@ -295,6 +295,19 @@ def test_sumrate_axis_validation(tmp_path):
                  "--rk-list=-1,0", "--out-dir", out]) == 2
 
 
+def test_sumrate_meta_records_the_swept_grid(tmp_path):
+    grid = "n_lambda1=5,n_lambda2=5,n_beta1=5,n_beta2=5,n_eta=3"
+    for flags, pinned in ((["--grid", grid + ",full_power=true",
+                            "--sweep-powers"], False),
+                          (["--grid", grid], True)):
+        out = tmp_path / str(pinned)
+        assert main(["sumrate", *WEAK, "--rk-list", "0,1", *flags,
+                     "--out-dir", str(out)]) == 0
+        meta = json.loads((out / "sumrate_meta.json").read_text())
+        assert meta["full_power"] is pinned
+        assert meta["grid"]["full_power"] is pinned
+
+
 def test_sumrate_power_sweep_beats_full_power(tmp_path):
     outs = []
     for args, name in ((["--sweep-powers"], "swept"), ([], "full")):
@@ -309,6 +322,24 @@ def test_sumrate_power_sweep_beats_full_power(tmp_path):
         if rows_s[0][col] == "" or rows_f[0][col] == "":
             continue
         assert float(rows_s[0][col]) >= float(rows_f[0][col]) - 1e-12
+
+
+@pytest.mark.parametrize("argv", [
+    ["region", *WEAK[:-4], "--p1", "inf", "--p2", "100"],
+    ["region", *WEAK[:-2], "--rk", "nan"],
+    ["region", *WEAK, "--h21", "1e400"],
+    ["region", *WEAK, "--p1-db", "x"],
+    ["sumrate", *WEAK, "--rk-steps", "1.5"],
+    ["sumrate", *WEAK, "--rk-steps", "0"],
+    ["sumrate", "--p", "10", "--alpha-min", "inf", "--alpha-steps", "2"],
+    ["gdof", "--alpha", "0.5", "--gamma", "inf"],
+])
+def test_flags_parse_like_scenario_files(tmp_path, capsys, argv):
+    # a value a scenario file refuses with exit 2 is refused the same way
+    # as a flag, never with exit 3 or argparse's SystemExit
+    assert main([*argv, "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: key ")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_gdof_outputs_and_reference(tmp_path):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zickey import (REGION_TOL, Region, UnboundedRegionError,
                     containment_margin, contains, distance_to_region, hull,
@@ -98,6 +100,66 @@ def test_no_negative_zero_in_vertices():
     v = _verts(r)
     mask = v == 0.0
     assert not np.signbit(v[mask]).any()
+
+
+def _reference_hull(pts):
+    """Monotone-chain hull of the Pareto front, its axis projections and
+    the origin, collinear points dropped, CCW from the lexicographic minimum.
+    """
+    front = pareto_filter(np.maximum(pts, 0.0))
+    zeros = np.zeros(len(front))
+    p = np.vstack([front, np.column_stack([front[:, 0], zeros]),
+                   np.column_stack([zeros, front[:, 1]]), [[0.0, 0.0]]]) + 0.0
+    p = p[np.lexsort((p[:, 1], p[:, 0]))]
+    p = p[np.r_[True, np.any(p[1:] != p[:-1], axis=1)]]
+    if len(p) <= 2:
+        return p
+
+    def turn(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    def chain(seq):
+        out = []
+        for q in seq:
+            while len(out) >= 2 and turn(out[-2], out[-1], q) <= 0.0:
+                out.pop()
+            out.append(q)
+        return out[:-1]
+
+    p = p.tolist()
+    return np.array(chain(p) + chain(reversed(p)))
+
+
+@st.composite
+def _clouds(draw):
+    # ties come from a shared pool of coordinates, axis points from zeros
+    mag = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(1e-150, 1e150))
+    pool = draw(st.lists(mag, min_size=1, max_size=8))
+    coord = st.one_of(st.sampled_from(pool), mag)
+    return draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=40))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_clouds())
+def test_hull_walk_matches_monotone_chain(rows):
+    pts = np.array(rows)
+    got, want = _verts(hull(pts)), _reference_hull(pts)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes(), rows
+
+
+def test_hull_of_tiny_point_is_a_square():
+    # products of 1e-300 coordinates underflow; the walk takes none of them
+    v = _verts(hull([[1e-300, 1e-300]]))
+    assert v.tolist() == [[0.0, 0.0], [1e-300, 0.0], [1e-300, 1e-300],
+                          [0.0, 1e-300]]
+
+
+def test_intersect_contains_vertex_projections_exactly():
+    r = intersect_halfplanes(
+        hull(np.random.default_rng(4).uniform(0, 3, (30, 2))).halfplanes)
+    for x, y in _verts(r):
+        assert contains(r, (x, 0.0), tol=0.0)
+        assert contains(r, (0.0, y), tol=0.0)
 
 
 def test_intersect_unit_square():
