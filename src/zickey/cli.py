@@ -360,6 +360,29 @@ def cmd_verify(args) -> int:
     return 0
 
 
+def _is_float(text) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _join_float_values(argv) -> list:
+    """argv with each token such as -1e-3, -inf or -1e400 that float() reads
+    joined to the long option before it, as --p1=-1e-3: argparse alone
+    takes the token for an option and stops with "expected one argument"."""
+    joined = []
+    for token in argv:
+        flag = joined[-1] if joined else ""
+        if flag.startswith("--") and len(flag) > 2 and "=" not in flag \
+                and token.startswith("-") and _is_float(token):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zickey",
@@ -434,7 +457,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _build_parser().parse_args(
+        _join_float_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except ConfigError as e:

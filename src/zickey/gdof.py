@@ -57,7 +57,7 @@ def rate_splitting_gdof(gp: GdofParams) -> Region:
 
 
 def _pentagon(d1: float, d2: float, dsum: float = math.inf) -> Region:
-    return hull(polygon_points(d1, d2, dsum), mode="gdof")
+    return hull(polygon_points(d1, d2, dsum))
 
 
 def key_wc_gdof_components(gp: GdofParams) -> tuple[Region, Region]:
@@ -73,7 +73,7 @@ def key_wc_gdof_components(gp: GdofParams) -> tuple[Region, Region]:
 
 def key_wc_gdof(gp: GdofParams) -> Region:
     """GDOF region when the key only enlarges the wiretap code."""
-    return hull(key_wc_gdof_components(gp), mode="gdof")
+    return hull(key_wc_gdof_components(gp))
 
 
 def otp_gdof_components(gp: GdofParams) -> tuple[Region, Region]:
@@ -85,7 +85,7 @@ def otp_gdof_components(gp: GdofParams) -> tuple[Region, Region]:
 
 def otp_gdof(gp: GdofParams) -> Region:
     """GDOF region of the one-time-pad scheme."""
-    return hull(otp_gdof_components(gp), mode="gdof")
+    return hull(otp_gdof_components(gp))
 
 
 def no_secrecy_gdof(alpha: float) -> Region:
@@ -183,7 +183,7 @@ def gdof_convergence_check(gp: GdofParams, scheme: str,
         ch = ChannelParams(h11=1.0, h22=1.0, h21=h_c, p1=snr, p2=snr,
                            rk=gp.gamma * scale)
         raw = _achieved_region(ch, scheme, eta, n_exponent)
-        achieved = hull(raw.vertices / scale, mode="gdof")
+        achieved = hull(raw.vertices / scale)
         corner_gaps = tuple(
             ((float(v[0]), float(v[1])), distance_to_region(achieved, v))
             for v in claimed.vertices)

@@ -32,12 +32,10 @@ class Region:
 
     vertices: (n, 2) array, CCW from the lexicographically smallest vertex.
     halfplanes: rows (a, b, c) with unit (a, b), meaning a*x + b*y <= c.
-    mode: 'rate' for bit/use axes, 'gdof' for normalized-degrees axes.
     """
 
     vertices: np.ndarray
     halfplanes: tuple
-    mode: str = "rate"
 
     @property
     def max_x(self) -> float:
@@ -149,7 +147,7 @@ def _as_points(items) -> np.ndarray:
     return np.vstack(blocks)
 
 
-def hull(items, mode: str = "rate") -> Region:
+def hull(items) -> Region:
     """Down-closed convex hull of points and/or regions.
 
     The hull of the input points with their axis projections and the
@@ -179,10 +177,10 @@ def hull(items, mode: str = "rate") -> Region:
     if x0 > 0.0 and y0 > 0.0:
         head.append([x0, 0.0])
     v = np.array(head + walk if walk != [[0.0, 0.0]] else head)
-    return Region(vertices=v, halfplanes=_planes_from_vertices(v), mode=mode)
+    return Region(vertices=v, halfplanes=_planes_from_vertices(v))
 
 
-def intersect_halfplanes(planes, mode: str = "rate") -> Region:
+def intersect_halfplanes(planes) -> Region:
     """Region cut out by half-planes a*x + b*y <= c inside the first quadrant.
 
     x >= 0 and y >= 0 are implicit. Raises UnboundedRegionError when the
@@ -224,7 +222,7 @@ def intersect_halfplanes(planes, mode: str = "rate") -> Region:
     for p in feas[1:]:
         if abs(p[0] - dedup[-1][0]) > REGION_TOL or abs(p[1] - dedup[-1][1]) > REGION_TOL:
             dedup.append(p)
-    return hull(np.array(dedup), mode=mode)
+    return hull(np.array(dedup))
 
 
 def _tol(region: Region, tol) -> float:

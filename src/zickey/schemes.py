@@ -200,12 +200,13 @@ def gdof_split_lambda2(ch: ChannelParams) -> float:
     return min(1.0, 1.0 / (g21 * ch.p2))
 
 
-def _corners(r1_cap, r2_cap, sum_cap) -> np.ndarray:
+def polygon_points(r1_cap, r2_cap, sum_cap) -> np.ndarray:
     """The two non-axis corners of {R1<=a, R2<=b, R1+R2<=c}, as (2n, 2).
 
-    Rows (ax, v3y) come first, then rows (v4x, by); the axis corners (ax, 0)
-    and (0, by) are their projections. The array is column-major, so each
-    coordinate is one contiguous block.
+    Accepts broadcast arrays; +inf sum caps are handled. Rows (ax, v3y)
+    come first, then rows (v4x, by); the axis corners (ax, 0) and (0, by)
+    are their projections, which hull adds back. The array is column-major,
+    so each coordinate is one contiguous block.
     """
     a, b, c = np.broadcast_arrays(np.atleast_1d(np.asarray(r1_cap, dtype=float)),
                                   np.asarray(r2_cap, dtype=float),
@@ -220,20 +221,6 @@ def _corners(r1_cap, r2_cap, sum_cap) -> np.ndarray:
         np.clip(c - ax, 0.0, by, out=y[:n])
         np.clip(c - by, 0.0, ax, out=x[n:])
     return pts
-
-
-def polygon_points(r1_cap, r2_cap, sum_cap) -> np.ndarray:
-    """Corner candidates of {R1<=a, R2<=b, R1+R2<=c} in the first quadrant.
-
-    Accepts broadcast arrays; +inf sum caps are handled. Returns (4n, 2):
-    the blocks (ax, 0), (0, by), (ax, v3y) and (v4x, by).
-    """
-    corners = _corners(r1_cap, r2_cap, sum_cap)
-    n = len(corners) // 2
-    axis = np.zeros_like(corners)
-    axis[:n, 0] = corners[:n, 0]
-    axis[n:, 1] = corners[n:, 1]
-    return np.vstack([axis, corners])
 
 
 def point_region(rc: RateConstraints) -> Region:
@@ -268,26 +255,6 @@ def _points(n):
     return np.linspace(0.0, 1.0, n) if n else np.ones(1)
 
 
-def _cap_slices(ch, scheme, grid):
-    """(terms, axes, clip, eta values): the scheme's caps over the grid, in parts.
-
-    terms(ch, *open mesh of the axes) gives the eta-free terms of those
-    polygons; clip(ch, polygons of terms, eta) gives their (r1, r2, sum)
-    caps at key fraction eta, or at each of a column of key fractions.
-    """
-    core, counts = _swept(scheme, grid)
-    eta = _points(counts["eta"])
-    if core in ("key_as_wiretap", "one_time_pad"):  # no key to split
-        clip = _wiretap_clip if core == "key_as_wiretap" else _otp_clip
-        return (_unlayered_terms,
-                (_points(counts["beta1"]), _points(counts["beta2"])), clip, eta)
-    lam1, lam2, b1, b2 = (_points(counts[a])
-                          for a in ("lambda1", "lambda2", "beta1", "beta2"))
-    if grid.include_gdof_split:
-        lam2 = np.unique(np.concatenate([lam2, [gdof_split_lambda2(ch)]]))
-    return _key_splitting_base, (lam1, lam2, b1, b2), _key_splitting_eta, eta
-
-
 def _row_blocks(shape):
     """Slices of whole rows of a grid of `shape`, about CHUNK polygons each.
 
@@ -299,59 +266,75 @@ def _row_blocks(shape):
     return [slice(i, i + step) for i in range(0, shape[0], step)][::-1]
 
 
-def _passes(ch, schemes, grid):
-    """One pass over the row blocks per group of schemes sharing their terms.
+def _blocks(ch, schemes, grid):
+    """(scheme, clip, eta values, block) per row block of each scheme's grid.
 
-    Returns (members, blocks) per group: members lists (scheme, clip, eta
-    values), and blocks yields the terms of each row block as flat arrays,
-    built just before the block is used, so that no array spans the grid.
-    key_splitting and rate_splitting share their terms, and so do
-    key_as_wiretap and one_time_pad.
+    A block holds the eta-free terms of whole rows of polygons as flat
+    arrays, built just before use, so that no array spans the grid;
+    clip(ch, polygons of terms, eta) gives their (r1, r2, sum) caps at key
+    fraction eta, or at each of a column of key fractions. key_splitting
+    and rate_splitting share their blocks, and so do key_as_wiretap and
+    one_time_pad: each block is built once and yielded for every member.
     """
     groups = {}
     for scheme in schemes:
-        terms, axes, clip, etas = _cap_slices(ch, scheme, grid)
+        core, counts = _swept(scheme, grid)
+        axes = [_points(counts[a])
+                for a in ("lambda1", "lambda2", "beta1", "beta2")]
+        if core in ("key_as_wiretap", "one_time_pad"):  # no key to split
+            terms, axes = _unlayered_terms, axes[2:]
+            clip = _wiretap_clip if core == "key_as_wiretap" else _otp_clip
+        else:
+            terms, clip = _key_splitting_base, _key_splitting_eta
+            if grid.include_gdof_split:
+                axes[1] = np.unique(np.concatenate(
+                    [axes[1], [gdof_split_lambda2(ch)]]))
         key = (terms, *(a.tobytes() for a in axes))
-        groups.setdefault(key, (terms, axes, []))[2].append((scheme, clip, etas))
-
-    def blocks(terms, axes):
+        groups.setdefault(key, (terms, axes, []))[2].append(
+            (scheme, clip, _points(counts["eta"])))
+    for terms, axes, members in groups.values():
         for rows in _row_blocks(tuple(map(len, axes))):
             mesh = np.ix_(axes[0][rows], *axes[1:])
-            yield [b.ravel() for b in np.broadcast_arrays(*terms(ch, *mesh))]
+            block = [b.ravel() for b in np.broadcast_arrays(*terms(ch, *mesh))]
+            for scheme, clip, etas in members:
+                yield scheme, clip, etas, block
 
-    return [(members, blocks(terms, axes))
-            for terms, axes, members in groups.values()]
+
+def _caps(ch, clip, etas, polygons, pairs):
+    """clip's (r1, r2, sum) caps of polygons at every key fraction of etas,
+    about `pairs` (polygon, key fraction) pairs at a time."""
+    step = max(1, pairs // max(1, polygons[0].size))
+    for i in range(0, len(etas), step):
+        yield clip(ch, polygons, etas[i:i + step, None])
 
 
-def _add_block(ch, clip, etas, base, front):
+def _add_block(ch, clip, etas, block, front):
     """The Pareto front of `front` and the corners of a block's polygons.
 
     With several key fractions and a front, the block is first bounded over
     all of them at once; only the polygons whose bounded corners no front
     point matches are evaluated.
     """
-    block = base
+    polygons = block
     if len(etas) > 1 and len(front):
         # (ax, by) + margin is at least as large as both corners of a
         # polygon at every key fraction
         top, r2max, margin = _key_bound(ch.rk, block)
         ax, by = np.minimum(block[0], top), np.minimum(r2max, top)
         live = by + margin > staircase(front, ax + margin)
-        block = [b[live] for b in block]
-        if not block[0].size:
+        polygons = [b[live] for b in block]
+        if not polygons[0].size:
             return front
     # no more (polygon, key fraction) pairs at a time than polygons
-    step = max(1, base[0].size // block[0].size)
-    for i in range(0, len(etas), step):
-        r1, r2, rsum = np.broadcast_arrays(
-            *clip(ch, block, etas[i:i + step, None]))
+    for caps in _caps(ch, clip, etas, polygons, block[0].size):
+        r1, r2, rsum = np.broadcast_arrays(*caps)
         if len(front):
             # (ax, by) is at least as large as both corners of a
             # polygon: it goes when a front point matches that in x, y
             ax, by = np.minimum(r1, rsum), np.minimum(r2, rsum)
             live = by > staircase(front, ax)
             r1, r2, rsum = r1[live], r2[live], rsum[live]
-        front = pareto_filter(np.vstack([front, _corners(r1, r2, rsum)]))
+        front = pareto_filter(np.vstack([front, polygon_points(r1, r2, rsum)]))
     return front
 
 
@@ -367,24 +350,21 @@ def sweep_regions(ch: ChannelParams, schemes,
     it; the front is the same, to the bit, as one swept scheme by scheme.
     """
     grid = grid or GridSpec()
-    passes = _passes(ch, schemes, grid)
     # the warning points at the first caller outside this module
     level = 2
     while sys._getframe(level - 1).f_globals is globals():
         level += 1
-    for scheme in schemes:
-        for axis, n in _swept(scheme, grid)[1].items():
+    # every scheme name is checked before the first warning
+    for counts in [_swept(scheme, grid)[1] for scheme in schemes]:
+        for axis, n in counts.items():
             if n == 1:
                 warnings.warn(f"swept axis {axis} has fewer than 2 points; "
                               "the region will be badly undersampled",
                               stacklevel=level)
     # Pareto set of every corner so far, per scheme
     fronts = {scheme: np.empty((0, 2)) for scheme in schemes}
-    for members, blocks in passes:
-        for base in blocks:
-            for scheme, clip, etas in members:
-                fronts[scheme] = _add_block(ch, clip, etas, base,
-                                            fronts[scheme])
+    for scheme, clip, etas, block in _blocks(ch, schemes, grid):
+        fronts[scheme] = _add_block(ch, clip, etas, block, fronts[scheme])
     # hull adds the axis corners back as projections of the other two
     return {scheme: hull(fronts[scheme]) for scheme in schemes}
 
@@ -432,12 +412,9 @@ def max_sum_rates(ch: ChannelParams, schemes, grid: GridSpec | None,
     """
     chs = [replace(ch, rk=rk) for rk in rks]
     best = {scheme: [0.0] * len(chs) for scheme in schemes}
-    for members, blocks in _passes(ch, schemes, grid or GridSpec()):
-        for base in blocks:
-            for scheme, clip, etas in members:
-                for k, c in enumerate(chs):
-                    best[scheme][k] = _best_in_block(c, clip, etas, base,
-                                                     best[scheme][k])
+    for scheme, clip, etas, block in _blocks(ch, schemes, grid or GridSpec()):
+        best[scheme] = [_best_in_block(c, clip, etas, block, b)
+                        for c, b in zip(chs, best[scheme])]
     return best
 
 
@@ -445,12 +422,8 @@ def _best_in_block(ch, clip, etas, block, best):
     """The larger of best and the block's largest sum rate."""
 
     def best_of(polygons):
-        # about CHUNK (polygon, key fraction) pairs at a time
-        step = max(1, CHUNK // max(1, polygons[0].size))
-        caps = (clip(ch, polygons, etas[i:i + step, None])
-                for i in range(0, len(etas), step))
         return max(float(np.minimum(rsum, r1 + r2).max(initial=0.0))
-                   for r1, r2, rsum in caps)
+                   for r1, r2, rsum in _caps(ch, clip, etas, polygons, CHUNK))
 
     if len(etas) > 1:
         ub, r2max, margin = _key_bound(ch.rk, block)

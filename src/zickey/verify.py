@@ -244,8 +244,7 @@ def _inv_gdof_eta0_sum_face_redundant(rng, corrupt):
         alpha = float(rng.uniform(0.0, 0.95))
         gp = GdofParams(alpha=alpha, gamma=float(rng.uniform(0.2, 1.5)), eta=0.0)
         got = key_splitting_gdof(gp)
-        box = intersect_halfplanes([(1.0, 0.0, 1.0), (0.0, 1.0, 1.0 - alpha)],
-                                   mode="gdof")
+        box = intersect_halfplanes([(1.0, 0.0, 1.0), (0.0, 1.0, 1.0 - alpha)])
         m = max(containment_margin(box, got.vertices),
                 containment_margin(got, box.vertices))
         rows.append(_row(f"alpha={alpha:.4g} gamma={gp.gamma:.4g}",
@@ -322,7 +321,7 @@ def _inv_halfplane_roundtrip(rng, corrupt):
     rows = []
     for i in range(3):
         region = hull(rng.uniform(0.0, 3.0, size=(30, 2)))
-        rebuilt = intersect_halfplanes(region.halfplanes, mode=region.mode)
+        rebuilt = intersect_halfplanes(region.halfplanes)
         m = max(containment_margin(rebuilt, region.vertices),
                 containment_margin(region, rebuilt.vertices))
         rows.append(_row(f"draw {i}", REGION_TOL - m))

@@ -172,7 +172,7 @@ def test_criterion_4_gdof_redundancy_and_optimality():
         gp = GdofParams(alpha=alpha, gamma=0.8, eta=0.0)
         full = key_splitting_gdof(gp)
         trimmed = intersect_halfplanes(
-            [(1.0, 0.0, 1.0), (0.0, 1.0, 1.0 - alpha)], mode="gdof")
+            [(1.0, 0.0, 1.0), (0.0, 1.0, 1.0 - alpha)])
         # mutual containment at 1e-12; vertex lists may differ by an
         # ulp-sliver where the sum face grazes the box corner
         same = (subset_of(full, trimmed, tol=1e-12)

@@ -189,6 +189,22 @@ def test_region_error_exit_codes(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("flag, value, code", [
+    ("--p1-db", "-1e1", 0),   # a valid -10 dB
+    ("--p1", "-1e-3", 3),     # a negative power budget
+    ("--p1", "-inf", 2),      # not finite, like --p1 inf
+    ("--p1", "-1e400", 2),
+    ("--p1", "inf", 2),
+])
+def test_negative_float_values_are_flag_values(tmp_path, capsys, flag, value,
+                                               code):
+    # argparse alone takes -1e1 or -inf for an option and raises SystemExit
+    assert main(["region", "--h11", "1", "--h22", "1", "--h21", "0.6",
+                 flag, value, "--p2", "1", "--grid", "coarse",
+                 "--out-dir", str(tmp_path)]) == code
+    assert ("error: " in capsys.readouterr().err) == (code != 0)
+
+
 @pytest.mark.parametrize("power", ["1e160", "1e308"])
 def test_huge_powers_exit_with_domain_error(tmp_path, capsys, power):
     # the keyed R2 bound overflows to nan; that is a domain error, not a crash
@@ -413,7 +429,7 @@ def test_huge_grid_exits_3_before_any_sweep(tmp_path, capsys, monkeypatch):
     def unreachable(*args):
         raise AssertionError("the sweep started")
 
-    monkeypatch.setattr(schemes, "_cap_slices", unreachable)
+    monkeypatch.setattr(schemes, "_blocks", unreachable)
     cfg = tmp_path / "huge.cfg"
     cfg.write_text("grid.n_beta2 = 10000000\n")
     for argv in (["region", *WEAK, "--grid", "n_beta2=10000000"],

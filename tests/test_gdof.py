@@ -113,7 +113,7 @@ def test_eta_zero_sum_face_redundant():
         gp = GdofParams(alpha=alpha, gamma=0.6, eta=0.0)
         full = key_splitting_gdof(gp)
         no_sum = intersect_halfplanes([(1.0, 0.0, 1.0),
-                                       (0.0, 1.0, 1.0 - alpha)], mode="gdof")
+                                       (0.0, 1.0, 1.0 - alpha)])
         assert np.allclose(_verts(full), _verts(no_sum), atol=1e-12)
         assert subset_of(full, no_sum, tol=1e-12)
         assert subset_of(no_sum, full, tol=1e-12)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from zickey import (ChannelParams, DomainError, GridSpec, SchemeParams,
-                    gdof_split_lambda2, key_as_wiretap_point,
+                    gdof_split_lambda2, hull, key_as_wiretap_point,
                     key_splitting_point, max_sum_rate, max_y_at_x,
                     one_time_pad_point, point_region, polygon_points,
                     rate_splitting_point, subset_of, sweep_region,
@@ -267,11 +267,24 @@ def test_polygon_points_and_point_region():
     assert np.allclose(np.asarray(reg.vertices),
                        [[0, 0], [1, 0], [1, 0.2], [0.7, 0.5], [0, 0.5]],
                        atol=1e-12)
-    assert pts.shape == (4, 2)
-    # infinite sum cap: plain rectangle corners
-    pts = polygon_points(1.0, 0.5, math.inf)
-    assert np.isfinite(pts).all()
-    assert pts.max(axis=0)[0] == 1.0 and pts.max(axis=0)[1] == 0.5
+    # (ax, v3y), then (v4x, by)
+    assert pts.tolist() == [[1.0, 1.2 - 1.0], [1.2 - 0.5, 0.5]]
+    # infinite sum cap: both corners are the rectangle's top right
+    assert polygon_points(1.0, 0.5, math.inf).tolist() == [[1.0, 0.5]] * 2
+    # hull of the two non-axis corners of each polygon is, to the byte,
+    # hull of those with the axis corners (ax, 0) and (0, by) stacked on
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 7, 300, 40000):
+        a, b = rng.uniform(0.0, 2.0, (2, n)) * (rng.random((2, n)) < 0.8)
+        c = rng.uniform(0.0, 3.0, n) * (rng.random(n) < 0.9)
+        c[rng.random(n) < 0.3] = math.inf
+        corners = polygon_points(a, b, c)
+        assert corners.shape == (2 * n, 2)
+        axis = np.zeros_like(corners)
+        axis[:n, 0], axis[n:, 1] = corners[:n, 0], corners[n:, 1]
+        new, old = hull(corners), hull(np.vstack([axis, corners]))
+        assert new.vertices.tobytes() == old.vertices.tobytes(), n
+        assert new.halfplanes == old.halfplanes, n
 
 
 def test_max_sum_rate_matches_region_geometry():

@@ -429,9 +429,9 @@ def test_row_block_terms_equal_the_whole_grid_terms(chunk):
         for ch in SHOWCASE + EDGE + CROWDED:
             for scheme in SCHEMES:
                 whole = _whole_grid_terms(ch, scheme, GRID17)
-                [(_, blocks)] = schemes._passes(ch, [scheme], GRID17)
                 rows = _row_blocks(whole[0].shape)
-                got = list(blocks)
+                got = [block for _, _, _, block
+                       in schemes._blocks(ch, [scheme], GRID17)]
                 assert len(got) == len(rows), (chunk, ch, scheme)
                 for block, r in zip(got, rows):
                     assert [b.tobytes() for b in block] == \
@@ -532,3 +532,26 @@ def test_failed_base_build_raises_a_domain_error():
     with pytest.raises(DomainError, match="overflow"):
         max_sum_rates(huge, ["key_splitting", "rate_splitting"], COARSE,
                       [0.0, 1.0])
+
+
+def _nested(n):
+    return GridSpec(n_lambda1=n, n_lambda2=n, n_beta1=n, n_beta2=n, n_eta=n)
+
+
+def test_refined_grid_never_loses_rates():
+    # the 9-point axes hold the 5-point ones bit for bit, so the finer grid
+    # sweeps a superset of polygons: its sum rates are never lower, and the
+    # coarser region's vertices lie in the finer hull up to its rounding
+    assert np.linspace(0.0, 1.0, 9)[::2].tobytes() == \
+        np.linspace(0.0, 1.0, 5).tobytes()
+    tiny = ChannelParams(1, 1, 0.8, 1e-12, 1e-12, rk=1e-12)
+    for ch in [*SHOWCASE, *EDGE, *CROWDED, tiny]:
+        coarse, fine = (sweep_regions(ch, VARIANTS, _nested(n)) for n in (5, 9))
+        sums = [max_sum_rates(ch, VARIANTS, _nested(n), [ch.rk])
+                for n in (5, 9)]
+        for scheme in VARIANTS:
+            assert sums[1][scheme][0] >= sums[0][scheme][0], (ch, scheme)
+            scale = max(fine[scheme].max_x, fine[scheme].max_y)
+            margin = geometry.containment_margin(fine[scheme],
+                                                 coarse[scheme].vertices)
+            assert margin <= 4 * math.ulp(scale), (ch, scheme, margin)
