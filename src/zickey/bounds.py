@@ -21,8 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
 from .channel import ChannelParams, DomainError, _c, snr_inr
 from .geometry import Region, hull
 # unused here; benchmarks/spans.py traces it under this module's name
@@ -86,7 +84,7 @@ def nonsecrecy_sum_bound(ch: ChannelParams) -> float:
     in composite regions and excluded from containment invariants.
     """
     snr1, snr2, inr1 = snr_inr(ch)
-    extra = 0.5 * np.log2((1.0 + snr2) / (1.0 + inr1))
+    extra = _c((snr2 - inr1) / (1.0 + inr1))
     return float(_c(snr1 + inr1) + max(0.0, float(extra)))
 
 

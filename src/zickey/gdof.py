@@ -166,14 +166,12 @@ def gdof_convergence_check(gp: GdofParams, scheme: str,
     distance from a claimed-polytope corner to the achieved normalized
     region. Raises DomainError for ladders shorter than 4 rungs.
     """
-    if scheme not in SCHEMES:
-        raise DomainError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+    claimed = gdof_region(gp, scheme)
     ladder = sorted(float(s) for s in snr_ladder)
     if len(ladder) < 4:
         raise DomainError("snr ladder too short: need at least 4 rungs")
     if ladder[0] <= 1.0:
         raise DomainError("snr ladder rungs must exceed 1")
-    claimed = gdof_region(gp, scheme)
     eta = 1.0 if scheme == "rate_splitting" else gp.eta
 
     rungs = []

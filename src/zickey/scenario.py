@@ -1,7 +1,8 @@
 """Plain key=value scenario files for the command line tools.
 
 Syntax: one `key = value` per line, `#` starts a comment, blank lines
-are skipped. Dotted `grid.*` keys set sweep-grid fields. Powers can be
+are skipped. Dotted `grid.*` keys set the sweep grid's point counts;
+`full_power` is a command's own key, not a grid key. Powers can be
 given linearly (p1, p2) or in dB (p1_db, p2_db), never both ways.
 Command line flags override file values of the same name.
 """
@@ -22,13 +23,11 @@ FLOAT_KEYS = frozenset({
     "h11", "h22", "h21", "p1", "p2", "p1_db", "p2_db", "rk", "p",
     "alpha", "gamma", "eta", "alpha_min", "alpha_max", "rk_min", "rk_max",
 })
-# the GridSpec fields, each set by a dotted grid.<field> key
-GRID_KEYS = tuple(f.name for f in fields(GridSpec))
-_GRID_TYPES = {f"grid.{f.name}": type(f.default) for f in fields(GridSpec)}
+# the GridSpec point counts, each set by a dotted grid.<field> key
+GRID_KEYS = tuple(f.name for f in fields(GridSpec) if f.name.startswith("n_"))
 INT_KEYS = frozenset({"alpha_steps", "rk_steps", "seed"}
-                     | {k for k, t in _GRID_TYPES.items() if t is int})
-BOOL_KEYS = frozenset({"nonsecrecy_bound", "full_power", "svg", "corrupt"}
-                      | {k for k, t in _GRID_TYPES.items() if t is bool})
+                     | {f"grid.{k}" for k in GRID_KEYS})
+BOOL_KEYS = frozenset({"nonsecrecy_bound", "full_power", "svg", "corrupt"})
 STR_KEYS = frozenset({"out_dir"})
 LIST_FLOAT_KEYS = frozenset({"alpha_list", "rk_list"})
 LIST_STR_KEYS = frozenset({"schemes"})
@@ -145,6 +144,6 @@ def build_channel(values: dict) -> ChannelParams:
 
 
 def build_grid(values: dict) -> GridSpec:
-    """Sweep grid from the dotted grid.* scenario keys."""
+    """Sweep grid of the point counts in the dotted grid.* scenario keys."""
     return GridSpec(**{k: values[f"grid.{k}"] for k in GRID_KEYS
                        if f"grid.{k}" in values})

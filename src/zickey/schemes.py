@@ -33,15 +33,16 @@ from .channel import ChannelParams, DomainError, SchemeParams, _c, as_real
 from .geometry import Region, hull, pareto_filter, staircase
 
 SCHEMES = ("key_splitting", "rate_splitting", "key_as_wiretap", "one_time_pad")
-# every scheme name the sweeps take -> (core scheme, GridSpec fields it pins,
+# every scheme name the sweeps take -> (core scheme, axes it pins at 1,
 # whether it is only claimed while the cross link does not dominate, that
-# is while inr1 <= snr2), in the order of the command line's output columns
+# is while inr1 <= snr2), in the order of the command line's output columns;
+# rate_splitting_no_an sends no artificial noise: lambda1 = 1
 VARIANTS = {
-    "key_splitting": ("key_splitting", {}, False),
-    "rate_splitting": ("rate_splitting", {}, False),
-    "rate_splitting_no_an": ("rate_splitting", {"no_an": True}, True),
-    "key_as_wiretap": ("key_as_wiretap", {}, True),
-    "one_time_pad": ("one_time_pad", {}, False),
+    "key_splitting": ("key_splitting", (), False),
+    "rate_splitting": ("rate_splitting", (), False),
+    "rate_splitting_no_an": ("rate_splitting", ("lambda1",), True),
+    "key_as_wiretap": ("key_as_wiretap", (), True),
+    "one_time_pad": ("one_time_pad", (), False),
 }
 # caps are built and evaluated in blocks of whole rows (first axis) of about
 # CHUNK polygons, so that a block's temporaries stay in cache and no array
@@ -68,13 +69,12 @@ class RateConstraints:
 class GridSpec:
     """Point counts per swept parameter axis (axes span [0, 1] uniformly).
 
-    include_gdof_split forces one extra lambda2 sample putting the private
+    The layered schemes sample one more lambda2, which puts the private
     layer exactly at the cross-link noise floor (p2_private = 1/h21^2),
-    which is where the private layer stops hurting receiver 1's decoding.
-    no_an pins lambda1 = 1 (no artificial noise); full_power pins
-    beta1 = beta2 = 1. A grid of more than MAX_POLYGONS polygons per eta
-    slice, counted as if every axis were swept, or of more eta values, is
-    refused before anything is allocated.
+    where the private layer stops hurting receiver 1's decoding.
+    full_power pins beta1 = beta2 = 1. A grid of more than MAX_POLYGONS
+    polygons per eta slice, counted as if every axis were swept, or of more
+    eta values, is refused before anything is allocated.
     """
 
     n_lambda1: int = 33
@@ -82,8 +82,6 @@ class GridSpec:
     n_beta1: int = 33
     n_beta2: int = 33
     n_eta: int = 21
-    include_gdof_split: bool = True
-    no_an: bool = False
     full_power: bool = False
 
     def __post_init__(self):
@@ -231,23 +229,23 @@ def point_region(rc: RateConstraints) -> Region:
 def _swept(scheme, grid):
     """The core scheme and the point count of each axis, 0 where pinned.
 
-    lambda1 and lambda2 are swept by the layered schemes only, lambda1 not
-    under no_an; full_power pins beta1 and beta2; eta is swept by
-    key_splitting only. A pinned axis holds the single value 1.
+    lambda1 and lambda2 are swept by the layered schemes only; full_power
+    pins beta1 and beta2; eta is swept by key_splitting only; VARIANTS
+    names the axes a variant pins. A pinned axis holds the single value 1.
     """
     if scheme not in VARIANTS:
         raise DomainError(f"unknown scheme {scheme!r}; "
                           f"expected one of {tuple(VARIANTS)}")
     core, pins, _ = VARIANTS[scheme]
-    grid = replace(grid, **pins)
     layered = core in ("key_splitting", "rate_splitting")
-    return core, {
-        "lambda1": grid.n_lambda1 if layered and not grid.no_an else 0,
+    counts = {
+        "lambda1": grid.n_lambda1 if layered else 0,
         "lambda2": grid.n_lambda2 if layered else 0,
         "beta1": 0 if grid.full_power else grid.n_beta1,
         "beta2": 0 if grid.full_power else grid.n_beta2,
         "eta": grid.n_eta if core == "key_splitting" else 0,
     }
+    return core, {axis: 0 if axis in pins else n for axis, n in counts.items()}
 
 
 def _points(n):
@@ -286,9 +284,9 @@ def _blocks(ch, schemes, grid):
             clip = _wiretap_clip if core == "key_as_wiretap" else _otp_clip
         else:
             terms, clip = _key_splitting_base, _key_splitting_eta
-            if grid.include_gdof_split:
-                axes[1] = np.unique(np.concatenate(
-                    [axes[1], [gdof_split_lambda2(ch)]]))
+            # one more lambda2 sample, at the cross-link noise floor
+            axes[1] = np.unique(np.concatenate([axes[1],
+                                                [gdof_split_lambda2(ch)]]))
         key = (terms, *(a.tobytes() for a in axes))
         groups.setdefault(key, (terms, axes, []))[2].append(
             (scheme, clip, _points(counts["eta"])))
@@ -333,6 +331,8 @@ def _add_block(ch, clip, etas, block, front):
             # polygon: it goes when a front point matches that in x, y
             ax, by = np.minimum(r1, rsum), np.minimum(r2, rsum)
             live = by > staircase(front, ax)
+            if not live.any():  # the front is already its own Pareto set
+                continue
             r1, r2, rsum = r1[live], r2[live], rsum[live]
         front = pareto_filter(np.vstack([front, polygon_points(r1, r2, rsum)]))
     return front
@@ -343,8 +343,10 @@ def sweep_regions(ch: ChannelParams, schemes,
     """{scheme: down-closed hull of its rate polygons over a parameter grid}.
 
     A scheme is any name in VARIANTS. The grid is the full cartesian
-    product of the scheme's free parameter axes; pinned axes (no_an,
-    full_power, eta for schemes that fix it) contribute a single point.
+    product of the scheme's free parameter axes, the layered schemes'
+    lambda2 axis with its noise-floor sample; pinned axes (those VARIANTS
+    names, full_power's, eta for schemes that fix it) contribute a single
+    point.
     Deterministic for identical inputs. Each row block of terms is built
     once and feeds the running Pareto front of every scheme that shares
     it; the front is the same, to the bit, as one swept scheme by scheme.

@@ -234,9 +234,7 @@ def test_criterion_6_showcase_configurations():
             others = {
                 "rate_splitting": sweep_region(ch, "rate_splitting", grid),
                 "rate_splitting_no_an": sweep_region(
-                    ch, "rate_splitting", GridSpec(
-                        n_lambda1=17, n_lambda2=18, n_beta1=17, n_beta2=17,
-                        n_eta=11, no_an=True)),
+                    ch, "rate_splitting_no_an", grid),
                 "key_as_wiretap": sweep_region(ch, "key_as_wiretap", grid),
                 "one_time_pad": sweep_region(ch, "one_time_pad", grid),
             }

@@ -313,8 +313,7 @@ def test_sumrate_axis_validation(tmp_path):
 
 def test_sumrate_meta_records_the_swept_grid(tmp_path):
     grid = "n_lambda1=5,n_lambda2=5,n_beta1=5,n_beta2=5,n_eta=3"
-    for flags, pinned in ((["--grid", grid + ",full_power=true",
-                            "--sweep-powers"], False),
+    for flags, pinned in ((["--grid", grid, "--sweep-powers"], False),
                           (["--grid", grid], True)):
         out = tmp_path / str(pinned)
         assert main(["sumrate", *WEAK, "--rk-list", "0,1", *flags,
@@ -438,6 +437,27 @@ def test_huge_grid_exits_3_before_any_sweep(tmp_path, capsys, monkeypatch):
                   "--grid", "n_beta2=10000000"]):
         assert main([*argv, "--out-dir", str(tmp_path / "o")]) == 3
         assert "exceeds the budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["region", "sumrate"])
+@pytest.mark.parametrize("entry", ["no_an=true", "include_gdof_split=false",
+                                   "full_power=true"])
+def test_grid_takes_only_point_counts(tmp_path, capsys, command, entry):
+    # rate_splitting_no_an and the noise-floor lambda2 sample are fixed parts
+    # of the sweep; full power is set by each command's own flag and key
+    argv = [command, *WEAK] if command == "region" else \
+        [command, *WEAK[:-2], "--rk-list", "0,1"]
+    name, _, value = entry.partition("=")
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(f"grid.{name} = {value}\n")
+    for i, flags in enumerate((["--grid", entry], ["--config", str(cfg)])):
+        out = tmp_path / f"o{i}"
+        assert main([*argv, *flags, "--out-dir", str(out)]) == 2, flags
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and name in captured.err
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("alphas", ["1000", "0,1000"])

@@ -230,8 +230,7 @@ def test_sweep_deterministic():
 def test_no_an_restriction_shrinks_region():
     ch = ChannelParams(1, 1, 0.9, 100, 100, rk=0.3)
     free = sweep_region(ch, "rate_splitting", SMALL)
-    pinned = sweep_region(ch, "rate_splitting", GridSpec(
-        n_lambda1=7, n_lambda2=8, n_beta1=7, n_beta2=7, n_eta=5, no_an=True))
+    pinned = sweep_region(ch, "rate_splitting_no_an", SMALL)
     assert subset_of(pinned, free, tol=1e-9)
 
 
@@ -337,7 +336,6 @@ def test_coarse_grid_warns_only_for_swept_axes():
     assert _coarse_axes("key_as_wiretap", n_lambda1=1, n_lambda2=1,
                         n_eta=1) == []
     assert _coarse_axes("one_time_pad", **ones, full_power=True) == []
-    assert _coarse_axes("key_splitting", n_lambda1=1, no_an=True) == []
     assert _coarse_axes("rate_splitting", **ones, full_power=True) == [
         "lambda1", "lambda2"]
 

@@ -103,11 +103,13 @@ def _ref_sort_filter(pts):
 
 
 def _axes(ch, scheme, grid):
+    lam1 = np.linspace(0.0, 1.0, grid.n_lambda1) \
+        if scheme != "rate_splitting_no_an" else np.array([1.0])
     lam2 = np.unique(np.concatenate([np.linspace(0.0, 1.0, grid.n_lambda2),
                                      [gdof_split_lambda2(ch)]]))
     eta = np.linspace(0.0, 1.0, grid.n_eta) if scheme == "key_splitting" \
         else np.array([1.0])
-    return (np.linspace(0.0, 1.0, grid.n_lambda1)[:, None, None, None],
+    return (lam1[:, None, None, None],
             lam2[None, :, None, None],
             np.linspace(0.0, 1.0, grid.n_beta1)[None, None, :, None],
             np.linspace(0.0, 1.0, grid.n_beta2)[None, None, None, :], eta)
@@ -225,7 +227,7 @@ def _assert_matches_brute_force(ch, scheme, grid, ref, *context):
 
 def test_sweep_matches_brute_force_sweep():
     for i, ch in enumerate(SHOWCASE + EDGE):
-        for scheme in SCHEMES:
+        for scheme in VARIANTS:
             _assert_matches_brute_force(ch, scheme, GRID17,
                                         _ref_sweep(i, scheme))
 
@@ -287,16 +289,6 @@ def test_row_blocks_cover_every_row_once(chunk):
         assert sorted(got) == list(rows), (chunk, shape)
         # whole rows, and no more than CHUNK polygons unless one row is more
         assert all(len(rows[b]) * width <= max(chunk, width) for b in blocks)
-
-
-def test_no_an_variant_is_rate_splitting_without_noise():
-    no_an = dataclasses.replace(GRID17, no_an=True)
-    for ch in SHOWCASE + EDGE:
-        want = sweep_region(ch, "rate_splitting", no_an)
-        got = sweep_region(ch, "rate_splitting_no_an", GRID17)
-        assert got.vertices.tobytes() == want.vertices.tobytes(), ch
-        assert max_sum_rate(ch, "rate_splitting_no_an", GRID17) == \
-            max_sum_rate(ch, "rate_splitting", no_an), ch
 
 
 @functools.lru_cache(maxsize=None)
@@ -493,7 +485,7 @@ def test_base_is_reused_across_key_rates_and_schemes():
     {"h11": 1.1}, {"h22": 0.9}, {"h21": 0.7}, {"p1": 90.0}, {"p2": 110.0},
     {"h21": -0.6},  # the same terms, but another channel
     {"n_lambda1": 8}, {"n_lambda2": 8}, {"n_beta1": 8}, {"n_beta2": 8},
-    {"no_an": True}, {"full_power": True}, {"include_gdof_split": False},
+    {"full_power": True},
 ])
 def test_base_is_rebuilt_when_channel_or_axes_change(change):
     # nothing outlives a pass: the terms come from this call's channel and
