@@ -44,9 +44,9 @@ VARIANTS = {
     "key_as_wiretap": ("key_as_wiretap", (), True),
     "one_time_pad": ("one_time_pad", (), False),
 }
-# caps are built and evaluated in blocks of whole rows (first axis) of about
-# CHUNK polygons, so that a block's temporaries stay in cache and no array
-# spans the whole grid
+# caps are built and evaluated in blocks of whole rows (user 1's power
+# splits) of about CHUNK polygons, so that a block's temporaries stay in
+# cache and no array spans the whole grid
 CHUNK = 32768
 # max_sum_rate seeds its best sum rate of a block with the polygons of the
 # SEED_POLYGONS largest upper bounds
@@ -254,46 +254,89 @@ def _points(n):
 
 
 def _row_blocks(shape):
-    """Slices of whole rows of a grid of `shape`, about CHUNK polygons each.
+    """Slices of whole rows of a (rows, columns) grid, about CHUNK polygons
+    each.
 
-    The last rows come first: the first axis is lambda1 or beta1, whose
-    largest values give the largest r1, so a running Pareto front soon
-    spans the whole x range.
+    The last rows come first: the rows are user 1's (lambda1, beta1) pairs
+    in lambda1-major order, or its beta1 values, whose largest give the
+    largest r1, so a running Pareto front soon spans the whole x range.
     """
     step = max(1, CHUNK // math.prod(shape[1:]))
     return [slice(i, i + step) for i in range(0, shape[0], step)][::-1]
 
 
-def _blocks(ch, schemes, grid):
+def _pairs(lam, beta):
+    """Every (lambda, beta) of two axes, lambda-major, as two flat arrays."""
+    return np.repeat(lam, len(beta)), np.tile(beta, len(lam))
+
+
+def _undominated(shared, own):
+    """Sorted indices of one pair per distinct `shared` power, one with the
+    largest `own` power."""
+    order = np.lexsort((-own, shared))
+    return np.sort(order[np.unique(shared[order], return_index=True)[1]])
+
+
+def _blocks(ch, schemes, grid, undominated=False):
     """(scheme, clip, eta values, block) per row block of each scheme's grid.
 
-    A block holds the eta-free terms of whole rows of polygons as flat
-    arrays, built just before use, so that no array spans the grid;
-    clip(ch, polygons of terms, eta) gives their (r1, r2, sum) caps at key
-    fraction eta, or at each of a column of key fractions. key_splitting
-    and rate_splitting share their blocks, and so do key_as_wiretap and
-    one_time_pad: each block is built once and yielded for every member.
+    A block holds the eta-free terms of polygons as flat arrays, built just
+    before use, so that no array spans the grid; clip(ch, polygons of
+    terms, eta) gives their (r1, r2, sum) caps at key fraction eta, or at
+    each of a column of key fractions. key_splitting and rate_splitting
+    share their blocks, and so do key_as_wiretap and one_time_pad: each
+    block is built once and yielded for every member.
+
+    The polygons are rows x columns: user 1's (lambda1, beta1) pairs times
+    user 2's (lambda2, beta2) pairs, or beta1 times beta2 without layers.
+    terms(ch, L1[rows, None], L2[None], B1[rows, None], B2[None]) is the
+    elementwise expression of the 4-D mesh, so each polygon's terms are
+    the same floats in any layout.
+
+    With `undominated`, only the pairs no other pair beats on the sum rate
+    are kept: per distinct p1a = (1 - lambda1) beta1 p1, the one with the
+    largest p1m = lambda1 beta1 p1; per distinct p2p = lambda2 beta2 p2,
+    the one with the largest p2c = (1 - lambda2) beta2 p2; without layers,
+    the largest beta1. p1m enters only r1 and rsum, and p2c only common
+    and rsum (q1 only r1 without layers), each through +, *, division by
+    a positive number, log2, min, max and clip, all of which round
+    monotonically (for _c, test_channel.py's
+    test_capacity_term_is_nondecreasing_over_adjacent_floats checks it
+    on numpy's log2). So at equal p1a and p2p the caps and
+    min(rsum + term_p, r1 + r2) never fall as p1m or p2c grow, at every
+    key fraction and key rate, and the largest sum rate is the same float.
+    The only term a dropped pair can make non-finite is rsum, where
+    g11 p1m + g21 p2c overflows to +inf (h**2 p is finite for every power
+    that reaches here); the kept pair's sum then overflows too, and both
+    grids raise the same DomainError.
     """
     groups = {}
     for scheme in schemes:
         core, counts = _swept(scheme, grid)
-        axes = [_points(counts[a])
-                for a in ("lambda1", "lambda2", "beta1", "beta2")]
+        lam1, lam2, beta1, beta2 = (_points(counts[a]) for a in
+                                    ("lambda1", "lambda2", "beta1", "beta2"))
         if core in ("key_as_wiretap", "one_time_pad"):  # no key to split
-            terms, axes = _unlayered_terms, axes[2:]
+            terms = _unlayered_terms
             clip = _wiretap_clip if core == "key_as_wiretap" else _otp_clip
+            rows, cols = [beta1[-1:] if undominated else beta1], [beta2]
         else:
             terms, clip = _key_splitting_base, _key_splitting_eta
             # one more lambda2 sample, at the cross-link noise floor
-            axes[1] = np.unique(np.concatenate([axes[1],
-                                                [gdof_split_lambda2(ch)]]))
-        key = (terms, *(a.tobytes() for a in axes))
-        groups.setdefault(key, (terms, axes, []))[2].append(
+            lam2 = np.unique(np.concatenate([lam2, [gdof_split_lambda2(ch)]]))
+            rows, cols = _pairs(lam1, beta1), _pairs(lam2, beta2)
+            if undominated:
+                (l1, b1), (l2, b2) = rows, cols
+                keep1 = _undominated((1.0 - l1) * b1 * ch.p1, l1 * b1 * ch.p1)
+                keep2 = _undominated(l2 * b2 * ch.p2, (1.0 - l2) * b2 * ch.p2)
+                rows, cols = [a[keep1] for a in rows], [a[keep2] for a in cols]
+        key = (terms, *(a.tobytes() for a in (*rows, *cols)))
+        groups.setdefault(key, (terms, rows, cols, []))[3].append(
             (scheme, clip, _points(counts["eta"])))
-    for terms, axes, members in groups.values():
-        for rows in _row_blocks(tuple(map(len, axes))):
-            mesh = np.ix_(axes[0][rows], *axes[1:])
-            block = [b.ravel() for b in np.broadcast_arrays(*terms(ch, *mesh))]
+    for terms, rows, cols, members in groups.values():
+        for r in _row_blocks((len(rows[0]), len(cols[0]))):
+            args = [a for row, col in zip(rows, cols)
+                    for a in (row[r, None], col[None])]
+            block = [b.ravel() for b in np.broadcast_arrays(*terms(ch, *args))]
             for scheme, clip, etas in members:
                 yield scheme, clip, etas, block
 
@@ -405,6 +448,7 @@ def max_sum_rates(ch: ChannelParams, schemes, grid: GridSpec | None,
     """{scheme: [largest R1 + R2 on the grid at each key rate of rks]}.
 
     A scheme is any name in VARIANTS; the channel's own rk is not read.
+    Only the power splits no other split beats are built (see _blocks).
     Each row block of terms is built once and serves every scheme that
     shares it, at every key rate. With several key fractions, a block is
     first bounded over all of them at once; only polygons whose bound
@@ -414,7 +458,8 @@ def max_sum_rates(ch: ChannelParams, schemes, grid: GridSpec | None,
     """
     chs = [replace(ch, rk=rk) for rk in rks]
     best = {scheme: [0.0] * len(chs) for scheme in schemes}
-    for scheme, clip, etas, block in _blocks(ch, schemes, grid or GridSpec()):
+    for scheme, clip, etas, block in _blocks(ch, schemes, grid or GridSpec(),
+                                             undominated=True):
         best[scheme] = [_best_in_block(c, clip, etas, block, b)
                         for c, b in zip(chs, best[scheme])]
     return best

@@ -8,6 +8,7 @@ import pytest
 
 from zickey import (ChannelParams, DomainError, SchemeParams, classify_regime,
                     db_to_linear, snr_inr)
+from zickey.channel import _c
 
 
 def test_snr_inr_reference_points():
@@ -112,3 +113,18 @@ def test_db_conversion():
     assert db_to_linear(0.0) == 1.0
     assert db_to_linear(20.0) == 100.0
     assert db_to_linear(-10.0) == pytest.approx(0.1, rel=1e-15)
+
+
+# x near 0, at 2**-10 (where a log1p form of _c would switch branches),
+# near 1, and large
+@pytest.mark.parametrize("x0", [0.0, 1e-300, 1e-12, 2.0**-10, 1.0, 1e15,
+                                1e300])
+def test_capacity_term_is_nondecreasing_over_adjacent_floats(x0):
+    # the sum-rate sweep drops the power splits another split dominates;
+    # that is exact only while _c never falls as its input grows (see
+    # schemes._blocks)
+    bits = int(np.array(x0).view(np.int64))
+    x = np.arange(max(0, bits - 100_000), bits + 100_000).view(np.float64)
+    assert np.all(np.diff(x) > 0)  # every float of the range, in order
+    y = _c(x)
+    assert np.all(np.diff(y) >= 0), x[1:][np.diff(y) < 0][:5]

@@ -511,3 +511,28 @@ def test_sumrate_power_sweeps_match_golden_bytes(tmp_path, argv, want):
     assert main(["sumrate", *argv, "--grid", "coarse", "--sweep-powers",
                  "--out-dir", str(tmp_path)]) == 0
     assert (tmp_path / "sumrate.csv").read_bytes() == want.encode()
+
+
+# sumrate.csv of the README's default-grid power sweep, pinned before the
+# sum rates skipped the power splits another split dominates
+GOLDEN_DEFAULT_GRID = (
+    "rk,key_splitting,rate_splitting,rate_splitting_no_an,"
+    "key_as_wiretap,one_time_pad,outer\n"
+    "0.0,3.3900046551232075,3.3900046551232075,3.3900046551232075,"
+    "3.3291057413758973,3.3291057413758973,4.053484799937319\n"
+    "0.5,3.8513976629522566,3.549016041480263,3.549016041480263,"
+    "3.771830352501729,3.3291057413758973,4.553484799937319\n"
+    "1.0,4.095597689533198,3.549016041480263,3.549016041480263,"
+    "3.923769624202963,3.793364713447672,5.053484799937319\n"
+    "1.5,4.1967439832433495,3.549016041480263,3.549016041480263,"
+    "4.050564248439663,3.923769624202963,5.553484799937319\n"
+    "2.0,4.243242398324205,3.549016041480263,3.549016041480263,"
+    "4.133451818906424,4.008277536116679,6.053484799937319\n")
+
+
+def test_sumrate_default_grid_power_sweep_matches_golden_bytes(tmp_path):
+    assert main(["sumrate", "--h11", "1", "--h22", "1", "--h21", "0.6",
+                 "--p1", "100", "--p2", "100", "--rk-steps", "5",
+                 "--sweep-powers", "--out-dir", str(tmp_path)]) == 0
+    assert (tmp_path / "sumrate.csv").read_bytes() == \
+        GOLDEN_DEFAULT_GRID.encode()

@@ -310,6 +310,121 @@ def test_pruned_max_sum_rate_matches_brute_force(n_eta, seeds):
                     _ref_best(ch, scheme, n_eta), (n_eta, ch, scheme)
 
 
+def _ref_max_sum(ch, scheme, grid):
+    """Brute-force best sum rate over every polygon of the grid, dominated
+    or not; DomainError where a cap overflows, as the sweeps raise it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        slices = _ref_slices(ch, scheme, grid)
+    faces = 2 if scheme in ("key_as_wiretap", "one_time_pad") else 3
+    if not all(np.isfinite(cap).all() for caps in slices
+               for cap in caps[:faces]):  # no sum face without layers
+        raise DomainError("rate caps overflow float64")
+    return max(float(np.minimum(rsum, r1 + r2).max())
+               for r1, r2, rsum in slices)
+
+
+def test_max_sum_rates_equal_the_full_grid_maximum():
+    # max_sum_rates builds only the undominated power splits
+    rks = (0.0, 0.2, 3.0)
+    for grid in (COARSE, GridSpec(6, 7, 8, 5, n_eta=4)):
+        for ch in CROWDED + EDGE:
+            sums = max_sum_rates(ch, VARIANTS, grid, rks)
+            for scheme in VARIANTS:
+                assert sums[scheme] == [
+                    _ref_max_sum(dataclasses.replace(ch, rk=rk), scheme, grid)
+                    for rk in rks], (grid, ch, scheme)
+
+
+def test_max_sum_rates_overflow_where_the_full_grid_does():
+    # the first two overflow on some power splits of the layered schemes,
+    # the last on none
+    near = [ChannelParams(1, 1, 1, 1.5e308, 1.5e308, rk=1.0),
+            ChannelParams(1, 1, 1, 1e308, 1e308, rk=1.0),
+            ChannelParams(1, 1, 0.5, 1e308, 1e308, rk=1.0)]
+    raised = []
+    for ch in near:
+        for scheme in VARIANTS:
+            try:
+                want = _ref_max_sum(ch, scheme, COARSE)
+            except DomainError:
+                raised.append((ch.p1, ch.h21, scheme))
+                with pytest.raises(DomainError, match="overflow"):
+                    max_sum_rates(ch, [scheme], COARSE, [0.0, ch.rk])
+            else:
+                assert max_sum_rate(ch, scheme, COARSE) == want, (ch, scheme)
+    assert raised == [(p1, 1.0, scheme) for p1 in (1.5e308, 1e308)
+                      for scheme in VARIANTS if VARIANTS[scheme][0]
+                      in ("key_splitting", "rate_splitting")]
+
+
+power = st.one_of(st.just(0.0),
+                  st.floats(math.log(1e-12), math.log(1e15)).map(math.exp))
+points = st.integers(2, 12)
+
+
+@st.composite
+def pair_cases(draw):
+    """A channel, P = 0 and h21 = 0 among them, and a small grid."""
+    h21 = draw(st.one_of(st.just(0.0), st.floats(0.05, 3.0)))
+    ch = ChannelParams(draw(st.floats(0.1, 3.0)), draw(st.floats(0.1, 3.0)),
+                       h21, draw(power), draw(power))
+    return ch, GridSpec(*(draw(points) for _ in range(4)), n_eta=2)
+
+
+def _built_by_max_sum_rates(ch, scheme, grid, terms):
+    """The arguments max_sum_rates builds `terms` of, in one block."""
+    with mock.patch.object(schemes, "CHUNK", 10**9), _spy(terms) as spy:
+        max_sum_rates(ch, [scheme], grid, [0.0])
+    return [a.ravel() for a in spy.call_args.args[1:]]
+
+
+def _kept_for(shared, own, kshared, kown):
+    """Index of the kept pair of each pair: the one whose shared power has
+    the same bits, with an own power at least as large."""
+    kept = dict(zip(kshared.view(np.int64).tolist(), range(len(kshared))))
+    assert len(kept) == len(kshared)  # one kept pair per shared power
+    bits = shared.view(np.int64).tolist()
+    assert all(b in kept for b in bits)
+    j = np.array([kept[b] for b in bits])
+    assert np.all(kown[j] >= own)
+    return j
+
+
+@settings(max_examples=100, deadline=None)
+@given(pair_cases())
+def test_max_sum_rate_keeps_a_dominating_pair_for_every_dropped_one(case):
+    ch, grid = case
+    l1, l2, b1, b2, _ = (a.ravel() for a in _axes(ch, "key_splitting", grid))
+    # every pair, and the pairs the sum rates build
+    L1, B1 = np.repeat(l1, len(b1)), np.tile(b1, len(l1))
+    L2, B2 = np.repeat(l2, len(b2)), np.tile(b2, len(l2))
+    kl1, kl2, kb1, kb2 = _built_by_max_sum_rates(ch, "key_splitting", grid,
+                                                 "_key_splitting_base")
+    # user 1 shares its noise power p1a, user 2 its private power p2p
+    j1 = _kept_for((1.0 - L1) * B1 * ch.p1, L1 * B1 * ch.p1,
+                   (1.0 - kl1) * kb1 * ch.p1, kl1 * kb1 * ch.p1)
+    j2 = _kept_for(L2 * B2 * ch.p2, (1.0 - L2) * B2 * ch.p2,
+                   kl2 * kb2 * ch.p2, (1.0 - kl2) * kb2 * ch.p2)
+    # every term at a pair is at most the term at its kept pair, against
+    # every pair of the other user
+    every = _key_splitting_base(ch, L1[:, None], L2[None], B1[:, None],
+                                B2[None])
+    for kept in (_key_splitting_base(ch, kl1[j1, None], L2[None],
+                                     kb1[j1, None], B2[None]),
+                 _key_splitting_base(ch, L1[:, None], kl2[j2][None],
+                                     B1[:, None], kb2[j2][None])):
+        for term, at_kept in zip(every, kept):
+            assert np.all(term <= at_kept), ch
+    # without layers, only the largest beta1
+    kb1, kb2 = _built_by_max_sum_rates(ch, "key_as_wiretap", grid,
+                                       "_unlayered_terms")
+    b1 = np.linspace(0.0, 1.0, grid.n_beta1)
+    assert kb1.tolist() == [1.0] and kb2.tolist() == list(b2)
+    for term, at_max in zip(_unlayered_terms(ch, b1[:, None], b2[None]),
+                            _unlayered_terms(ch, 1.0, b2[None])):
+        assert np.all(term <= at_max), ch
+
+
 magnitude = st.one_of(st.floats(0.0, 1e6),
                       st.sampled_from([0.0, 5e-324, 1e-310,
                                        float(np.finfo(float).tiny), 1e-16,
@@ -404,13 +519,17 @@ def test_key_splitting_sweep_evaluates_few_key_fractions():
 
 
 def _whole_grid_terms(ch, scheme, grid):
-    """The eta-free terms of every polygon, built over the whole grid at once."""
+    """The eta-free terms of every polygon, built over the whole grid at once,
+    as (user 1's pairs, user 2's pairs): (lambda1, beta1) rows and
+    (lambda2, beta2) columns, each lambda-major; beta1 x beta2 unlayered."""
     if scheme in ("key_as_wiretap", "one_time_pad"):
         return np.broadcast_arrays(*_unlayered_terms(
             ch, np.linspace(0.0, 1.0, grid.n_beta1)[:, None],
             np.linspace(0.0, 1.0, grid.n_beta2)[None, :]))
-    return np.broadcast_arrays(*_key_splitting_base(
+    whole = np.broadcast_arrays(*_key_splitting_base(
         ch, *_axes(ch, scheme, grid)[:4]))
+    n1, n2, m1, m2 = whole[0].shape
+    return [w.transpose(0, 2, 1, 3).reshape(n1 * m1, n2 * m2) for w in whole]
 
 
 @pytest.mark.parametrize("chunk", [1, 5 * ROW17 + 7, 10**9])
@@ -459,26 +578,49 @@ def _spy(name):
 
 def test_base_is_reused_across_key_rates_and_schemes():
     # each row block of terms is built once per pass, for every scheme that
-    # shares it and every key rate
+    # shares it and every key rate: sweep_regions builds every (lambda1,
+    # beta1) pair once, max_sum_rates each undominated pair once
     ch = SHOWCASE[1]
     _assert_shared_pass_is_exact(ch, COARSE)
-    lam1 = np.linspace(0.0, 1.0, COARSE.n_lambda1)
-    for chunk, blocks in ((1, COARSE.n_lambda1), (10**9, 1)):
-        for sweep, args in ((sweep_regions, ()), (max_sum_rates, (RKS,))):
+    axis = np.linspace(0.0, 1.0, 9)  # every axis of COARSE
+    every = [(lam, beta) for lam in axis for beta in axis]
+    no_an = [(1.0, beta) for beta in axis]  # rate_splitting_no_an's pairs
+
+    def split(pairs):  # (p1a, p1m) of each pair
+        return sorted(((1.0 - lam) * beta * ch.p1, lam * beta * ch.p1)
+                      for lam, beta in pairs)
+
+    def undominated(pairs):  # per distinct p1a, the largest p1m
+        best = {}
+        for p1a, p1m in split(pairs):
+            best[p1a] = max(best.get(p1a, p1m), p1m)
+        return sorted(best.items())
+
+    for sweep, args, want in (
+            (sweep_regions, (), split(every) + split(no_an)),
+            (max_sum_rates, (RKS,), undominated(every) + undominated(no_an))):
+        for chunk in (1, 10**9):
             with mock.patch.object(schemes, "CHUNK", chunk), \
                     _spy("_key_splitting_base") as layered, \
                     _spy("_unlayered_terms") as unlayered:
                 sweep(ch, VARIANTS, COARSE, *args)
             # key_splitting and rate_splitting share one group, built block
-            # by block; rate_splitting_no_an's one row at lambda1 = 1 is
-            # another
-            assert layered.call_count == blocks + 1, (chunk, sweep)
-            built = np.concatenate([c.args[1].ravel()
-                                    for c in layered.call_args_list])
-            assert sorted(built) == sorted([*lam1, 1.0]), (chunk, sweep)
-            # key_as_wiretap and one_time_pad share the other, beta1 rows
-            assert unlayered.call_count == (COARSE.n_beta1 if chunk == 1
-                                            else 1), (chunk, sweep)
+            # by block, one pair per block at CHUNK = 1;
+            # rate_splitting_no_an's pairs at lambda1 = 1 are another
+            assert layered.call_count == (len(want) if chunk == 1 else 2), \
+                (chunk, sweep)
+            built = [np.concatenate([c.args[i].ravel()
+                                     for c in layered.call_args_list])
+                     for i in (1, 3)]
+            assert split(zip(*built)) == sorted(want), (chunk, sweep)
+            # key_as_wiretap and one_time_pad share the other, beta1 rows;
+            # the sum rates need only the largest beta1
+            rows = np.concatenate([c.args[1].ravel()
+                                   for c in unlayered.call_args_list])
+            assert sorted(rows) == (list(axis) if sweep is sweep_regions
+                                    else [1.0]), (chunk, sweep)
+            assert unlayered.call_count == (len(rows) if chunk == 1 else 1), \
+                (chunk, sweep)
 
 
 @pytest.mark.parametrize("change", [
