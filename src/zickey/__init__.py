@@ -25,10 +25,8 @@ from .geometry import (GEOM_TOL, REGION_TOL, Region, UnboundedRegionError,
                        subset_of)
 from .scenario import ConfigError, build_channel, build_grid, load_config
 from .schemes import (SCHEMES, GridSpec, RateConstraints, gdof_split_lambda2,
-                      key_as_wiretap_point, key_splitting_point,
-                      max_sum_rate, max_sum_rates, one_time_pad_point,
-                      point_region, polygon_points, rate_splitting_point,
-                      sweep_region, sweep_regions)
+                      max_sum_rate, max_sum_rates, polygon_points,
+                      scheme_point, sweep_region, sweep_regions)
 from .verify import INVARIANTS, REPORT_SCHEMA, render_report, run_battery
 
 __version__ = "0.1.0"
@@ -39,9 +37,8 @@ __all__ = [
     "Region", "UnboundedRegionError", "GEOM_TOL", "REGION_TOL",
     "hull", "intersect_halfplanes", "contains", "containment_margin",
     "subset_of", "distance_to_region", "max_y_at_x", "pareto_filter",
-    "SCHEMES", "GridSpec", "RateConstraints", "key_splitting_point",
-    "rate_splitting_point", "key_as_wiretap_point", "one_time_pad_point",
-    "point_region", "polygon_points", "sweep_region", "sweep_regions",
+    "SCHEMES", "GridSpec", "RateConstraints", "scheme_point",
+    "polygon_points", "sweep_region", "sweep_regions",
     "max_sum_rate", "max_sum_rates", "gdof_split_lambda2",
     "OuterBounds", "evaluate_outer_bounds", "sum_rate_outer",
     "r2_sum_component", "r2_outer_high", "nonsecrecy_sum_bound",

@@ -33,8 +33,6 @@ from .schemes import max_sum_rate, sweep_region  # noqa: F401
 from .svg import polyline_chart
 from .verify import render_report, run_battery
 
-DEFAULT_VARIANTS = tuple(VARIANTS)
-
 GRID_PRESETS = {
     "coarse": GridSpec(n_lambda1=9, n_lambda2=9, n_beta1=9, n_beta2=9, n_eta=7),
     "default": GridSpec(),
@@ -162,6 +160,14 @@ def _finish(out: Path, command, csv_paths, svg, draw, meta) -> int:
     return 0
 
 
+def _claimed(schemes, ch: ChannelParams) -> tuple:
+    """(kept, suppressed) schemes, each in order: the weak_only ones are
+    suppressed where the cross link of ch dominates."""
+    high = classify_regime(ch) == "high"
+    suppressed = tuple(s for s in schemes if high and VARIANTS[s].weak_only)
+    return tuple(s for s in schemes if s not in suppressed), suppressed
+
+
 def _channel_meta(ch: ChannelParams) -> dict:
     s1, s2, i1 = snr_inr(ch)
     return {"h11": ch.h11, "h22": ch.h22, "h21": ch.h21,
@@ -175,12 +181,8 @@ def cmd_region(args) -> int:
     grid = _resolve_grid(args, values)
     if values.get("full_power"):
         grid = replace(grid, full_power=True)
-    schemes = _validate_schemes(values.get("schemes", DEFAULT_VARIANTS),
-                                VARIANTS)
-    regime = classify_regime(ch)
-    suppressed = tuple(s for s in schemes
-                       if regime == "high" and VARIANTS[s][2])
-    kept = tuple(s for s in schemes if s not in suppressed)
+    schemes = _validate_schemes(values.get("schemes", VARIANTS), VARIANTS)
+    kept, suppressed = _claimed(schemes, ch)
     for name in suppressed:
         print(f"note: skipping {name}: only claimed while the cross link "
               "does not dominate (inr1 <= snr2)", file=sys.stderr)
@@ -202,7 +204,7 @@ def cmd_region(args) -> int:
                    lambda: _svg_polygons(csv_paths, "R1 [bits/use]",
                                          "R2 [bits/use]", "secrecy rate regions"),
                    {"channel": _channel_meta(ch),
-                    "regime": regime,
+                    "regime": classify_regime(ch),
                     "grid": asdict(grid),
                     "schemes": list(kept),
                     "suppressed": list(suppressed),
@@ -240,8 +242,7 @@ def _outer_sum_cell(ch: ChannelParams, include_nonsecrecy: bool):
 
 def cmd_sumrate(args) -> int:
     values = _merge_values(args)
-    schemes = _validate_schemes(values.get("schemes", DEFAULT_VARIANTS),
-                                VARIANTS)
+    schemes = _validate_schemes(values.get("schemes", VARIANTS), VARIANTS)
     grid = _resolve_grid(args, values)
     full_power = bool(values.get("full_power", True)) and not args.sweep_powers
     swept_grid = replace(grid, full_power=full_power)
@@ -284,9 +285,8 @@ def cmd_sumrate(args) -> int:
     suppressed = set()
     sums = []  # per axis value: {scheme left in: its largest sum rate}
     for ch, rks in runs:
-        high = classify_regime(ch) == "high"
-        kept = [name for name in schemes if not (high and VARIANTS[name][2])]
-        suppressed.update(set(schemes) - set(kept))
+        kept, skipped = _claimed(schemes, ch)
+        suppressed.update(skipped)
         best = max_sum_rates(ch, kept, swept_grid, rks)
         sums += [{name: best[name][k] for name in kept}
                  for k in range(len(rks))]

@@ -14,12 +14,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import ChannelParams, DomainError, SchemeParams, as_real
+from .channel import ChannelParams, DomainError, as_real
 from .geometry import Region, distance_to_region, hull
 # unused here; benchmarks/spans.py traces it under this module's name
 from .geometry import intersect_halfplanes  # noqa: F401
-from .schemes import (SCHEMES, _otp_clip, _unlayered_terms, _wiretap_clip,
-                      gdof_split_lambda2, key_splitting_point, polygon_points)
+from .schemes import SCHEMES, VARIANTS, gdof_split_lambda2, polygon_points
 
 GAP_TOL = 1e-12  # a convergence gap may rise this much and stay monotone
 
@@ -138,22 +137,20 @@ class ConvergenceReport:
 
 def _achieved_region(ch: ChannelParams, scheme: str, eta: float,
                      n_exponent: int) -> Region:
-    """Finite-power region of a scheme at its claim's allocations and eta."""
-    if scheme in ("key_splitting", "rate_splitting"):
-        # pinned split: full power, no noise layer, private power at the
-        # cross-link noise floor
-        sp = SchemeParams(lambda1=1.0, lambda2=gdof_split_lambda2(ch),
-                          beta1=1.0, beta2=1.0, eta=eta)
-        rc = key_splitting_point(ch, sp)
-        return hull(polygon_points(rc.r1_cap, rc.r2_cap, rc.sum_cap))
-    # power-controlled schemes: exponent-uniform beta2 ladder tracks the
-    # corner at every snr, plus the endpoints and the noise-floor allocation
-    u = np.linspace(0.0, 1.0, n_exponent)
-    snr = ch.h11**2 * ch.p1
-    b2 = np.unique(np.concatenate([
-        snr ** (-u), [0.0, 1.0, gdof_split_lambda2(ch)]]))
-    clip = _wiretap_clip if scheme == "key_as_wiretap" else _otp_clip
-    return hull(polygon_points(*clip(ch, _unlayered_terms(ch, 1.0, b2), 1.0)))
+    """Finite-power region of a scheme at its claim's allocations and eta:
+    full power, no noise layer and the private power at the cross-link
+    noise floor; or, without layers, an exponent-uniform beta2 ladder that
+    tracks the corner at every snr, plus the endpoints and the noise floor.
+    """
+    row = VARIANTS[scheme]
+    lam2, b2 = gdof_split_lambda2(ch), 1.0
+    if "lambda2" in row.pins:
+        u = np.linspace(0.0, 1.0, n_exponent)
+        snr = ch.h11**2 * ch.p1
+        b2 = np.unique(np.concatenate([snr ** (-u), [0.0, 1.0, lam2]]))
+        lam2 = 1.0
+    terms = row.terms(ch, 1.0, lam2, 1.0, b2)
+    return hull(polygon_points(*row.clip(ch, terms, eta)))
 
 
 def gdof_convergence_check(gp: GdofParams, scheme: str,
@@ -172,7 +169,7 @@ def gdof_convergence_check(gp: GdofParams, scheme: str,
         raise DomainError("snr ladder too short: need at least 4 rungs")
     if ladder[0] <= 1.0:
         raise DomainError("snr ladder rungs must exceed 1")
-    eta = 1.0 if scheme == "rate_splitting" else gp.eta
+    eta = 1.0 if "eta" in VARIANTS[scheme].pins else gp.eta
 
     rungs = []
     for snr in ladder:

@@ -260,6 +260,8 @@ def distance_to_region(region: Region, point) -> float:
     v = region.vertices
     if len(v) == 1:
         return math.hypot(x - v[0, 0], y - v[0, 1])
+    # degenerate edges, relative to a region's scale below 1, are skipped
+    short = GEOM_TOL * min(1.0, max(region.max_x, region.max_y))**2
     best = math.inf
     n = len(v)
     for i in range(n):
@@ -267,15 +269,17 @@ def distance_to_region(region: Region, point) -> float:
         x1, y1 = v[(i + 1) % n]
         dx, dy = x1 - x0, y1 - y0
         den = dx * dx + dy * dy
-        if den <= GEOM_TOL:
+        if den <= short:
             continue
         t = max(0.0, min(1.0, ((x - x0) * dx + (y - y0) * dy) / den))
         best = min(best, math.hypot(x - (x0 + t * dx), y - (y0 + t * dy)))
     return best
 
 
-def max_y_at_x(region: Region, x: float, tol: float = REGION_TOL):
-    """Largest y with (x, y) in the region, or None when x is out of range."""
+def max_y_at_x(region: Region, x: float, tol: float | None = None):
+    """Largest y with (x, y) in the region, or None when x is out of range
+    by more than tol (by default REGION_TOL, shrunk as in _tol)."""
+    tol = _tol(region, tol)
     if x < -tol or x > region.max_x + tol:
         return None
     y = math.inf

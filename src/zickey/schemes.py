@@ -26,24 +26,14 @@ import numbers
 import sys
 import warnings
 from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .channel import ChannelParams, DomainError, SchemeParams, _c, as_real
+from .channel import ChannelParams, DomainError, SchemeParams, _c
 from .geometry import Region, hull, pareto_filter, staircase
 
 SCHEMES = ("key_splitting", "rate_splitting", "key_as_wiretap", "one_time_pad")
-# every scheme name the sweeps take -> (core scheme, axes it pins at 1,
-# whether it is only claimed while the cross link does not dominate, that
-# is while inr1 <= snr2), in the order of the command line's output columns;
-# rate_splitting_no_an sends no artificial noise: lambda1 = 1
-VARIANTS = {
-    "key_splitting": ("key_splitting", (), False),
-    "rate_splitting": ("rate_splitting", (), False),
-    "rate_splitting_no_an": ("rate_splitting", ("lambda1",), True),
-    "key_as_wiretap": ("key_as_wiretap", (), True),
-    "one_time_pad": ("one_time_pad", (), False),
-}
 # caps are built and evaluated in blocks of whole rows (user 1's power
 # splits) of about CHUNK polygons, so that a block's temporaries stay in
 # cache and no array spans the whole grid
@@ -54,6 +44,8 @@ SEED_POLYGONS = 16
 # largest n_lambda1 * (n_lambda2 + 1) * n_beta1 * n_beta2, the polygons of
 # one eta slice with the gdof split ("fine" has 5.9 M), and largest n_eta
 MAX_POLYGONS = 2**23
+# the parameter axes of SchemeParams, each counted by GridSpec's n_<axis>
+AXES = ("lambda1", "lambda2", "beta1", "beta2", "eta")
 
 
 @dataclass(frozen=True)
@@ -85,12 +77,11 @@ class GridSpec:
     full_power: bool = False
 
     def __post_init__(self):
-        for name in ("n_lambda1", "n_lambda2", "n_beta1", "n_beta2", "n_eta"):
-            n = getattr(self, name)
+        for axis in AXES:
+            n = getattr(self, "n_" + axis)
             if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
-                raise DomainError(f"{name} must be an integer >= 1, got {n!r}")
-        l1, l2, b1, b2, eta = map(int, (self.n_lambda1, self.n_lambda2,
-                                        self.n_beta1, self.n_beta2, self.n_eta))
+                raise DomainError(f"n_{axis} must be an integer >= 1, got {n!r}")
+        l1, l2, b1, b2, eta = (int(getattr(self, "n_" + a)) for a in AXES)
         size = l1 * (l2 + 1) * b1 * b2
         if max(size, eta) > MAX_POLYGONS:
             raise DomainError(f"grid of {size} polygons per key fraction and "
@@ -137,9 +128,10 @@ def _key_splitting_eta(ch, base, eta):
     return r1, term_c + term_p, rsum + term_p
 
 
-def _unlayered_terms(ch, b1, b2):
+def _unlayered_terms(ch, lam1, lam2, b1, b2):
     """(r1, cap2, leak) when user 2 sends one codeword that receiver 1
-    treats as noise: user 1's rate, user 2's link capacity and its leak."""
+    treats as noise: user 1's rate, user 2's link capacity and its leak;
+    lam1 and lam2, pinned at 1, are not read."""
     g11, g22, g21 = ch.h11**2, ch.h22**2, ch.h21**2
     q1 = b1 * ch.p1
     q2 = b2 * ch.p2
@@ -159,35 +151,49 @@ def _otp_clip(ch, terms, eta):
     return r1, np.minimum(ch.rk, cap2), math.inf
 
 
-def key_splitting_point(ch: ChannelParams, sp: SchemeParams) -> RateConstraints:
-    """Caps of the key-splitting scheme at one parameter point."""
-    base = _key_splitting_base(ch, sp.lambda1, sp.lambda2, sp.beta1, sp.beta2)
-    r1, r2, rsum = _key_splitting_eta(ch, base, sp.eta)
-    return RateConstraints(float(r1), float(r2), float(rsum))
+class Scheme(NamedTuple):
+    """A row of VARIANTS: terms(ch, lambda1, lambda2, beta1, beta2) are the
+    eta-free terms of broadcastable parameters, clip(ch, terms, eta) their
+    (r1, r2, sum) caps; pins are the axes held at 1; weak_only schemes are
+    claimed only while the cross link does not dominate (inr1 <= snr2)."""
+
+    terms: Callable
+    clip: Callable
+    pins: tuple
+    weak_only: bool
 
 
-def rate_splitting_point(ch: ChannelParams, sp: SchemeParams) -> RateConstraints:
-    """Key-splitting caps with the whole key on the common layer."""
-    return key_splitting_point(ch, replace(sp, eta=1.0))
+_UNLAYERED = ("lambda1", "lambda2", "eta")
+# every scheme name the sweeps take, in the order of the command line's
+# output columns; rate_splitting is key_splitting with the whole key on the
+# common layer, and rate_splitting_no_an also sends no artificial noise
+VARIANTS = {
+    "key_splitting": Scheme(_key_splitting_base, _key_splitting_eta, (), False),
+    "rate_splitting": Scheme(_key_splitting_base, _key_splitting_eta,
+                             ("eta",), False),
+    "rate_splitting_no_an": Scheme(_key_splitting_base, _key_splitting_eta,
+                                   ("eta", "lambda1"), True),
+    "key_as_wiretap": Scheme(_unlayered_terms, _wiretap_clip, _UNLAYERED, True),
+    "one_time_pad": Scheme(_unlayered_terms, _otp_clip, _UNLAYERED, False),
+}
 
 
-def _unlayered_point(clip, ch, beta1, beta2):
-    """Caps of a scheme without layers or key split at one (beta1, beta2)."""
-    terms = _unlayered_terms(ch, as_real("beta1", beta1, 0.0, 1.0),
-                             as_real("beta2", beta2, 0.0, 1.0))
-    return RateConstraints(*map(float, clip(ch, terms, 1.0)))
+def _row(scheme) -> Scheme:
+    """The VARIANTS row of a scheme; DomainError for an unknown name."""
+    if scheme not in VARIANTS:
+        raise DomainError(f"unknown scheme {scheme!r}; "
+                          f"expected one of {tuple(VARIANTS)}")
+    return VARIANTS[scheme]
 
 
-def key_as_wiretap_point(ch: ChannelParams, beta1: float = 1.0,
-                         beta2: float = 1.0) -> RateConstraints:
-    """Caps when the key only enlarges the wiretap code (no layering)."""
-    return _unlayered_point(_wiretap_clip, ch, beta1, beta2)
-
-
-def one_time_pad_point(ch: ChannelParams, beta1: float = 1.0,
-                       beta2: float = 1.0) -> RateConstraints:
-    """Caps when the key is spent as a one-time pad."""
-    return _unlayered_point(_otp_clip, ch, beta1, beta2)
+def scheme_point(ch: ChannelParams, scheme: str,
+                 sp: SchemeParams = SchemeParams()) -> RateConstraints:
+    """Caps of a scheme (any name in VARIANTS) at one parameter point; the
+    axes the scheme pins read 1, whatever sp holds."""
+    row = _row(scheme)
+    sp = replace(sp, **dict.fromkeys(row.pins, 1.0))
+    terms = row.terms(ch, sp.lambda1, sp.lambda2, sp.beta1, sp.beta2)
+    return RateConstraints(*map(float, row.clip(ch, terms, sp.eta)))
 
 
 def gdof_split_lambda2(ch: ChannelParams) -> float:
@@ -221,31 +227,15 @@ def polygon_points(r1_cap, r2_cap, sum_cap) -> np.ndarray:
     return pts
 
 
-def point_region(rc: RateConstraints) -> Region:
-    """Down-closed polygon achieved at a single parameter point."""
-    return hull(polygon_points(rc.r1_cap, rc.r2_cap, rc.sum_cap))
-
-
 def _swept(scheme, grid):
-    """The core scheme and the point count of each axis, 0 where pinned.
-
-    lambda1 and lambda2 are swept by the layered schemes only; full_power
-    pins beta1 and beta2; eta is swept by key_splitting only; VARIANTS
-    names the axes a variant pins. A pinned axis holds the single value 1.
+    """The VARIANTS row of a scheme and the point count of each axis, 0
+    where pinned: the row's pins, and beta1 and beta2 under full_power. A
+    pinned axis holds the single value 1.
     """
-    if scheme not in VARIANTS:
-        raise DomainError(f"unknown scheme {scheme!r}; "
-                          f"expected one of {tuple(VARIANTS)}")
-    core, pins, _ = VARIANTS[scheme]
-    layered = core in ("key_splitting", "rate_splitting")
-    counts = {
-        "lambda1": grid.n_lambda1 if layered else 0,
-        "lambda2": grid.n_lambda2 if layered else 0,
-        "beta1": 0 if grid.full_power else grid.n_beta1,
-        "beta2": 0 if grid.full_power else grid.n_beta2,
-        "eta": grid.n_eta if core == "key_splitting" else 0,
-    }
-    return core, {axis: 0 if axis in pins else n for axis, n in counts.items()}
+    row = _row(scheme)
+    pins = row.pins + (("beta1", "beta2") if grid.full_power else ())
+    return row, {axis: 0 if axis in pins else getattr(grid, "n_" + axis)
+                 for axis in AXES}
 
 
 def _points(n):
@@ -258,8 +248,8 @@ def _row_blocks(shape):
     each.
 
     The last rows come first: the rows are user 1's (lambda1, beta1) pairs
-    in lambda1-major order, or its beta1 values, whose largest give the
-    largest r1, so a running Pareto front soon spans the whole x range.
+    in lambda1-major order, whose largest give the largest r1, so a running
+    Pareto front soon spans the whole x range.
     """
     step = max(1, CHUNK // math.prod(shape[1:]))
     return [slice(i, i + step) for i in range(0, shape[0], step)][::-1]
@@ -283,12 +273,12 @@ def _blocks(ch, schemes, grid, undominated=False):
     A block holds the eta-free terms of polygons as flat arrays, built just
     before use, so that no array spans the grid; clip(ch, polygons of
     terms, eta) gives their (r1, r2, sum) caps at key fraction eta, or at
-    each of a column of key fractions. key_splitting and rate_splitting
-    share their blocks, and so do key_as_wiretap and one_time_pad: each
-    block is built once and yielded for every member.
+    each of a column of key fractions. Schemes with the same terms on the
+    same axes share their blocks: each block is built once and yielded for
+    every member.
 
     The polygons are rows x columns: user 1's (lambda1, beta1) pairs times
-    user 2's (lambda2, beta2) pairs, or beta1 times beta2 without layers.
+    user 2's (lambda2, beta2) pairs, a pinned lambda being 1. The scheme's
     terms(ch, L1[rows, None], L2[None], B1[rows, None], B2[None]) is the
     elementwise expression of the 4-D mesh, so each polygon's terms are
     the same floats in any layout.
@@ -296,15 +286,18 @@ def _blocks(ch, schemes, grid, undominated=False):
     With `undominated`, only the pairs no other pair beats on the sum rate
     are kept: per distinct p1a = (1 - lambda1) beta1 p1, the one with the
     largest p1m = lambda1 beta1 p1; per distinct p2p = lambda2 beta2 p2,
-    the one with the largest p2c = (1 - lambda2) beta2 p2; without layers,
-    the largest beta1. p1m enters only r1 and rsum, and p2c only common
-    and rsum (q1 only r1 without layers), each through +, *, division by
-    a positive number, log2, min, max and clip, all of which round
+    the one with the largest p2c = (1 - lambda2) beta2 p2. p1m enters only
+    r1 and rsum, and p2c only common and rsum, each through +, *, division
+    by a positive number, log2, min, max and clip, all of which round
     monotonically (for _c, test_channel.py's
     test_capacity_term_is_nondecreasing_over_adjacent_floats checks it
     on numpy's log2). So at equal p1a and p2p the caps and
     min(rsum + term_p, r1 + r2) never fall as p1m or p2c grow, at every
     key fraction and key rate, and the largest sum rate is the same float.
+    The unlayered schemes pin lambda1 = lambda2 = 1: p1a = 0 for every
+    pair, so the largest beta1 is kept (q1 = p1m enters only r1), and each
+    p2p = beta2 p2 is its own group. At p1 = 0 (p2 = 0) every row (column)
+    pair has the same terms, so keeping any one of them is exact.
     The only term a dropped pair can make non-finite is rsum, where
     g11 p1m + g21 p2c overflows to +inf (h**2 p is finite for every power
     that reaches here); the kept pair's sum then overflows too, and both
@@ -312,30 +305,24 @@ def _blocks(ch, schemes, grid, undominated=False):
     """
     groups = {}
     for scheme in schemes:
-        core, counts = _swept(scheme, grid)
-        lam1, lam2, beta1, beta2 = (_points(counts[a]) for a in
-                                    ("lambda1", "lambda2", "beta1", "beta2"))
-        if core in ("key_as_wiretap", "one_time_pad"):  # no key to split
-            terms = _unlayered_terms
-            clip = _wiretap_clip if core == "key_as_wiretap" else _otp_clip
-            rows, cols = [beta1[-1:] if undominated else beta1], [beta2]
-        else:
-            terms, clip = _key_splitting_base, _key_splitting_eta
+        row, counts = _swept(scheme, grid)
+        lam1, lam2, beta1, beta2, etas = (_points(counts[a]) for a in AXES)
+        if counts["lambda2"]:
             # one more lambda2 sample, at the cross-link noise floor
             lam2 = np.unique(np.concatenate([lam2, [gdof_split_lambda2(ch)]]))
-            rows, cols = _pairs(lam1, beta1), _pairs(lam2, beta2)
-            if undominated:
-                (l1, b1), (l2, b2) = rows, cols
-                keep1 = _undominated((1.0 - l1) * b1 * ch.p1, l1 * b1 * ch.p1)
-                keep2 = _undominated(l2 * b2 * ch.p2, (1.0 - l2) * b2 * ch.p2)
-                rows, cols = [a[keep1] for a in rows], [a[keep2] for a in cols]
-        key = (terms, *(a.tobytes() for a in (*rows, *cols)))
-        groups.setdefault(key, (terms, rows, cols, []))[3].append(
-            (scheme, clip, _points(counts["eta"])))
+        rows, cols = _pairs(lam1, beta1), _pairs(lam2, beta2)
+        if undominated:
+            (l1, b1), (l2, b2) = rows, cols
+            keep1 = _undominated((1.0 - l1) * b1 * ch.p1, l1 * b1 * ch.p1)
+            keep2 = _undominated(l2 * b2 * ch.p2, (1.0 - l2) * b2 * ch.p2)
+            rows, cols = [a[keep1] for a in rows], [a[keep2] for a in cols]
+        key = (row.terms, *(a.tobytes() for a in (*rows, *cols)))
+        groups.setdefault(key, (row.terms, rows, cols, []))[3].append(
+            (scheme, row.clip, etas))
     for terms, rows, cols, members in groups.values():
         for r in _row_blocks((len(rows[0]), len(cols[0]))):
-            args = [a for row, col in zip(rows, cols)
-                    for a in (row[r, None], col[None])]
+            args = [a for u1, u2 in zip(rows, cols)
+                    for a in (u1[r, None], u2[None])]
             block = [b.ravel() for b in np.broadcast_arrays(*terms(ch, *args))]
             for scheme, clip, etas in members:
                 yield scheme, clip, etas, block
@@ -386,10 +373,9 @@ def sweep_regions(ch: ChannelParams, schemes,
     """{scheme: down-closed hull of its rate polygons over a parameter grid}.
 
     A scheme is any name in VARIANTS. The grid is the full cartesian
-    product of the scheme's free parameter axes, the layered schemes'
-    lambda2 axis with its noise-floor sample; pinned axes (those VARIANTS
-    names, full_power's, eta for schemes that fix it) contribute a single
-    point.
+    product of the scheme's free parameter axes, a swept lambda2 with its
+    noise-floor sample; pinned axes (the row's pins, and full_power's)
+    contribute a single point.
     Deterministic for identical inputs. Each row block of terms is built
     once and feeds the running Pareto front of every scheme that shares
     it; the front is the same, to the bit, as one swept scheme by scheme.

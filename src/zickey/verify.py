@@ -22,14 +22,15 @@ from .gdof import GAP_TOL, GdofParams, gdof_convergence_check, gdof_region, \
     key_splitting_gdof, no_secrecy_gdof, rate_splitting_gdof
 from .geometry import REGION_TOL, containment_margin, hull, \
     intersect_halfplanes, subset_of
-from .schemes import GridSpec, SCHEMES, key_as_wiretap_point, \
-    key_splitting_point, one_time_pad_point, polygon_points, sweep_region, \
-    sweep_regions
+from .schemes import GridSpec, SCHEMES, polygon_points, scheme_point, \
+    sweep_region, sweep_regions
 
 # coarse but fast grid for region-level checks
 _GRID = GridSpec(n_lambda1=7, n_lambda2=8, n_beta1=7, n_beta2=7, n_eta=5)
 
 _EQ_TOL = 1e-12
+# the schemes whose caps are checked at single parameter points
+_POINT_SCHEMES = ("key_splitting", "key_as_wiretap", "one_time_pad")
 
 
 def _draw_channel(rng, rk_max=3.0):
@@ -89,9 +90,7 @@ def _inv_caps_nonnegative(rng, corrupt):
     for _ in range(4):
         ch = _draw_channel(rng)
         sp = _draw_scheme(rng)
-        ks = key_splitting_point(ch, sp)
-        wc = key_as_wiretap_point(ch, sp.beta1, sp.beta2)
-        op = one_time_pad_point(ch, sp.beta1, sp.beta2)
+        ks, wc, op = (scheme_point(ch, s, sp) for s in _POINT_SCHEMES)
         low = min(ks.r1_cap, ks.r2_cap, ks.sum_cap,
                   wc.r1_cap, wc.r2_cap, op.r1_cap, op.r2_cap)
         rows.append(_row(_fmt(ch), low))
@@ -104,11 +103,8 @@ def _inv_rk_monotone_caps(rng, corrupt):
         ch = _draw_channel(rng)
         ch2 = replace(ch, rk=ch.rk + 0.5)
         sp = _draw_scheme(rng)
-        a, b = key_splitting_point(ch, sp), key_splitting_point(ch2, sp)
-        wa = key_as_wiretap_point(ch, sp.beta1, sp.beta2)
-        wb = key_as_wiretap_point(ch2, sp.beta1, sp.beta2)
-        oa = one_time_pad_point(ch, sp.beta1, sp.beta2)
-        ob = one_time_pad_point(ch2, sp.beta1, sp.beta2)
+        a, wa, oa = (scheme_point(ch, s, sp) for s in _POINT_SCHEMES)
+        b, wb, ob = (scheme_point(ch2, s, sp) for s in _POINT_SCHEMES)
         worst = min(b.r2_cap - a.r2_cap, b.sum_cap - a.sum_cap,
                     wb.r2_cap - wa.r2_cap, ob.r2_cap - oa.r2_cap)
         rows.append(_row(_fmt(ch), worst + _EQ_TOL))
@@ -124,8 +120,8 @@ def _inv_eta0_lambda1_matches_wiretap(rng, corrupt):
         ch = _draw_channel(rng)
         b1, b2 = (float(v) for v in rng.uniform(0.0, 1.0, size=2))
         sp = SchemeParams(lambda1=1.0, lambda2=1.0, beta1=b1, beta2=b2, eta=0.0)
-        ks = key_splitting_point(ch, sp)
-        wc = key_as_wiretap_point(ch, b1, b2)
+        ks = scheme_point(ch, "key_splitting", sp)
+        wc = scheme_point(ch, "key_as_wiretap", sp)
         diff = max(abs(ks.r1_cap - wc.r1_cap), abs(ks.r2_cap - wc.r2_cap))
         ok = ks.r1_cap == wc.r1_cap and ks.r2_cap == wc.r2_cap
         rows.append(_row(_fmt(ch) + f" b1={b1:.4g} b2={b2:.4g}",

@@ -18,11 +18,9 @@ import numpy as np
 import oracle
 from zickey import (ChannelParams, GdofParams, GridSpec, SchemeParams,
                     composite_outer_region, gdof_convergence_check,
-                    intersect_halfplanes, key_as_wiretap_point,
-                    key_splitting_gdof, key_splitting_point, max_y_at_x,
-                    no_secrecy_gdof, one_time_pad_point, r2_outer_high,
-                    rate_splitting_gdof, subset_of, sum_rate_outer,
-                    sweep_region)
+                    intersect_halfplanes, key_splitting_gdof, max_y_at_x,
+                    no_secrecy_gdof, r2_outer_high, rate_splitting_gdof,
+                    scheme_point, subset_of, sum_rate_outer, sweep_region)
 from zickey.cli import main
 
 
@@ -43,14 +41,14 @@ def test_criterion_1_derived_values_match_oracle():
     ch2 = ChannelParams(1, 1, 0.6, 100, 100, rk=2.0)
     sp = SchemeParams(lambda1=1.0, lambda2=0.027778, eta=0.5)
 
-    otp = one_time_pad_point(ch1)
+    otp = scheme_point(ch1, "one_time_pad")
     o_r1, o_r2 = (float(v) for v in oracle.otp_point(1, 1, '0.6', 100, 100, 1))
     if not (_close(otp.r1_cap, o_r1, tol) and _close(otp.r2_cap, o_r2, tol)):
         failures.append(f"one_time_pad point {otp} != oracle ({o_r1}, {o_r2})")
     if not (_close(otp.r1_cap, 0.9443, tol) and _close(otp.r2_cap, 1.0, tol)):
         failures.append("one_time_pad point off the published value")
 
-    wc = key_as_wiretap_point(ch1)
+    wc = scheme_point(ch1, "key_as_wiretap")
     _, w_r2 = (float(v) for v in oracle.wiretap_point(1, 1, '0.6', 100, 100, 1))
     if not (_close(wc.r2_cap, w_r2, tol) and _close(wc.r2_cap, 1.7244, tol)):
         failures.append(f"key_as_wiretap r2 {wc.r2_cap} != oracle {w_r2}")
@@ -65,7 +63,7 @@ def test_criterion_1_derived_values_match_oracle():
     if not (_close(r2h, o_r2h, tol) and _close(r2h, 4.1117, tol)):
         failures.append(f"keyed r2 bound {r2h} != oracle {o_r2h}")
 
-    ks = key_splitting_point(ch2, sp)
+    ks = scheme_point(ch2, "key_splitting", sp)
     o_ks = tuple(float(v) for v in oracle.key_split_point(
         1, 1, '0.6', 100, 100, 2, 1, '0.027778', 1, 1, '0.5'))
     got = (ks.r1_cap, ks.r2_cap, ks.sum_cap)
@@ -134,7 +132,7 @@ def test_criterion_3_exact_reductions():
         rk = rng.uniform(0.0, 3.0)
         b2 = rng.uniform(0.0, 1.0)
         ch = ChannelParams(1.0, h22, h21, 0.0, p2, rk)
-        rc = key_as_wiretap_point(ch, 1.0, b2)
+        rc = scheme_point(ch, "key_as_wiretap", SchemeParams(beta2=b2))
         q2 = b2 * p2
         cap2 = 0.5 * math.log2(1.0 + h22 * h22 * q2)
         leak = 0.5 * math.log2(1.0 + h21 * h21 * q2)
@@ -148,9 +146,10 @@ def test_criterion_3_exact_reductions():
                            *rng.uniform(1.0, 1000.0, 2),
                            rk=rng.uniform(0.0, 3.0))
         b1, b2 = rng.uniform(0.0, 1.0, 2)
-        ks = key_splitting_point(ch, SchemeParams(lambda1=1.0, lambda2=1.0,
-                                                  beta1=b1, beta2=b2, eta=0.0))
-        wc = key_as_wiretap_point(ch, b1, b2)
+        sp = SchemeParams(lambda1=1.0, lambda2=1.0, beta1=b1, beta2=b2,
+                          eta=0.0)
+        ks = scheme_point(ch, "key_splitting", sp)
+        wc = scheme_point(ch, "key_as_wiretap", sp)
         if abs(ks.r1_cap - wc.r1_cap) > 1e-12 or abs(ks.r2_cap - wc.r2_cap) > 1e-12:
             failures.append(f"eta=0 reduction off by more than 1e-12 at {ch}")
 

@@ -8,8 +8,8 @@ import pytest
 
 from zickey import (ChannelParams, GridSpec, SchemeParams,
                     composite_outer_region, contains, evaluate_outer_bounds,
-                    key_splitting_point, nonsecrecy_sum_bound, outer_max_sum,
-                    r2_outer_high, r2_sum_component, subset_of, sum_rate_outer,
+                    nonsecrecy_sum_bound, outer_max_sum, r2_outer_high,
+                    r2_sum_component, scheme_point, subset_of, sum_rate_outer,
                     sweep_region)
 
 CH = ChannelParams(1, 1, 0.6, 100, 100, rk=1.0)  # snr 100, inr 36
@@ -157,8 +157,7 @@ def test_sum_part_is_not_a_standalone_r2_face():
     ch = ChannelParams(1, 1, 0.6, 100, 100, rk=0.0)
     part = r2_sum_component(ch)
     # all of user 1's power spent on noise, all of user 2's on the private layer
-    rc = key_splitting_point(ch, SchemeParams(lambda1=0.0, lambda2=1.0,
-                                              beta1=1.0, beta2=1.0, eta=1.0))
+    rc = scheme_point(ch, "key_splitting", SchemeParams(lambda1=0.0))
     assert rc.r2_cap > part + 1.0
     # yet the achieved point sits inside the composite region
     reg = composite_outer_region(ch)

@@ -298,6 +298,26 @@ def test_distance_to_region():
     assert distance_to_region(square, (2.0, 2.0)) == pytest.approx(math.sqrt(2), abs=1e-12)
 
 
+@pytest.mark.parametrize("s", [1.0, 1e-5, 1e-7, 1e-12])
+def test_distance_to_small_region_scales_with_it(s):
+    # the nearest point of the hull to (2s, 2s) is (3s/4, 3s/4), the middle
+    # of its edge from (s, s/2) to (s/2, s)
+    region = hull([(s, s / 2), (s / 2, s)])
+    want = math.hypot(1.25 * s, 1.25 * s)
+    assert distance_to_region(region, (2 * s, 2 * s)) == \
+        pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("s", [1.0, 1e-5, 1e-12])
+def test_max_y_at_x_tolerance_scales_with_the_region(s):
+    # REGION_TOL of slack would let x = 1.5 max_x in at s = 1e-12
+    region = hull([(s, s / 2), (s / 2, s)])
+    assert region.max_x == s
+    assert max_y_at_x(region, 1.5 * s) is None
+    assert max_y_at_x(region, s) == pytest.approx(s / 2, rel=1e-12)
+    assert max_y_at_x(region, 1.5 * s, tol=s) == 0.0
+
+
 def test_containment_margin_sign():
     square = intersect_halfplanes([(1, 0, 1), (0, 1, 1)])
     inside = np.array([[0.5, 0.5], [1.0, 1.0]])

@@ -11,10 +11,8 @@ import numpy as np
 import pytest
 
 from zickey import (ChannelParams, DomainError, GridSpec, SchemeParams,
-                    gdof_split_lambda2, hull, key_as_wiretap_point,
-                    key_splitting_point, max_sum_rate, max_y_at_x,
-                    one_time_pad_point, point_region, polygon_points,
-                    rate_splitting_point, subset_of, sweep_region,
+                    gdof_split_lambda2, hull, max_sum_rate, max_y_at_x,
+                    polygon_points, scheme_point, subset_of, sweep_region,
                     sweep_regions)
 from zickey.schemes import MAX_POLYGONS, VARIANTS
 
@@ -29,14 +27,14 @@ def c(x):
 
 
 def test_one_time_pad_frozen_point():
-    rc = one_time_pad_point(CH)
+    rc = scheme_point(CH, "one_time_pad")
     assert rc.r1_cap == pytest.approx(0.9442893586657886, abs=1e-12)
     assert rc.r2_cap == 1.0  # key-limited: rk < c(snr2)
     assert rc.sum_cap == math.inf
 
 
 def test_key_as_wiretap_frozen_point():
-    rc = key_as_wiretap_point(CH)
+    rc = scheme_point(CH, "key_as_wiretap")
     assert rc.r1_cap == pytest.approx(0.9442893586657886, abs=1e-12)
     assert rc.r2_cap == pytest.approx(1.7243790585614225, abs=1e-12)
     assert rc.sum_cap == math.inf
@@ -45,7 +43,7 @@ def test_key_as_wiretap_frozen_point():
 def test_key_splitting_frozen_point():
     ch = ChannelParams(1, 1, 0.6, 100, 100, rk=2.0)
     sp = SchemeParams(lambda1=1.0, lambda2=0.027778, eta=0.5)
-    rc = key_splitting_point(ch, sp)
+    rc = scheme_point(ch, "key_splitting", sp)
     assert rc.r1_cap == pytest.approx(2.836209842177711, abs=1e-12)
     assert rc.r2_cap == pytest.approx(1.958773163112242, abs=1e-12)
     assert rc.sum_cap == pytest.approx(4.007786319208194, abs=1e-12)
@@ -54,7 +52,7 @@ def test_key_splitting_frozen_point():
 def test_key_splitting_frozen_point_full_common_key():
     ch = ChannelParams(1, 1, 0.6, 100, 100, rk=2.0)
     sp = SchemeParams(lambda1=1.0, lambda2=0.027778, eta=1.0)
-    rc = key_splitting_point(ch, sp)
+    rc = scheme_point(ch, "key_splitting", sp)
     assert rc.r2_cap == pytest.approx(2.458770277727931, abs=1e-12)
     assert rc.sum_cap == pytest.approx(3.5077834338238834, abs=1e-12)
 
@@ -65,21 +63,21 @@ def test_key_splitting_common_layer_is_key_limited():
     ch0 = ChannelParams(1, 1, 0.6, 100, 100, rk=0.0)
     ch2 = ChannelParams(1, 1, 0.6, 100, 100, rk=2.0)
     sp = SchemeParams(lambda1=1.0, lambda2=0.027778, eta=1.0)
-    r2_no_key = key_splitting_point(ch0, sp).r2_cap
-    r2_keyed = key_splitting_point(ch2, sp).r2_cap
+    r2_no_key = scheme_point(ch0, "key_splitting", sp).r2_cap
+    r2_keyed = scheme_point(ch2, "key_splitting", sp).r2_cap
     assert r2_no_key == pytest.approx(0.458770277727931, abs=1e-12)
     assert r2_keyed - r2_no_key == 2.0
     # with eta = 1 the private layer never sees the key: same sum cap
-    assert (key_splitting_point(ch2, sp).sum_cap
-            == key_splitting_point(ch0, sp).sum_cap)
+    assert (scheme_point(ch2, "key_splitting", sp).sum_cap
+            == scheme_point(ch0, "key_splitting", sp).sum_cap)
 
 
 def test_rate_splitting_is_key_splitting_at_eta_one():
     ch = ChannelParams(1.3, 0.8, 0.5, 30, 60, rk=0.7)
     sp = SchemeParams(lambda1=0.6, lambda2=0.3, beta1=0.9, beta2=0.8, eta=0.2)
-    rs = rate_splitting_point(ch, sp)
-    ks = key_splitting_point(ch, SchemeParams(lambda1=0.6, lambda2=0.3,
-                                              beta1=0.9, beta2=0.8, eta=1.0))
+    rs = scheme_point(ch, "rate_splitting", sp)
+    ks = scheme_point(ch, "key_splitting", SchemeParams(
+        lambda1=0.6, lambda2=0.3, beta1=0.9, beta2=0.8, eta=1.0))
     assert rs == ks
 
 
@@ -92,9 +90,10 @@ def test_wiretap_equals_key_splitting_at_eta_zero_no_layering():
         rk = rng.uniform(0.0, 3.0)
         b1, b2 = rng.uniform(0.0, 1.0, 2)
         ch = ChannelParams(h11, h22, h21, p1, p2, rk)
-        wc = key_as_wiretap_point(ch, b1, b2)
-        ks = key_splitting_point(ch, SchemeParams(lambda1=1.0, lambda2=1.0,
-                                                  beta1=b1, beta2=b2, eta=0.0))
+        wc = scheme_point(ch, "key_as_wiretap",
+                          SchemeParams(beta1=b1, beta2=b2))
+        ks = scheme_point(ch, "key_splitting", SchemeParams(
+            lambda1=1.0, lambda2=1.0, beta1=b1, beta2=b2, eta=0.0))
         assert wc.r1_cap == ks.r1_cap
         assert wc.r2_cap == ks.r2_cap
 
@@ -102,9 +101,9 @@ def test_wiretap_equals_key_splitting_at_eta_zero_no_layering():
 def test_wiretap_clamps_when_leak_exceeds_capacity():
     # rk = 0 and cross gain >= direct gain: wiretap rate clamps to zero
     ch = ChannelParams(1, 1, 1.0, 100, 100, rk=0.0)
-    assert key_as_wiretap_point(ch).r2_cap == 0.0
+    assert scheme_point(ch, "key_as_wiretap").r2_cap == 0.0
     ch = ChannelParams(1, 0.7, 0.9, 50, 50, rk=0.0)
-    assert key_as_wiretap_point(ch).r2_cap == 0.0
+    assert scheme_point(ch, "key_as_wiretap").r2_cap == 0.0
 
 
 def test_wiretap_silent_user1_reduction():
@@ -116,7 +115,7 @@ def test_wiretap_silent_user1_reduction():
         rk = rng.uniform(0.0, 2.0)
         b2 = rng.uniform(0.0, 1.0)
         ch = ChannelParams(1.0, h22, h21, 0.0, p2, rk)
-        rc = key_as_wiretap_point(ch, 1.0, b2)
+        rc = scheme_point(ch, "key_as_wiretap", SchemeParams(beta2=b2))
         q2 = b2 * p2  # spent power, then received powers
         cap2 = c(h22**2 * q2)
         leak = c(h21**2 * q2)
@@ -126,7 +125,7 @@ def test_wiretap_silent_user1_reduction():
 
 def test_one_time_pad_zero_power_and_zero_key():
     ch = ChannelParams(1, 1, 0.6, 100, 100, rk=1.0)
-    rc = one_time_pad_point(ch, 1.0, 0.0)
+    rc = scheme_point(ch, "one_time_pad", SchemeParams(beta2=0.0))
     assert rc.r2_cap == 0.0
     assert rc.r1_cap == c(100.0)  # no interference once user 2 is silent
     ch0 = ChannelParams(1, 1, 0.6, 100, 100, rk=0.0)
@@ -138,9 +137,11 @@ def test_point_validation():
     ch = ChannelParams(1, 1, 0.6, 100, 100, rk=1.0)
     for bad in (-0.1, 1.5):
         with pytest.raises(DomainError):
-            key_as_wiretap_point(ch, beta2=bad)
+            scheme_point(ch, "key_as_wiretap", SchemeParams(beta2=bad))
         with pytest.raises(DomainError):
-            one_time_pad_point(ch, beta1=bad)
+            scheme_point(ch, "one_time_pad", SchemeParams(beta1=bad))
+    with pytest.raises(DomainError):
+        scheme_point(ch, "no_such_scheme")
     with pytest.raises(DomainError):
         sweep_region(ch, "no_such_scheme", SMALL)
     with pytest.raises(DomainError):
@@ -149,13 +150,14 @@ def test_point_validation():
 
 def test_point_fraction_types():
     ch = ChannelParams(1, 1, 0.6, 100, 100, rk=1.0)
-    for point in (key_as_wiretap_point, one_time_pad_point):
+    for scheme in ("key_as_wiretap", "one_time_pad"):
         with pytest.raises(DomainError):
-            point(ch, beta1=True)
+            scheme_point(ch, scheme, SchemeParams(beta1=True))
         with pytest.raises(DomainError):
-            point(ch, beta2=np.bool_(True))
+            scheme_point(ch, scheme, SchemeParams(beta2=np.bool_(True)))
         # a numpy float32 is a real number like any other
-        assert point(ch, beta1=np.float32(0.5)) == point(ch, beta1=0.5)
+        assert scheme_point(ch, scheme, SchemeParams(beta1=np.float32(0.5))) \
+            == scheme_point(ch, scheme, SchemeParams(beta1=0.5))
 
 
 def test_grid_needs_a_point_per_axis():
@@ -177,13 +179,14 @@ def test_caps_nonnegative_and_key_monotone():
         sp = SchemeParams(lambda1=rng.uniform(), lambda2=rng.uniform(),
                           beta1=rng.uniform(), beta2=rng.uniform(),
                           eta=rng.uniform())
-        a = key_splitting_point(ch0, sp)
-        b = key_splitting_point(ch1, sp)
+        a = scheme_point(ch0, "key_splitting", sp)
+        b = scheme_point(ch1, "key_splitting", sp)
         assert min(a.r1_cap, a.r2_cap, a.sum_cap) >= 0.0
         assert b.r2_cap >= a.r2_cap - 1e-12
         assert b.sum_cap >= a.sum_cap - 1e-12
-        assert key_as_wiretap_point(ch1).r2_cap >= key_as_wiretap_point(ch0).r2_cap
-        assert one_time_pad_point(ch1).r2_cap >= one_time_pad_point(ch0).r2_cap
+        for scheme in ("key_as_wiretap", "one_time_pad"):
+            assert scheme_point(ch1, scheme).r2_cap >= \
+                scheme_point(ch0, scheme).r2_cap
 
 
 def test_otp_rate_never_exceeds_key():
@@ -192,7 +195,8 @@ def test_otp_rate_never_exceeds_key():
         ch = ChannelParams(*rng.uniform(0.1, 2.0, 3),
                            *rng.uniform(1.0, 1000.0, 2),
                            rk=rng.uniform(0.0, 3.0))
-        assert one_time_pad_point(ch, 1.0, rng.uniform()).r2_cap <= ch.rk
+        sp = SchemeParams(beta2=rng.uniform())
+        assert scheme_point(ch, "one_time_pad", sp).r2_cap <= ch.rk
     reg = sweep_region(CH, "one_time_pad", SMALL)
     assert reg.max_y <= CH.rk + 1e-12
 
@@ -261,8 +265,7 @@ def test_gdof_split_sample():
 
 def test_polygon_points_and_point_region():
     pts = polygon_points(1.0, 0.5, 1.2)
-    reg = point_region(type("RC", (), {"r1_cap": 1.0, "r2_cap": 0.5,
-                                       "sum_cap": 1.2})())
+    reg = hull(pts)
     assert np.allclose(np.asarray(reg.vertices),
                        [[0, 0], [1, 0], [1, 0.2], [0.7, 0.5], [0, 0.5]],
                        atol=1e-12)
@@ -344,9 +347,10 @@ def test_unknown_scheme_names_every_variant():
     assert tuple(VARIANTS) == ("key_splitting", "rate_splitting",
                                "rate_splitting_no_an", "key_as_wiretap",
                                "one_time_pad")
-    for fn in (sweep_region, max_sum_rate):
+    for fn, grid in ((sweep_region, (SMALL,)), (max_sum_rate, (SMALL,)),
+                     (scheme_point, ())):
         with pytest.raises(DomainError) as err:
-            fn(CH, "bogus", SMALL)
+            fn(CH, "bogus", *grid)
         assert all(name in str(err.value) for name in VARIANTS)
 
 

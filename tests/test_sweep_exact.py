@@ -13,6 +13,7 @@ checked here against a literal, unoptimized version of itself kept in this
 file.
 """
 
+import contextlib
 import dataclasses
 import functools
 import math
@@ -24,7 +25,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zickey import ChannelParams, DomainError, GridSpec, max_sum_rate
+from zickey import (ChannelParams, DomainError, GridSpec, SchemeParams,
+                    max_sum_rate, scheme_point)
 from zickey import geometry, schemes, sweep_region
 from zickey.geometry import hull, pareto_filter, staircase
 from zickey.schemes import (SCHEMES, VARIANTS, _key_bound,
@@ -79,6 +81,36 @@ def _ref_unlayered_caps(ch, scheme, b1, b2):
     if scheme == "one_time_pad":
         return r1, np.minimum(ch.rk, cap2)
     return r1, np.maximum(0.0, np.minimum(cap2, cap2 - _c(g21 * q2) + ch.rk))
+
+
+# the axes each scheme holds at 1, restated
+PINS = {"key_splitting": (), "rate_splitting": ("eta",),
+        "rate_splitting_no_an": ("lambda1", "eta"),
+        "key_as_wiretap": ("lambda1", "lambda2", "eta"),
+        "one_time_pad": ("lambda1", "lambda2", "eta")}
+
+
+def test_scheme_point_matches_the_restated_caps():
+    assert list(PINS) == list(VARIANTS)
+    rng = np.random.default_rng(19)
+    for ch in SHOWCASE + EDGE + CROWDED:
+        for _ in range(12):
+            # each axis uniform, or at an end of [0, 1]
+            values = np.where(rng.random(5) < 0.3, rng.integers(0, 2, 5),
+                              rng.random(5))
+            sp = SchemeParams(*values)
+            for scheme, pins in PINS.items():
+                at = dataclasses.replace(sp, **dict.fromkeys(pins, 1.0))
+                if "lambda2" in pins:
+                    want = (*_ref_unlayered_caps(ch, scheme, at.beta1,
+                                                 at.beta2), math.inf)
+                else:
+                    want = _ref_caps(ch, at.lambda1, at.lambda2, at.beta1,
+                                     at.beta2, at.eta)
+                rc = scheme_point(ch, scheme, sp)
+                got = (rc.r1_cap, rc.r2_cap, rc.sum_cap)
+                assert [float(v).hex() for v in got] == \
+                    [float(v).hex() for v in want], (ch, sp, scheme)
 
 
 def _ref_polygon_points(a, b, c):
@@ -353,8 +385,8 @@ def test_max_sum_rates_overflow_where_the_full_grid_does():
             else:
                 assert max_sum_rate(ch, scheme, COARSE) == want, (ch, scheme)
     assert raised == [(p1, 1.0, scheme) for p1 in (1.5e308, 1e308)
-                      for scheme in VARIANTS if VARIANTS[scheme][0]
-                      in ("key_splitting", "rate_splitting")]
+                      for scheme in VARIANTS
+                      if VARIANTS[scheme].terms is _key_splitting_base]
 
 
 power = st.one_of(st.just(0.0),
@@ -415,14 +447,19 @@ def test_max_sum_rate_keeps_a_dominating_pair_for_every_dropped_one(case):
                                      B1[:, None], kb2[j2][None])):
         for term, at_kept in zip(every, kept):
             assert np.all(term <= at_kept), ch
-    # without layers, only the largest beta1
-    kb1, kb2 = _built_by_max_sum_rates(ch, "key_as_wiretap", grid,
-                                       "_unlayered_terms")
+    # without layers, lambda1 = lambda2 = 1: only the largest beta1, and
+    # every beta2; where p1 (p2) is 0, every beta1 (beta2) gives the same
+    # terms, and one of them is kept
+    kl1, kl2, kb1, kb2 = _built_by_max_sum_rates(ch, "key_as_wiretap", grid,
+                                                 "_unlayered_terms")
     b1 = np.linspace(0.0, 1.0, grid.n_beta1)
-    assert kb1.tolist() == [1.0] and kb2.tolist() == list(b2)
-    for term, at_max in zip(_unlayered_terms(ch, b1[:, None], b2[None]),
-                            _unlayered_terms(ch, 1.0, b2[None])):
-        assert np.all(term <= at_max), ch
+    assert kl1.tolist() == [1.0] and set(kl2.tolist()) == {1.0}
+    assert kb1.tolist() == [1.0] or (ch.p1 == 0.0 and len(kb1) == 1)
+    assert kb2.tolist() == list(b2) or (ch.p2 == 0.0 and len(kb2) == 1)
+    for term, at_kept in zip(
+            _unlayered_terms(ch, 1.0, 1.0, b1[:, None], b2[None]),
+            _unlayered_terms(ch, 1.0, 1.0, kb1[:, None], kb2[None])):
+        assert np.all(term <= at_kept), ch
 
 
 magnitude = st.one_of(st.floats(0.0, 1e6),
@@ -506,8 +543,7 @@ def test_corner_bound_covers_every_key_fraction(case, etas):
 def test_key_splitting_sweep_evaluates_few_key_fractions():
     ch = ChannelParams(1, 1, 0.8, 100, 100, rk=1.0)
     grid = GridSpec()
-    with mock.patch.object(schemes, "_key_splitting_eta",
-                           wraps=_key_splitting_eta) as spy:
+    with _spy("_key_splitting_eta") as spy:
         sweep_region(ch, "key_splitting", grid)
     pairs = sum(np.broadcast(call.args[1][0], call.args[2]).size
                 for call in spy.call_args_list)
@@ -524,7 +560,7 @@ def _whole_grid_terms(ch, scheme, grid):
     (lambda2, beta2) columns, each lambda-major; beta1 x beta2 unlayered."""
     if scheme in ("key_as_wiretap", "one_time_pad"):
         return np.broadcast_arrays(*_unlayered_terms(
-            ch, np.linspace(0.0, 1.0, grid.n_beta1)[:, None],
+            ch, 1.0, 1.0, np.linspace(0.0, 1.0, grid.n_beta1)[:, None],
             np.linspace(0.0, 1.0, grid.n_beta2)[None, :]))
     whole = np.broadcast_arrays(*_key_splitting_base(
         ch, *_axes(ch, scheme, grid)[:4]))
@@ -572,8 +608,17 @@ def _assert_shared_pass_is_exact(ch, grid):
                     for rk in RKS], scheme
 
 
+@contextlib.contextmanager
 def _spy(name):
-    return mock.patch.object(schemes, name, wraps=getattr(schemes, name))
+    """A mock wrapping the schemes function `name`, put wherever the sweeps
+    look it up: the module attribute and every VARIANTS row holding it."""
+    fn = getattr(schemes, name)
+    with mock.patch.object(schemes, name, wraps=fn) as spy, \
+            mock.patch.dict(VARIANTS, {
+                scheme: row._replace(**{field: spy for field in row._fields
+                                        if getattr(row, field) is fn})
+                for scheme, row in VARIANTS.items()}):
+        yield spy
 
 
 def test_base_is_reused_across_key_rates_and_schemes():
@@ -615,7 +660,7 @@ def test_base_is_reused_across_key_rates_and_schemes():
             assert split(zip(*built)) == sorted(want), (chunk, sweep)
             # key_as_wiretap and one_time_pad share the other, beta1 rows;
             # the sum rates need only the largest beta1
-            rows = np.concatenate([c.args[1].ravel()
+            rows = np.concatenate([c.args[3].ravel()
                                    for c in unlayered.call_args_list])
             assert sorted(rows) == (list(axis) if sweep is sweep_regions
                                     else [1.0]), (chunk, sweep)
