@@ -16,9 +16,7 @@ from .bounds import (OuterBounds, composite_outer_region,
 from .channel import (ChannelParams, DomainError, SchemeParams,
                       classify_regime, db_to_linear, snr_inr)
 from .gdof import (ConvergenceReport, GdofParams, gdof_convergence_check,
-                   gdof_region, key_splitting_gdof, key_wc_gdof,
-                   key_wc_gdof_components, no_secrecy_gdof, otp_gdof,
-                   otp_gdof_components, rate_splitting_gdof)
+                   gdof_region, no_secrecy_gdof)
 from .geometry import (GEOM_TOL, REGION_TOL, Region, UnboundedRegionError,
                        containment_margin, contains, distance_to_region,
                        hull, intersect_halfplanes, max_y_at_x, pareto_filter,
@@ -44,9 +42,7 @@ __all__ = [
     "r2_sum_component", "r2_outer_high", "nonsecrecy_sum_bound",
     "composite_outer_region", "outer_max_sum",
     "GdofParams", "ConvergenceReport",
-    "gdof_region", "key_splitting_gdof", "rate_splitting_gdof",
-    "key_wc_gdof", "key_wc_gdof_components", "otp_gdof",
-    "otp_gdof_components", "no_secrecy_gdof", "gdof_convergence_check",
+    "gdof_region", "no_secrecy_gdof", "gdof_convergence_check",
     "load_config", "build_channel", "build_grid",
     "run_battery", "render_report", "REPORT_SCHEMA", "INVARIANTS",
 ]

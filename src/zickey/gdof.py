@@ -1,5 +1,5 @@
-"""Secure generalized-degrees-of-freedom (GDOF) regions and their
-finite-power convergence check.
+"""Secure generalized-degrees-of-freedom (GDOF) regions, each the hull of
+the gdof caps of a VARIANTS row, and their finite-power convergence check.
 
 Axes are normalized rates d_i = R_i / (0.5*log2(snr)). The interference
 exponent alpha = log(inr)/log(snr) and the normalized key rate
@@ -10,7 +10,7 @@ alpha <= 1 (cross link no stronger than the direct links) is supported.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,72 +37,23 @@ class GdofParams:
                                as_real(name, getattr(self, name), 0.0, hi))
 
 
-def _check_alpha(gp: GdofParams):
-    if gp.alpha > 1.0:
-        raise DomainError("alpha > 1 (cross link stronger than direct links) "
-                          "is outside the supported regime")
-
-
-def key_splitting_gdof(gp: GdofParams) -> Region:
-    """GDOF polytope of the key-splitting scheme (no artificial noise)."""
-    _check_alpha(gp)
-    d2 = min(gp.alpha, gp.eta * gp.gamma) + 1.0 - gp.alpha
-    return _pentagon(1.0, d2, 2.0 - gp.alpha)
-
-
-def rate_splitting_gdof(gp: GdofParams) -> Region:
-    """Key-splitting GDOF polytope with the whole key on the common layer."""
-    return key_splitting_gdof(replace(gp, eta=1.0))
-
-
-def _pentagon(d1: float, d2: float, dsum: float = math.inf) -> Region:
-    return hull(polygon_points(d1, d2, dsum))
-
-
-def key_wc_gdof_components(gp: GdofParams) -> tuple[Region, Region]:
-    """The two power-allocation boxes whose hull is the wiretap GDOF region.
-
-    Box 1 spends full power on the private layer; box 2 backs the private
-    power off to the cross-link noise floor.
-    """
-    _check_alpha(gp)
-    return (_pentagon(1.0 - gp.alpha, min(1.0, 1.0 - gp.alpha + gp.gamma)),
-            _pentagon(1.0, 1.0 - gp.alpha))
-
-
-def key_wc_gdof(gp: GdofParams) -> Region:
-    """GDOF region when the key only enlarges the wiretap code."""
-    return hull(key_wc_gdof_components(gp))
-
-
-def otp_gdof_components(gp: GdofParams) -> tuple[Region, Region]:
-    """The two power-allocation boxes whose hull is the one-time-pad region."""
-    _check_alpha(gp)
-    return (_pentagon(1.0 - gp.alpha, min(gp.gamma, 1.0)),
-            _pentagon(1.0, min(gp.gamma, 1.0 - gp.alpha)))
-
-
-def otp_gdof(gp: GdofParams) -> Region:
-    """GDOF region of the one-time-pad scheme."""
-    return hull(otp_gdof_components(gp))
-
-
 def no_secrecy_gdof(alpha: float) -> Region:
     """Reference GDOF region without any secrecy constraint."""
     if alpha > 1.0:
         raise DomainError("alpha > 1 is outside the supported regime")
-    return _pentagon(1.0, 1.0, 2.0 - alpha)
-
-
-GDOF_REGIONS = dict(zip(SCHEMES, (key_splitting_gdof, rate_splitting_gdof,
-                                   key_wc_gdof, otp_gdof)))
+    return hull(polygon_points(1.0, 1.0, 2.0 - alpha))
 
 
 def gdof_region(gp: GdofParams, scheme: str) -> Region:
-    """Claimed GDOF region of a scheme."""
-    if scheme not in GDOF_REGIONS:
+    """Claimed GDOF region of a scheme: the hull of its row's pentagons."""
+    row = VARIANTS.get(scheme)
+    if row is None or row.gdof is None:
         raise DomainError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    return GDOF_REGIONS[scheme](gp)
+    if gp.alpha > 1.0:
+        raise DomainError("alpha > 1 (cross link stronger than direct links) "
+                          "is outside the supported regime")
+    eta = 1.0 if "eta" in row.pins else gp.eta
+    return hull(polygon_points(*row.gdof(gp.alpha, gp.gamma, eta)))
 
 
 @dataclass(frozen=True)

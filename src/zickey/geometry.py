@@ -164,7 +164,11 @@ def hull(items) -> Region:
     if np.any(pts < -REGION_TOL):
         raise ValueError("hull input must lie in the first quadrant")
     # + 0.0 folds -0.0 into 0.0 and leaves every other value alone
-    front = pareto_filter(np.maximum(pts, 0.0) + 0.0).tolist()
+    front = pareto_filter(np.maximum(pts, 0.0) + 0.0)
+    # the walk runs on the front times 2**-e, exact and about 1 wide for a
+    # region below 1, so that no cross product underflows
+    e = min(0, math.frexp(max(front[0, 0], front[-1, 1]))[1])
+    front = np.ldexp(front, -e).tolist()
     (x0, y0), (xn, yn) = front[0], front[-1]
     if xn > 0.0 and yn > 0.0:
         front.append([0.0, yn])
@@ -176,7 +180,7 @@ def hull(items) -> Region:
     head = [[0.0, 0.0]]
     if x0 > 0.0 and y0 > 0.0:
         head.append([x0, 0.0])
-    v = np.array(head + walk if walk != [[0.0, 0.0]] else head)
+    v = np.ldexp(np.array(head + walk if walk != [[0.0, 0.0]] else head), e)
     return Region(vertices=v, halfplanes=_planes_from_vertices(v))
 
 
@@ -260,18 +264,21 @@ def distance_to_region(region: Region, point) -> float:
     v = region.vertices
     if len(v) == 1:
         return math.hypot(x - v[0, 0], y - v[0, 1])
-    # degenerate edges, relative to a region's scale below 1, are skipped
-    short = GEOM_TOL * min(1.0, max(region.max_x, region.max_y))**2
+    # t is found on edges times 2**-e, as in hull; degenerate edges,
+    # relative to a region's scale below 1, are skipped
+    scale = max(region.max_x, region.max_y)
+    e = min(0, math.frexp(scale)[1])
+    short = GEOM_TOL * math.ldexp(min(1.0, scale), -e)**2
     best = math.inf
-    n = len(v)
-    for i in range(n):
-        x0, y0 = v[i]
-        x1, y1 = v[(i + 1) % n]
+    pts = v.tolist()
+    for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1]):
         dx, dy = x1 - x0, y1 - y0
-        den = dx * dx + dy * dy
+        sx, sy = math.ldexp(dx, -e), math.ldexp(dy, -e)
+        den = sx * sx + sy * sy
         if den <= short:
             continue
-        t = max(0.0, min(1.0, ((x - x0) * dx + (y - y0) * dy) / den))
+        t = math.ldexp(((x - x0) * sx + (y - y0) * sy) / den, -e)
+        t = max(0.0, min(1.0, t))
         best = min(best, math.hypot(x - (x0 + t * dx), y - (y0 + t * dy)))
     return best
 

@@ -33,7 +33,6 @@ import numpy as np
 from .channel import ChannelParams, DomainError, SchemeParams, _c
 from .geometry import Region, hull, pareto_filter, staircase
 
-SCHEMES = ("key_splitting", "rate_splitting", "key_as_wiretap", "one_time_pad")
 # caps are built and evaluated in blocks of whole rows (user 1's power
 # splits) of about CHUNK polygons, so that a block's temporaries stay in
 # cache and no array spans the whole grid
@@ -151,31 +150,54 @@ def _otp_clip(ch, terms, eta):
     return r1, np.minimum(ch.rk, cap2), math.inf
 
 
+def _layered_gdof(alpha, gamma, eta):
+    """Key-splitting GDOF caps (d1, d2, sum) of one pentagon."""
+    return 1.0, min(alpha, eta * gamma) + 1.0 - alpha, 2.0 - alpha
+
+
+def _wiretap_gdof(alpha, gamma, eta):
+    """Key-as-wiretap GDOF caps of two boxes, one tuple per cap: full
+    private power, and private power at the cross-link noise floor."""
+    return ((1.0 - alpha, 1.0), (min(1.0, 1.0 - alpha + gamma), 1.0 - alpha),
+            math.inf)
+
+
+def _otp_gdof(alpha, gamma, eta):
+    """One-time-pad GDOF caps of two boxes, one tuple per cap."""
+    return (1.0 - alpha, 1.0), (min(gamma, 1.0), min(gamma, 1.0 - alpha)), math.inf
+
+
 class Scheme(NamedTuple):
     """A row of VARIANTS: terms(ch, lambda1, lambda2, beta1, beta2) are the
     eta-free terms of broadcastable parameters, clip(ch, terms, eta) their
     (r1, r2, sum) caps; pins are the axes held at 1; weak_only schemes are
-    claimed only while the cross link does not dominate (inr1 <= snr2)."""
+    claimed only while the cross link does not dominate (inr1 <= snr2);
+    gdof(alpha, gamma, eta) gives the (d1, d2, sum) caps of the pentagons
+    whose hull is the claimed GDOF region, or is None without a claim."""
 
     terms: Callable
     clip: Callable
     pins: tuple
     weak_only: bool
+    gdof: Callable | None
 
 
+_KEY_SPLITTING = (_key_splitting_base, _key_splitting_eta)
 _UNLAYERED = ("lambda1", "lambda2", "eta")
 # every scheme name the sweeps take, in the order of the command line's
 # output columns; rate_splitting is key_splitting with the whole key on the
 # common layer, and rate_splitting_no_an also sends no artificial noise
 VARIANTS = {
-    "key_splitting": Scheme(_key_splitting_base, _key_splitting_eta, (), False),
-    "rate_splitting": Scheme(_key_splitting_base, _key_splitting_eta,
-                             ("eta",), False),
-    "rate_splitting_no_an": Scheme(_key_splitting_base, _key_splitting_eta,
-                                   ("eta", "lambda1"), True),
-    "key_as_wiretap": Scheme(_unlayered_terms, _wiretap_clip, _UNLAYERED, True),
-    "one_time_pad": Scheme(_unlayered_terms, _otp_clip, _UNLAYERED, False),
+    "key_splitting": Scheme(*_KEY_SPLITTING, (), False, _layered_gdof),
+    "rate_splitting": Scheme(*_KEY_SPLITTING, ("eta",), False, _layered_gdof),
+    "rate_splitting_no_an": Scheme(*_KEY_SPLITTING, ("eta", "lambda1"), True, None),
+    "key_as_wiretap": Scheme(_unlayered_terms, _wiretap_clip, _UNLAYERED, True,
+                             _wiretap_gdof),
+    "one_time_pad": Scheme(_unlayered_terms, _otp_clip, _UNLAYERED, False,
+                           _otp_gdof),
 }
+# the schemes with a GDOF claim, in VARIANTS order
+SCHEMES = tuple(name for name, row in VARIANTS.items() if row.gdof)
 
 
 def _row(scheme) -> Scheme:

@@ -19,7 +19,7 @@ from .bounds import composite_outer_region, r2_outer_high, sum_rate_outer, \
     evaluate_outer_bounds
 from .channel import ChannelParams, SchemeParams, classify_regime, snr_inr
 from .gdof import GAP_TOL, GdofParams, gdof_convergence_check, gdof_region, \
-    key_splitting_gdof, no_secrecy_gdof, rate_splitting_gdof
+    no_secrecy_gdof
 from .geometry import REGION_TOL, containment_margin, hull, \
     intersect_halfplanes, subset_of
 from .schemes import GridSpec, SCHEMES, polygon_points, scheme_point, \
@@ -224,8 +224,8 @@ def _inv_gdof_eta1_matches_rate_split(rng, corrupt):
     for _ in range(3):
         gp = GdofParams(alpha=float(rng.uniform(0.0, 1.0)),
                         gamma=float(rng.uniform(0.0, 1.5)), eta=1.0)
-        a = key_splitting_gdof(gp)
-        b = rate_splitting_gdof(gp)
+        a = gdof_region(gp, "key_splitting")
+        b = gdof_region(gp, "rate_splitting")
         ok = np.array_equal(a.vertices, b.vertices)
         rows.append(_row(f"alpha={gp.alpha:.4g} gamma={gp.gamma:.4g}",
                          0.0 if ok else -1.0))
@@ -239,8 +239,8 @@ def _inv_gdof_eta0_sum_face_redundant(rng, corrupt):
     for _ in range(2):
         alpha = float(rng.uniform(0.0, 0.95))
         gp = GdofParams(alpha=alpha, gamma=float(rng.uniform(0.2, 1.5)), eta=0.0)
-        got = key_splitting_gdof(gp)
-        box = intersect_halfplanes([(1.0, 0.0, 1.0), (0.0, 1.0, 1.0 - alpha)])
+        got = gdof_region(gp, "key_splitting")
+        box = hull(polygon_points(1.0, 1.0 - alpha, np.inf))
         m = max(containment_margin(box, got.vertices),
                 containment_margin(got, box.vertices))
         rows.append(_row(f"alpha={alpha:.4g} gamma={gp.gamma:.4g}",

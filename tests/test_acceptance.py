@@ -18,9 +18,9 @@ import numpy as np
 import oracle
 from zickey import (ChannelParams, GdofParams, GridSpec, SchemeParams,
                     composite_outer_region, gdof_convergence_check,
-                    intersect_halfplanes, key_splitting_gdof, max_y_at_x,
-                    no_secrecy_gdof, r2_outer_high, rate_splitting_gdof,
-                    scheme_point, subset_of, sum_rate_outer, sweep_region)
+                    gdof_region, intersect_halfplanes, max_y_at_x,
+                    no_secrecy_gdof, r2_outer_high, scheme_point, subset_of,
+                    sum_rate_outer, sweep_region)
 from zickey.cli import main
 
 
@@ -156,8 +156,8 @@ def test_criterion_3_exact_reductions():
     # (d) eta=1 key-splitting GDOF equals the rate-splitting GDOF region
     for alpha in (0.0, 0.25, 0.6, 1.0):
         for gamma in (0.0, 0.3, 0.9, 1.4):
-            ks = key_splitting_gdof(GdofParams(alpha, gamma, eta=1.0))
-            rs = rate_splitting_gdof(GdofParams(alpha, gamma, eta=0.4))
+            ks = gdof_region(GdofParams(alpha, gamma, eta=1.0), "key_splitting")
+            rs = gdof_region(GdofParams(alpha, gamma, eta=0.4), "rate_splitting")
             if not np.array_equal(ks.vertices, rs.vertices):
                 failures.append(f"gdof vertex lists differ at a={alpha} g={gamma}")
 
@@ -169,7 +169,7 @@ def test_criterion_4_gdof_redundancy_and_optimality():
     # eta=0: the sum face never binds
     for alpha in (0.1, 0.4, 0.7, 1.0):
         gp = GdofParams(alpha=alpha, gamma=0.8, eta=0.0)
-        full = key_splitting_gdof(gp)
+        full = gdof_region(gp, "key_splitting")
         trimmed = intersect_halfplanes(
             [(1.0, 0.0, 1.0), (0.0, 1.0, 1.0 - alpha)])
         # mutual containment at 1e-12; vertex lists may differ by an
@@ -180,7 +180,8 @@ def test_criterion_4_gdof_redundancy_and_optimality():
             failures.append(f"eta=0 sum face binds at alpha={alpha}")
     # saturated key: the region equals the no-secrecy reference polytope
     for alpha in (0.3, 0.8):
-        ks = key_splitting_gdof(GdofParams(alpha=alpha, gamma=alpha, eta=1.0))
+        ks = gdof_region(GdofParams(alpha=alpha, gamma=alpha, eta=1.0),
+                         "key_splitting")
         ref = no_secrecy_gdof(alpha)
         same = (subset_of(ks, ref, tol=1e-12) and subset_of(ref, ks, tol=1e-12)
                 and np.allclose(ks.vertices, ref.vertices, atol=1e-12))

@@ -389,6 +389,9 @@ def test_gdof_scheme_selection_and_domain(tmp_path):
                  "--out-dir", str(out)]) == 3
     # missing required parameter
     assert main(["gdof", "--alpha", "0.5", "--out-dir", str(out)]) == 2
+    # a scheme without a GDOF claim
+    assert main(["gdof", "--alpha", "0.5", "--gamma", "0.1",
+                 "--schemes", "rate_splitting_no_an", "--out-dir", str(out)]) == 2
 
 
 def test_verify_passes_and_matches_schema(tmp_path, capsys):

@@ -298,11 +298,12 @@ def test_distance_to_region():
     assert distance_to_region(square, (2.0, 2.0)) == pytest.approx(math.sqrt(2), abs=1e-12)
 
 
-@pytest.mark.parametrize("s", [1.0, 1e-5, 1e-7, 1e-12])
+@pytest.mark.parametrize("s", [1.0, 1e-5, 1e-7, 1e-12, 1e-200, 1e-300])
 def test_distance_to_small_region_scales_with_it(s):
     # the nearest point of the hull to (2s, 2s) is (3s/4, 3s/4), the middle
     # of its edge from (s, s/2) to (s/2, s)
     region = hull([(s, s / 2), (s / 2, s)])
+    assert len(region.vertices) == 5  # no corner lost to an underflow
     want = math.hypot(1.25 * s, 1.25 * s)
     assert distance_to_region(region, (2 * s, 2 * s)) == \
         pytest.approx(want, rel=1e-12)
