@@ -165,9 +165,9 @@ def hull(items) -> Region:
         raise ValueError("hull input must lie in the first quadrant")
     # + 0.0 folds -0.0 into 0.0 and leaves every other value alone
     front = pareto_filter(np.maximum(pts, 0.0) + 0.0)
-    # the walk runs on the front times 2**-e, exact and about 1 wide for a
-    # region below 1, so that no cross product underflows
-    e = min(0, math.frexp(max(front[0, 0], front[-1, 1]))[1])
+    # the walk runs on the front times 2**-e, exact and about 1 wide, so
+    # that no cross product underflows or overflows
+    e = math.frexp(max(front[0, 0], front[-1, 1]))[1]
     front = np.ldexp(front, -e).tolist()
     (x0, y0), (xn, yn) = front[0], front[-1]
     if xn > 0.0 and yn > 0.0:
@@ -267,7 +267,7 @@ def distance_to_region(region: Region, point) -> float:
     # t is found on edges times 2**-e, as in hull; degenerate edges,
     # relative to a region's scale below 1, are skipped
     scale = max(region.max_x, region.max_y)
-    e = min(0, math.frexp(scale)[1])
+    e = math.frexp(scale)[1]
     short = GEOM_TOL * math.ldexp(min(1.0, scale), -e)**2
     best = math.inf
     pts = v.tolist()

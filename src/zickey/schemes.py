@@ -37,6 +37,10 @@ from .geometry import Region, hull, pareto_filter, staircase
 # splits) of about CHUNK polygons, so that a block's temporaries stay in
 # cache and no array spans the whole grid
 CHUNK = 32768
+# region sweeps of more than CHUNK // 2 polygons whose terms have a cell
+# bound walk cells of TILE x TILE (lambda1, beta1) index pairs times
+# TILE x TILE (lambda2, beta2) index pairs, in batches of about CHUNK // 2
+TILE = 3
 # max_sum_rate seeds its best sum rate of a block with the polygons of the
 # SEED_POLYGONS largest upper bounds
 SEED_POLYGONS = 16
@@ -95,18 +99,18 @@ def _finite(*caps):
     return caps
 
 
-def _key_splitting_base(ch, lam1, lam2, b1, b2):
-    """The eta-free terms of the key-splitting caps (broadcastable inputs).
+def _key_splitting_powers(ch, lam1, lam2, b1, b2):
+    """(p1m, p1a, p2p, p2c): user 1's message and noise layers, user 2's
+    private and common layers (broadcastable inputs)."""
+    return (lam1 * b1 * ch.p1, (1.0 - lam1) * b1 * ch.p1,
+            lam2 * b2 * ch.p2, (1.0 - lam2) * b2 * ch.p2)
 
-    Returns (r1, common-layer minimum, cap_priv, cap_priv - leak, sum-face
-    log term); _key_splitting_eta adds the key clips.
-    """
+
+def _key_splitting_terms(ch, p1m, p1a, p2p, p2c):
+    """(r1, common-layer minimum, cap_priv, leak, sum-face log term) of the
+    layer powers; the sum-face term is inf or nan where the received powers
+    overflow."""
     g11, g22, g21 = ch.h11**2, ch.h22**2, ch.h21**2
-    p1m = lam1 * b1 * ch.p1
-    p1a = (1.0 - lam1) * b1 * ch.p1
-    p2p = lam2 * b2 * ch.p2
-    p2c = (1.0 - lam2) * b2 * ch.p2
-    # sums of huge received powers overflow; _finite then raises DomainError
     with np.errstate(over="ignore", invalid="ignore"):
         n1 = 1.0 + g11 * p1a + g21 * p2p
         r1 = _c(g11 * p1m / n1)
@@ -115,8 +119,46 @@ def _key_splitting_base(ch, lam1, lam2, b1, b2):
                             _c(g22 * p2c / (1.0 + g22 * p2p)))
         cap_priv = _c(g22 * p2p)
         rsum = _c((g11 * p1m + g21 * p2c) / n1)
-        slack = cap_priv - leak
-    return _finite(r1, common, cap_priv, slack, rsum)
+    return r1, common, cap_priv, leak, rsum
+
+
+def _key_splitting_base(ch, lam1, lam2, b1, b2):
+    """The eta-free terms of the key-splitting caps (broadcastable inputs).
+
+    Returns (r1, common-layer minimum, cap_priv, cap_priv - leak, sum-face
+    log term); _key_splitting_eta adds the key clips.
+    """
+    r1, common, cap_priv, leak, rsum = _key_splitting_terms(
+        ch, *_key_splitting_powers(ch, lam1, lam2, b1, b2))
+    # sums of huge received powers overflow; _finite then raises DomainError
+    return _finite(r1, common, cap_priv, cap_priv - leak, rsum)
+
+
+def _key_splitting_cells(ch, rows, cols, starts):
+    """Bounds on the key-splitting terms of every cell of power splits.
+
+    rows and cols are user 1's (lambda1, beta1) and user 2's (lambda2,
+    beta2) pairs, grouped in tiles that begin at starts = (row starts,
+    column starts); a cell is a row tile times a column tile, row tile
+    major. Per cell: the five terms of _key_splitting_base, each at least
+    that of every polygon of the cell, and a slack at most theirs. Each
+    term is taken where the layer powers favour it (see _groups).
+    """
+    (l1, b1), (l2, b2) = rows, cols
+    p1m, p1a, p2p, p2c = _key_splitting_powers(ch, l1[:, None], l2[None],
+                                               b1[:, None], b2[None])
+
+    def span(v, axis):  # least and largest per tile of rows (0) or columns
+        return [f.reduceat(v, starts[axis], axis) for f in (np.minimum,
+                                                            np.maximum)]
+
+    (_, m1), (a1, a1_hi), (p2, p2_hi), (_, c2) = (
+        span(p1m, 0), span(p1a, 0), span(p2p, 1), span(p2c, 1))
+    r1, common, cap_lo, _, rsum = _key_splitting_terms(ch, m1, a1, p2, c2)
+    _, _, cap_hi, leak_hi, _ = _key_splitting_terms(ch, m1, a1, p2_hi, c2)
+    leak_lo = _key_splitting_terms(ch, m1, a1_hi, p2, c2)[3]
+    return [b.ravel() for b in np.broadcast_arrays(
+        r1, common, cap_hi, cap_hi - leak_lo, rsum, cap_lo - leak_hi)]
 
 
 def _key_splitting_eta(ch, base, eta):
@@ -183,6 +225,8 @@ class Scheme(NamedTuple):
 
 
 _KEY_SPLITTING = (_key_splitting_base, _key_splitting_eta)
+# the cell bound of each terms function that has one (see _walk)
+_CELL_BOUNDS = {_key_splitting_base: _key_splitting_cells}
 _UNLAYERED = ("lambda1", "lambda2", "eta")
 # every scheme name the sweeps take, in the order of the command line's
 # output columns; rate_splitting is key_splitting with the whole key on the
@@ -289,21 +333,18 @@ def _undominated(shared, own):
     return np.sort(order[np.unique(shared[order], return_index=True)[1]])
 
 
-def _blocks(ch, schemes, grid, undominated=False):
-    """(scheme, clip, eta values, block) per row block of each scheme's grid.
-
-    A block holds the eta-free terms of polygons as flat arrays, built just
-    before use, so that no array spans the grid; clip(ch, polygons of
-    terms, eta) gives their (r1, r2, sum) caps at key fraction eta, or at
-    each of a column of key fractions. Schemes with the same terms on the
-    same axes share their blocks: each block is built once and yielded for
-    every member.
+def _groups(ch, schemes, grid, undominated=False):
+    """(terms, rows, cols, members) per group of schemes with the same terms
+    on the same power splits; members holds (scheme, clip, eta values).
 
     The polygons are rows x columns: user 1's (lambda1, beta1) pairs times
-    user 2's (lambda2, beta2) pairs, a pinned lambda being 1. The scheme's
-    terms(ch, L1[rows, None], L2[None], B1[rows, None], B2[None]) is the
-    elementwise expression of the 4-D mesh, so each polygon's terms are
-    the same floats in any layout.
+    user 2's (lambda2, beta2) pairs, each lambda-major, a pinned lambda
+    being 1. The scheme's terms(ch, L1[rows, None], L2[None],
+    B1[rows, None], B2[None]) is the elementwise expression of the 4-D
+    mesh, so each polygon's terms are the same floats in any layout, in
+    row blocks (_blocks) or in cells (_walk); clip(ch, polygons of terms,
+    eta) gives their (r1, r2, sum) caps at key fraction eta, or at each of
+    a column of key fractions.
 
     With `undominated`, only the pairs no other pair beats on the sum rate
     are kept: per distinct p1a = (1 - lambda1) beta1 p1, the one with the
@@ -314,7 +355,7 @@ def _blocks(ch, schemes, grid, undominated=False):
     monotonically (for _c, test_channel.py's
     test_capacity_term_is_nondecreasing_over_adjacent_floats checks it
     on numpy's log2). So at equal p1a and p2p the caps and
-    min(rsum + term_p, r1 + r2) never fall as p1m or p2c grow, at every
+    min(rsum + term_p, r1 + r2) never fall as p1m or p2c grows, at every
     key fraction and key rate, and the largest sum rate is the same float.
     The unlayered schemes pin lambda1 = lambda2 = 1: p1a = 0 for every
     pair, so the largest beta1 is kept (q1 = p1m enters only r1), and each
@@ -324,6 +365,22 @@ def _blocks(ch, schemes, grid, undominated=False):
     g11 p1m + g21 p2c overflows to +inf (h**2 p is finite for every power
     that reaches here); the kept pair's sum then overflows too, and both
     grids raise the same DomainError.
+
+    The same steps bound a cell of pairs (_key_splitting_cells). r1,
+    common and rsum never fall as p1m or p2c grows, nor rise as p1a or p2p
+    grows; cap_priv never falls as p2p grows; leak never falls as p2p
+    grows, nor rises as p1a grows. So r1, common and rsum at the cell's
+    largest p1m and p2c and least p1a and p2p, cap_priv at its largest
+    p2p, and that cap_priv less leak at the largest p1a and least p2p are
+    each at least the term of every polygon of the cell, to the bit, and
+    cap_priv at the least p2p less leak at the least p1a and largest p2p
+    is at most every slack. The key clips and the corners' min(r1, sum)
+    and min(r2, sum) are monotone in the terms too, so at one key fraction
+    the cell's caps bound both corners of its every polygon, and at
+    several _key_bound's formulas do, with the margin of the cells'
+    largest terms and |slack|. Where a polygon's rsum overflows, so does
+    the cell's (a larger g11 p1m + g21 p2c over a smaller noise), and a
+    cell with a non-finite bound is always built.
     """
     groups = {}
     for scheme in schemes:
@@ -341,13 +398,94 @@ def _blocks(ch, schemes, grid, undominated=False):
         key = (row.terms, *(a.tobytes() for a in (*rows, *cols)))
         groups.setdefault(key, (row.terms, rows, cols, []))[3].append(
             (scheme, row.clip, etas))
-    for terms, rows, cols, members in groups.values():
-        for r in _row_blocks((len(rows[0]), len(cols[0]))):
-            args = [a for u1, u2 in zip(rows, cols)
-                    for a in (u1[r, None], u2[None])]
-            block = [b.ravel() for b in np.broadcast_arrays(*terms(ch, *args))]
-            for scheme, clip, etas in members:
-                yield scheme, clip, etas, block
+    return groups.values()
+
+
+def _blocks(ch, terms, rows, cols):
+    """The terms of a group's polygons (see _groups) as flat arrays, one
+    row block (_row_blocks) at a time, each built just before use so that
+    no array spans the grid."""
+    for r in _row_blocks((len(rows[0]), len(cols[0]))):
+        args = [a for u1, u2 in zip(rows, cols)
+                for a in (u1[r, None], u2[None])]
+        yield [b.ravel() for b in np.broadcast_arrays(*terms(ch, *args))]
+
+
+def _tiles(lam, beta):
+    """The order that groups (lambda, beta) pairs into tiles of TILE x TILE
+    of their distinct values' indices, and where each tile begins in it."""
+    i, j = (np.unique(a, return_inverse=True)[1] // TILE for a in (lam, beta))
+    tile = i * (j.max() + 1) + j
+    order = np.argsort(tile, kind="stable")
+    return order, np.flatnonzero(np.diff(tile[order], prepend=-1))
+
+
+def _cell_pairs(s1, k1, s2, k2):
+    """Row and column indices of every polygon of cells whose row tiles
+    begin at s1 and hold k1 rows, and whose column tiles begin at s2 and
+    hold k2 columns."""
+    n = k1 * k2
+    at = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+    width = np.repeat(k2, n)
+    return np.repeat(s1, n) + at // width, np.repeat(s2, n) + at % width
+
+
+def _cell_corners(ch, clip, etas, base, slack_lo):
+    """(ax, by): per cell of bounds base and slack_lo, at least min(r1, sum)
+    and min(r2, sum) of each of its polygons at every key fraction of
+    etas; the clip itself at one key fraction, _key_bound's at several."""
+    if len(etas) > 1:
+        top, r2max, margin = _key_bound(ch.rk, base, slack_lo)
+        return (np.minimum(base[0], top) + margin,
+                np.minimum(r2max, top) + margin)
+    r1, r2, rsum = clip(ch, base, etas[0])
+    return np.minimum(r1, rsum), np.minimum(r2, rsum)
+
+
+def _walk(ch, bound, terms, rows, cols, members, fronts):
+    """Each member's polygons merged into its front in fronts, cell by cell.
+
+    A cell is a tile of rows times a tile of columns (_tiles); bound gives
+    per cell the terms no polygon of it exceeds and the least slack (see
+    _groups). From them each member bounds both corners of every polygon
+    of a cell, ax for min(r1, sum) and by for min(r2, sum)
+    (_cell_corners). The cells go largest ax + by first: the best cell
+    alone, then batches of about CHUNK // 2 polygons. Before each batch a
+    cell goes when a front point in a strictly higher bucket than its ax
+    has a y of at least its by, as in _add_block: that point dominates
+    both corners of every polygon of the cell. The kept cells' polygons
+    are built and pass _add_block, so the front is the Pareto set of every
+    corner, to the bit. A cell with a non-finite bound goes first and is
+    never dropped, so an overflowing sum raises DomainError as it does on
+    the whole grid.
+    """
+    (o1, s1), (o2, s2) = _tiles(*rows), _tiles(*cols)
+    rows, cols = [a[o1] for a in rows], [a[o2] for a in cols]
+    *base, slack_lo = bound(ch, rows, cols, (s1, s2))
+    wild = ~np.logical_and.reduce([np.isfinite(b) for b in base])
+    k1, k2 = np.diff(s1, append=len(o1)), np.diff(s2, append=len(o2))
+    size = np.outer(k1, k2).ravel()  # polygons per cell
+    for scheme, clip, etas in members:
+        ax, by = _cell_corners(ch, clip, etas, base, slack_lo)
+        ax[wild] = by[wild] = math.inf
+        todo = np.argsort(-(ax + by), kind="stable")
+        front = fronts[scheme]
+        while True:
+            if len(front):  # a cell goes only where this holds, never on nan
+                todo = todo[~(by[todo] <= staircase(front, ax[todo]))]
+            if not todo.size:
+                break
+            # the best cell alone meets an empty front; no batch holds more
+            # than budget + 1 cells
+            budget = CHUNK // 2 if len(front) else 0
+            n = max(1, int(np.searchsorted(np.cumsum(size[todo[:budget + 1]]),
+                                           budget, side="right")))
+            t1, t2 = np.divmod(todo[:n], len(k2))
+            r, c = _cell_pairs(s1[t1], k1[t1], s2[t2], k2[t2])
+            block = terms(ch, rows[0][r], cols[0][c], rows[1][r], cols[1][c])
+            front = _add_block(ch, clip, etas, block, front)
+            todo = todo[n:]
+        fronts[scheme] = front
 
 
 def _caps(ch, clip, etas, polygons, pairs):
@@ -361,9 +499,10 @@ def _caps(ch, clip, etas, polygons, pairs):
 def _add_block(ch, clip, etas, block, front):
     """The Pareto front of `front` and the corners of a block's polygons.
 
-    With several key fractions and a front, the block is first bounded over
-    all of them at once; only the polygons whose bounded corners no front
-    point matches are evaluated.
+    A block is the terms of a row block (_blocks) or of a batch of cells
+    (_walk). With several key fractions and a front, the block is first
+    bounded over all of them at once; only the polygons whose bounded
+    corners no front point matches are evaluated.
     """
     polygons = block
     if len(etas) > 1 and len(front):
@@ -398,9 +537,14 @@ def sweep_regions(ch: ChannelParams, schemes,
     product of the scheme's free parameter axes, a swept lambda2 with its
     noise-floor sample; pinned axes (the row's pins, and full_power's)
     contribute a single point.
-    Deterministic for identical inputs. Each row block of terms is built
-    once and feeds the running Pareto front of every scheme that shares
-    it; the front is the same, to the bit, as one swept scheme by scheme.
+    Deterministic for identical inputs. A group of schemes that share
+    their terms (see _groups) is built in row blocks, each built once and
+    fed to the running Pareto front of every member; a group of more than
+    CHUNK // 2 polygons whose terms have a cell bound is walked instead,
+    each member building only the cells its front does not already
+    dominate (_walk). Either way the front is the Pareto set of every
+    corner of every polygon, the same to the bit as one swept scheme by
+    scheme.
     """
     grid = grid or GridSpec()
     # the warning points at the first caller outside this module
@@ -416,8 +560,15 @@ def sweep_regions(ch: ChannelParams, schemes,
                               stacklevel=level)
     # Pareto set of every corner so far, per scheme
     fronts = {scheme: np.empty((0, 2)) for scheme in schemes}
-    for scheme, clip, etas, block in _blocks(ch, schemes, grid):
-        fronts[scheme] = _add_block(ch, clip, etas, block, fronts[scheme])
+    for terms, rows, cols, members in _groups(ch, schemes, grid):
+        bound = _CELL_BOUNDS.get(terms)
+        if bound and len(rows[0]) * len(cols[0]) > CHUNK // 2:
+            _walk(ch, bound, terms, rows, cols, members, fronts)
+        else:
+            for block in _blocks(ch, terms, rows, cols):
+                for scheme, clip, etas in members:
+                    fronts[scheme] = _add_block(ch, clip, etas, block,
+                                                fronts[scheme])
     # hull adds the axis corners back as projections of the other two
     return {scheme: hull(fronts[scheme]) for scheme in schemes}
 
@@ -428,10 +579,11 @@ def sweep_region(ch: ChannelParams, scheme: str,
     return sweep_regions(ch, [scheme], grid)[scheme]
 
 
-def _key_bound(rk, base):
+def _key_bound(rk, base, slack_lo=None):
     """(top, r2max, margin): per polygon of base, its sum cap never exceeds
     top, nor its r2 cap r2max + margin, at any key fraction; margin is one
-    number for the whole block.
+    number for the whole block. slack_lo, where given, is at most every
+    slack the margin must cover (the least slacks of cells).
 
     term_p never exceeds tpmax = max(0, min(cap_priv, slack + rk)), to the
     bit, as every step rounds monotonically; so the sum cap never exceeds
@@ -447,7 +599,8 @@ def _key_bound(rk, base):
     r2max = np.minimum(common + tpmax,
                        np.maximum(reach, np.minimum(common, rk)))
     scale = float((r1 + r2max).max()) + rk
-    scale += max(float(slack.max()), -float(slack.min()))
+    low = slack if slack_lo is None else slack_lo
+    scale += max(float(slack.max()), -float(low.min()))
     return rsum + tpmax, r2max, 8.0 * math.ulp(scale)
 
 
@@ -456,7 +609,7 @@ def max_sum_rates(ch: ChannelParams, schemes, grid: GridSpec | None,
     """{scheme: [largest R1 + R2 on the grid at each key rate of rks]}.
 
     A scheme is any name in VARIANTS; the channel's own rk is not read.
-    Only the power splits no other split beats are built (see _blocks).
+    Only the power splits no other split beats are built (see _groups).
     Each row block of terms is built once and serves every scheme that
     shares it, at every key rate. With several key fractions, a block is
     first bounded over all of them at once; only polygons whose bound
@@ -466,10 +619,12 @@ def max_sum_rates(ch: ChannelParams, schemes, grid: GridSpec | None,
     """
     chs = [replace(ch, rk=rk) for rk in rks]
     best = {scheme: [0.0] * len(chs) for scheme in schemes}
-    for scheme, clip, etas, block in _blocks(ch, schemes, grid or GridSpec(),
-                                             undominated=True):
-        best[scheme] = [_best_in_block(c, clip, etas, block, b)
-                        for c, b in zip(chs, best[scheme])]
+    for terms, rows, cols, members in _groups(ch, schemes, grid or GridSpec(),
+                                              undominated=True):
+        for block in _blocks(ch, terms, rows, cols):
+            for scheme, clip, etas in members:
+                best[scheme] = [_best_in_block(c, clip, etas, block, b)
+                                for c, b in zip(chs, best[scheme])]
     return best
 
 

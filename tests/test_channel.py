@@ -122,7 +122,7 @@ def test_db_conversion():
 def test_capacity_term_is_nondecreasing_over_adjacent_floats(x0):
     # the sum-rate sweep drops the power splits another split dominates;
     # that is exact only while _c never falls as its input grows (see
-    # schemes._blocks)
+    # schemes._groups)
     bits = int(np.array(x0).view(np.int64))
     x = np.arange(max(0, bits - 100_000), bits + 100_000).view(np.float64)
     assert np.all(np.diff(x) > 0)  # every float of the range, in order

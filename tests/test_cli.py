@@ -238,6 +238,19 @@ def test_domain_errors_raise_no_runtime_warnings(tmp_path, capsys, h21, power):
     assert "error:" in capsys.readouterr().err
 
 
+def test_default_grid_overflow_ends_in_the_message_alone(tmp_path, capsys):
+    # the default grid walks cells of power splits; a cell whose sum
+    # overflows is never dropped, so the run ends as on the coarse grid
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["region", "--h11", "1", "--h22", "1", "--h21", "1",
+                     "--p1", "1.5e308", "--p2", "1.5e308", "--rk", "1",
+                     "--out-dir", str(tmp_path)]) == 3
+    assert not caught
+    assert capsys.readouterr().err == \
+        "error: rate caps overflow float64: powers or gains too large\n"
+
+
 def test_config_file_parse_errors(tmp_path):
     out = str(tmp_path)
     bad = [
@@ -431,7 +444,7 @@ def test_huge_grid_exits_3_before_any_sweep(tmp_path, capsys, monkeypatch):
     def unreachable(*args):
         raise AssertionError("the sweep started")
 
-    monkeypatch.setattr(schemes, "_blocks", unreachable)
+    monkeypatch.setattr(schemes, "_groups", unreachable)
     cfg = tmp_path / "huge.cfg"
     cfg.write_text("grid.n_beta2 = 10000000\n")
     for argv in (["region", *WEAK, "--grid", "n_beta2=10000000"],

@@ -309,6 +309,40 @@ def test_distance_to_small_region_scales_with_it(s):
         pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("s", [1e5, 1e154, 1e160, 1e200, 1e300])
+def test_distance_to_large_region_scales_with_it(s):
+    # dx*dx + dy*dy of an edge would overflow above about 1e154
+    region = hull([(s, s / 2), (s / 2, s)])
+    assert len(region.vertices) == 5
+    want = math.hypot(1.25 * s, 1.25 * s)
+    assert distance_to_region(region, (2 * s, 2 * s)) == \
+        pytest.approx(want, rel=1e-12)
+
+
+def test_hull_and_distance_commute_with_powers_of_two():
+    # hull(2**k P) is 2**k hull(P), faces included, and distances scale
+    # alike, wherever no coordinate leaves the normal range
+    rng = np.random.default_rng(9)
+    sets = [rng.random((n, 2)) * rng.uniform(0.5, 4.0)
+            for n in (1, 2, 3, 5, 8, 20, 60) for _ in range(3)]
+    # points inside, and points at least 0.1 outside
+    queries = [rng.random(2) * np.where(rng.random() < 0.3, 0.2, 1.0)
+               + np.where(rng.random() < 0.3, 0.0, p.max(axis=0) + 0.1)
+               for p in sets]
+    regions = [hull(p) for p in sets]
+    dists = [distance_to_region(r, q) for r, q in zip(regions, queries)]
+    assert 0.0 in dists and max(dists) > 0.0
+    for k in [*range(-1000, 1001, 9), 1000]:
+        for pts, region, q, d in zip(sets, regions, queries, dists):
+            got = hull(np.ldexp(pts, k))
+            assert got.vertices.tobytes() == \
+                np.ldexp(region.vertices, k).tobytes(), (k, pts)
+            assert got.halfplanes == tuple(
+                (a, b, math.ldexp(c, k)) for a, b, c in region.halfplanes), k
+            assert distance_to_region(got, np.ldexp(q, k)) == \
+                math.ldexp(d, k), (k, pts, q)
+
+
 @pytest.mark.parametrize("s", [1.0, 1e-5, 1e-12])
 def test_max_y_at_x_tolerance_scales_with_the_region(s):
     # REGION_TOL of slack would let x = 1.5 max_x in at s = 1e-12

@@ -1,14 +1,16 @@
 """The fast sweep against plain brute force, bit for bit.
 
-sweep_region computes the eta-free key-splitting terms one block of whole
-rows at a time, just before the block is used, emits two corners per rate
-polygon, and prefilters large point sets by x buckets before sorting. It
-drops a polygon when its running Pareto front, bucketed by x, already holds
-a point above both its corners. Both sweeps bound each block over every key
-fraction at once: max_sum_rate evaluates only the polygons whose bound
-reaches its best sum rate so far, sweep_region only those whose bounded
-corners no front point matches. sweep_regions and max_sum_rates build each
-block once for every scheme that shares it, at every key rate. Each step is
+sweep_region computes the eta-free key-splitting terms one block at a time,
+just before the block is used, emits two corners per rate polygon, and
+prefilters large point sets by x buckets before sorting. It drops a polygon
+when its running Pareto front, bucketed by x, already holds a point above
+both its corners. Both sweeps bound each block over every key fraction at
+once: max_sum_rate evaluates only the polygons whose bound reaches its best
+sum rate so far, sweep_region only those whose bounded corners no front
+point matches. On large layered grids sweep_region walks cells of power
+splits best bound first and builds only the cells whose bound its front
+does not dominate. sweep_regions and max_sum_rates build each row block
+once for every scheme that shares it, at every key rate. Each step is
 checked here against a literal, unoptimized version of itself kept in this
 file.
 """
@@ -30,8 +32,9 @@ from zickey import (ChannelParams, DomainError, GridSpec, SchemeParams,
 from zickey import geometry, schemes, sweep_region
 from zickey.geometry import hull, pareto_filter, staircase
 from zickey.schemes import (SCHEMES, VARIANTS, _key_bound,
-                            _key_splitting_base, _key_splitting_eta,
-                            _row_blocks, _unlayered_terms, gdof_split_lambda2,
+                            _key_splitting_base, _key_splitting_cells,
+                            _key_splitting_eta, _row_blocks, _tiles,
+                            _unlayered_terms, gdof_split_lambda2,
                             max_sum_rates, sweep_regions)
 
 SHOWCASE = [ChannelParams(1, 1, h21, 100, 100, rk=rk)
@@ -265,8 +268,9 @@ def test_sweep_matches_brute_force_sweep():
 
 
 def test_crowded_sweep_matches_brute_force_row_by_row():
-    # one lambda1 row per block, so that the key-fraction bound runs on
-    # every block but the first, against a crowded front
+    # more polygons than CHUNK // 2: the layered schemes walk cells, in
+    # batches of about one lambda1 row, so that the key-fraction bound runs
+    # on every batch but the first cell, against a crowded front
     grid = GridSpec(n_lambda1=9, n_lambda2=9, n_beta1=9, n_beta2=9)
     with mock.patch.object(schemes, "CHUNK", 10 * 9 * 9):
         for ch in CROWDED:
@@ -279,9 +283,10 @@ ROW17 = 18 * 17 * 17  # polygons in one lambda1 row of GRID17 (gdof split on)
 
 
 @pytest.mark.parametrize("name, value", [
-    ("CHUNK", 1),                 # one row, or one beta1 row, per block
-    ("CHUNK", 5 * ROW17 + 7),     # blocks of 5 rows: 17 rows split 5+5+5+2
-    ("CHUNK", 10**9),             # one block per eta slice
+    # the layered regions walk cells, the rest and the sum rates take rows
+    ("CHUNK", 1),                 # one cell, or one row, per block
+    ("CHUNK", 5 * ROW17 + 7),     # cell batches of 13,008, or 5 rows
+    ("CHUNK", 10**9),             # one row block per group
     ("STAIR_BINS", 1),            # one bucket: the staircase drops nothing
     ("STAIR_BINS", 2),
     ("STAIR_BINS", 7),
@@ -293,6 +298,119 @@ def test_blocked_sweep_matches_brute_force(name, value):
             for scheme in SCHEMES:
                 _assert_matches_brute_force(ch, scheme, GRID17,
                                             _ref_sweep(i, scheme), name, value)
+
+
+NINE = GridSpec(n_lambda1=9, n_lambda2=9, n_beta1=9, n_beta2=9)
+
+
+@functools.lru_cache(maxsize=None)
+def _ref_crowded(i, scheme):
+    """_ref_region of channel i of CROWDED on the 9-point grid, built once."""
+    return _ref_region(CROWDED[i], scheme, NINE)
+
+
+@pytest.mark.parametrize("tile", [1, schemes.TILE, 10**6])
+def test_cell_walk_matches_brute_force(tile):
+    # every polygon its own cell, the default tiles, and one cell spanning
+    # the grid; GRID17's layered groups walk cells, and so does the 9-point
+    # grid of CROWDED once CHUNK // 2 is below its polygon count
+    with mock.patch.object(schemes, "TILE", tile):
+        for i, ch in enumerate(SHOWCASE + EDGE):
+            for scheme in ("key_splitting", "rate_splitting"):
+                _assert_matches_brute_force(ch, scheme, GRID17,
+                                            _ref_sweep(i, scheme), tile)
+        with mock.patch.object(schemes, "CHUNK", 10 * 9 * 9):
+            for i, ch in enumerate(CROWDED):
+                for scheme in ("key_splitting", "rate_splitting",
+                               "rate_splitting_no_an"):
+                    _assert_matches_brute_force(ch, scheme, NINE,
+                                                _ref_crowded(i, scheme), tile)
+
+
+def test_multi_batch_cell_walk_matches_brute_force():
+    # batches of about 729 polygons: the remaining cells meet a running
+    # front many times
+    for i, ch in enumerate(SHOWCASE + EDGE):
+        for scheme in ("key_splitting", "rate_splitting"):
+            with mock.patch.object(schemes, "CHUNK", 2 * 729), \
+                    mock.patch.object(schemes, "_add_block",
+                                      wraps=schemes._add_block) as batches:
+                _assert_matches_brute_force(ch, scheme, GRID17,
+                                            _ref_sweep(i, scheme))
+            assert batches.call_count > (2 if ch in SHOWCASE else 0), \
+                (ch, scheme)
+
+
+def test_cell_bound_covers_brute_force_terms():
+    # on random channels, axes and tiles, every polygon's five terms lie
+    # under its cell's bound and its slack above the cell's least; a cell
+    # of one polygon is bounded by that polygon's own terms
+    rng = np.random.default_rng(22)
+    for case in range(60):
+        p1, p2 = 10.0 ** rng.uniform(-12, 12, 2) * (rng.random(2) > 0.1)
+        h21 = rng.uniform(0.05, 3.0) * (rng.random() > 0.2)
+        ch = ChannelParams(rng.uniform(0.1, 3.0), rng.uniform(0.1, 3.0), h21,
+                           p1, p2, rk=[0.0, 0.3, 2.0, 1e6][case % 4])
+        if case % 4 == 0:
+            # leak far above cap_priv and little else: the margin's scale
+            # is the least slack, which the cells' largest ones undercut
+            ch = dataclasses.replace(ch, h22=0.1, h21=2.0, p1=0.0)
+        lam1, lam2, beta1, beta2 = (
+            np.unique(np.concatenate([rng.random(rng.integers(1, 9)),
+                                      rng.integers(0, 2, 2)]))
+            for _ in range(4))
+        rows, cols = schemes._pairs(lam1, beta1), schemes._pairs(lam2, beta2)
+        tile = case % 5 + 1
+        with mock.patch.object(schemes, "TILE", tile):
+            (o1, s1), (o2, s2) = _tiles(*rows), _tiles(*cols)
+        rows, cols = [a[o1] for a in rows], [a[o2] for a in cols]
+        *upper, slack_lo = _key_splitting_cells(ch, rows, cols, (s1, s2))
+        terms = np.broadcast_arrays(*_key_splitting_base(
+            ch, rows[0][:, None], cols[0][None], rows[1][:, None],
+            cols[1][None]))
+        # the cell of each polygon, row tile major
+        cell = (np.searchsorted(s1, np.arange(len(o1)), "right") - 1)[:, None] \
+            * len(s2) + np.searchsorted(s2, np.arange(len(o2)), "right") - 1
+        for term, bound in zip(terms, upper):
+            assert np.all(term <= bound[cell]), (ch, tile)
+        assert np.all(terms[3] >= slack_lo[cell]), (ch, tile)
+        if tile == 1:
+            assert [b[cell].tobytes() for b in upper] == \
+                [t.tobytes() for t in terms], ch
+            assert slack_lo[cell].tobytes() == terms[3].tobytes(), ch
+        # and the cell's corner bounds hold at every key fraction, with a
+        # rounding margin no smaller than that of the polygons' own terms
+        top, r2max, margin = _key_bound(ch.rk, upper, slack_lo)
+        assert margin >= _key_bound(ch.rk, [t.ravel() for t in terms])[2], ch
+        for etas in (np.array([1.0]), np.linspace(0.0, 1.0, 21)):
+            ax, by = schemes._cell_corners(ch, _key_splitting_eta, etas,
+                                           upper, slack_lo)
+            if len(etas) > 1:
+                assert ax.tobytes() == \
+                    (np.minimum(upper[0], top) + margin).tobytes(), ch
+                assert by.tobytes() == \
+                    (np.minimum(r2max, top) + margin).tobytes(), ch
+            for eta in etas:
+                r1, r2, rsum = _key_splitting_eta(ch, terms, eta)
+                assert np.all(np.minimum(r1, rsum) <= ax[cell]), (ch, eta)
+                assert np.all(np.minimum(r2, rsum) <= by[cell]), (ch, eta)
+
+
+def test_cells_with_a_non_finite_bound_are_never_dropped():
+    # an overflowing sum makes its cell's bound non-finite; such a cell is
+    # built whatever the front, so the sweep raises where the whole grid
+    # does: with every bound non-finite, every polygon is built, once
+    def overflowing(*args):
+        *upper, slack_lo = _key_splitting_cells(*args)
+        upper[4] = np.where(np.arange(upper[4].size) % 2, np.inf, np.nan)
+        return [*upper, slack_lo]
+
+    polygons = 17 * 18 * 17 * 17
+    for scheme in ("key_splitting", "rate_splitting"):
+        with _spy("_key_splitting_base") as built, \
+                mock.patch.dict(schemes._CELL_BOUNDS, {built: overflowing}):
+            sweep_region(SHOWCASE[4], scheme, GRID17)
+        assert sum(c.args[1].size for c in built.call_args_list) == polygons
 
 
 tiny = st.sampled_from([0.0, 5e-324, 1e-300, 1e-16])
@@ -541,17 +659,20 @@ def test_corner_bound_covers_every_key_fraction(case, etas):
 
 
 def test_key_splitting_sweep_evaluates_few_key_fractions():
+    # the walk builds the terms of about one polygon in ten and evaluates
+    # 1.2 % of the (polygon, key fraction) pairs on this channel (the row
+    # blocks built every polygon and evaluated 3.5 %)
     ch = ChannelParams(1, 1, 0.8, 100, 100, rk=1.0)
     grid = GridSpec()
-    with _spy("_key_splitting_eta") as spy:
+    with _spy("_key_splitting_eta") as spy, \
+            _spy("_key_splitting_base") as built:
         sweep_region(ch, "key_splitting", grid)
     pairs = sum(np.broadcast(call.args[1][0], call.args[2]).size
                 for call in spy.call_args_list)
     polygons = grid.n_lambda1 * (grid.n_lambda2 + 1) * grid.n_beta1 \
         * grid.n_beta2
-    assert 0 < pairs < 0.15 * polygons * grid.n_eta
-    # at least the first block, which has no front yet, at every fraction
-    assert pairs > polygons // grid.n_lambda1 * grid.n_eta
+    assert 0 < pairs < 0.02 * polygons * grid.n_eta
+    assert sum(c.args[1].size for c in built.call_args_list) < 0.15 * polygons
 
 
 def _whole_grid_terms(ch, scheme, grid):
@@ -577,13 +698,45 @@ def test_row_block_terms_equal_the_whole_grid_terms(chunk):
             for scheme in SCHEMES:
                 whole = _whole_grid_terms(ch, scheme, GRID17)
                 rows = _row_blocks(whole[0].shape)
-                got = [block for _, _, _, block
-                       in schemes._blocks(ch, [scheme], GRID17)]
+                ((terms, r1, c2, _),) = schemes._groups(ch, [scheme], GRID17)
+                got = list(schemes._blocks(ch, terms, r1, c2))
                 assert len(got) == len(rows), (chunk, ch, scheme)
                 for block, r in zip(got, rows):
                     assert [b.tobytes() for b in block] == \
                         [w[r].ravel().tobytes() for w in whole], \
                         (chunk, ch, scheme, r)
+
+
+def _position(pairs, lam, beta):
+    """Index of each (lambda, beta) pair in the lambda-major pairs of two
+    axes."""
+    return np.searchsorted(lam, pairs[0]) * len(beta) + \
+        np.searchsorted(beta, pairs[1])
+
+
+@pytest.mark.parametrize("tile", [1, schemes.TILE])
+def test_cell_terms_equal_the_whole_grid_terms(tile):
+    # the walk builds a batch of cells from gathered pairs; each polygon's
+    # terms are the bits of the whole grid's, and no polygon is built twice
+    with mock.patch.object(schemes, "TILE", tile):
+        for ch in SHOWCASE[::4] + EDGE + CROWDED[::3]:
+            for scheme in ("key_splitting", "rate_splitting"):
+                whole = _whole_grid_terms(ch, scheme, GRID17)
+                lam1, lam2, beta1, beta2, _ = (a.ravel() for a in
+                                               _axes(ch, scheme, GRID17))
+                with _spy("_key_splitting_base") as built:
+                    sweep_region(ch, scheme, GRID17)
+                seen = []
+                for call in built.call_args_list:
+                    l1, l2, b1, b2 = call.args[1:]
+                    r = _position((l1, b1), lam1, beta1)
+                    c = _position((l2, b2), lam2, beta2)
+                    got = _key_splitting_base(ch, l1, l2, b1, b2)
+                    assert [g.tobytes() for g in got] == \
+                        [w[r, c].tobytes() for w in whole], (tile, ch, scheme)
+                    seen.append(r * whole[0].shape[1] + c)
+                seen = np.concatenate(seen)
+                assert len(np.unique(seen)) == len(seen), (tile, ch, scheme)
 
 
 COARSE = GridSpec(n_lambda1=9, n_lambda2=9, n_beta1=9, n_beta2=9, n_eta=7)
@@ -611,20 +764,25 @@ def _assert_shared_pass_is_exact(ch, grid):
 @contextlib.contextmanager
 def _spy(name):
     """A mock wrapping the schemes function `name`, put wherever the sweeps
-    look it up: the module attribute and every VARIANTS row holding it."""
+    look it up: the module attribute, every VARIANTS row holding it and the
+    cell-bound table, as key or value."""
     fn = getattr(schemes, name)
+    bounds = schemes._CELL_BOUNDS
     with mock.patch.object(schemes, name, wraps=fn) as spy, \
             mock.patch.dict(VARIANTS, {
                 scheme: row._replace(**{field: spy for field in row._fields
                                         if getattr(row, field) is fn})
-                for scheme, row in VARIANTS.items()}):
+                for scheme, row in VARIANTS.items()}), \
+            mock.patch.dict(bounds, {spy if k is fn else k: spy if v is fn
+                                     else v for k, v in bounds.items()}):
         yield spy
 
 
 def test_base_is_reused_across_key_rates_and_schemes():
     # each row block of terms is built once per pass, for every scheme that
     # shares it and every key rate: sweep_regions builds every (lambda1,
-    # beta1) pair once, max_sum_rates each undominated pair once
+    # beta1) pair once, max_sum_rates each undominated pair once; above
+    # CHUNK // 2 polygons sweep_regions walks cells instead
     ch = SHOWCASE[1]
     _assert_shared_pass_is_exact(ch, COARSE)
     axis = np.linspace(0.0, 1.0, 9)  # every axis of COARSE
@@ -649,15 +807,18 @@ def test_base_is_reused_across_key_rates_and_schemes():
                     _spy("_key_splitting_base") as layered, \
                     _spy("_unlayered_terms") as unlayered:
                 sweep(ch, VARIANTS, COARSE, *args)
-            # key_splitting and rate_splitting share one group, built block
-            # by block, one pair per block at CHUNK = 1;
-            # rate_splitting_no_an's pairs at lambda1 = 1 are another
-            assert layered.call_count == (len(want) if chunk == 1 else 2), \
-                (chunk, sweep)
-            built = [np.concatenate([c.args[i].ravel()
-                                     for c in layered.call_args_list])
-                     for i in (1, 3)]
-            assert split(zip(*built)) == sorted(want), (chunk, sweep)
+            if sweep is sweep_regions and chunk == 1:
+                _assert_walked_cells(layered.call_args_list)
+            else:
+                # key_splitting and rate_splitting share one group, built
+                # block by block, one pair per block at CHUNK = 1;
+                # rate_splitting_no_an's pairs at lambda1 = 1 are another
+                assert layered.call_count == \
+                    (len(want) if chunk == 1 else 2), (chunk, sweep)
+                built = [np.concatenate([c.args[i].ravel()
+                                         for c in layered.call_args_list])
+                         for i in (1, 3)]
+                assert split(zip(*built)) == sorted(want), (chunk, sweep)
             # key_as_wiretap and one_time_pad share the other, beta1 rows;
             # the sum rates need only the largest beta1
             rows = np.concatenate([c.args[3].ravel()
@@ -666,6 +827,22 @@ def test_base_is_reused_across_key_rates_and_schemes():
                                     else [1.0]), (chunk, sweep)
             assert unlayered.call_count == (len(rows) if chunk == 1 else 1), \
                 (chunk, sweep)
+
+
+def _assert_walked_cells(calls):
+    """Each block one whole cell, a tile of each user's pairs (TILE x TILE
+    index pairs, fewer at an edge), and no polygon built twice by one of
+    the three walks (key_splitting, rate_splitting, and
+    rate_splitting_no_an at lambda1 = 1)."""
+    seen = {}
+    for call in calls:
+        l1, l2, b1, b2 = (a.ravel() for a in call.args[1:])
+        n1, n2 = len(set(zip(l1, b1))), len(set(zip(l2, b2)))
+        assert max(n1, n2) <= schemes.TILE**2 and l1.size == n1 * n2
+        for polygon in zip(l1, l2, b1, b2):
+            seen[polygon] = seen.get(polygon, 0) + 1
+    assert seen and all(n <= (3 if polygon[0] == 1.0 else 2)
+                        for polygon, n in seen.items())
 
 
 @pytest.mark.parametrize("change", [
@@ -705,12 +882,15 @@ def test_sweeps_never_hold_the_whole_grid():
 
 def test_failed_base_build_raises_a_domain_error():
     # finite powers whose received sums overflow inside the terms
+    # (the default grid's region sweep walks cells, whose overflowing
+    # bounds keep them)
     huge = ChannelParams(1, 1, 1, 1.5e308, 1.5e308, rk=1.0)
-    with pytest.raises(DomainError, match="overflow"):
-        sweep_regions(huge, ["key_splitting", "rate_splitting"], COARSE)
-    with pytest.raises(DomainError, match="overflow"):
-        max_sum_rates(huge, ["key_splitting", "rate_splitting"], COARSE,
-                      [0.0, 1.0])
+    for grid in (COARSE, GridSpec()):
+        with pytest.raises(DomainError, match="overflow"):
+            sweep_regions(huge, ["key_splitting", "rate_splitting"], grid)
+        with pytest.raises(DomainError, match="overflow"):
+            max_sum_rates(huge, ["key_splitting", "rate_splitting"], grid,
+                          [0.0, 1.0])
 
 
 def _nested(n):
