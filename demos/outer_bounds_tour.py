@@ -19,7 +19,7 @@ ob = evaluate_outer_bounds(ch)
 print(f"  regime          {classify_regime(ch)}")
 print(f"  sum_keyed       {ob.sum_keyed:.4f}")
 print(f"  r2_keyed        {ob.r2_keyed:.4f}")
-print(f"  r2_sum_part     {ob.r2_sum_part:.4f}  (component, not a face)")
+print(f"  largest sum     {composite_outer_region(ch).max_sum:.4f}")
 print("  composite region corners:")
 for x, y in composite_outer_region(ch).vertices:
     print(f"    ({x:.4f}, {y:.4f})")

@@ -11,8 +11,7 @@ high-power (GDOF) regions, all in bits per channel use.
 
 from .bounds import (OuterBounds, composite_outer_region,
                      evaluate_outer_bounds, nonsecrecy_sum_bound,
-                     outer_max_sum, r2_outer_high, r2_sum_component,
-                     sum_rate_outer)
+                     r2_outer_high, sum_rate_outer)
 from .channel import (ChannelParams, DomainError, SchemeParams,
                       classify_regime, db_to_linear, snr_inr)
 from .gdof import (ConvergenceReport, GdofParams, gdof_convergence_check,
@@ -39,8 +38,7 @@ __all__ = [
     "polygon_points", "sweep_region", "sweep_regions",
     "max_sum_rate", "max_sum_rates", "gdof_split_lambda2",
     "OuterBounds", "evaluate_outer_bounds", "sum_rate_outer",
-    "r2_sum_component", "r2_outer_high", "nonsecrecy_sum_bound",
-    "composite_outer_region", "outer_max_sum",
+    "r2_outer_high", "nonsecrecy_sum_bound", "composite_outer_region",
     "GdofParams", "ConvergenceReport",
     "gdof_region", "no_secrecy_gdof", "gdof_convergence_check",
     "load_config", "build_channel", "build_grid",

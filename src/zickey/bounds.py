@@ -7,9 +7,7 @@ Three bound families are combined:
   cross link already reveals (valid in every regime),
 - a keyed sum bound from letting receiver 1 decode the interference,
   applicable only while the cross link is weaker than user 2's direct link
-  (snr2 > inr1). Its R2 component is exposed separately but is only valid
-  as part of the sum; it is not an R2 face on its own (artificial noise
-  can push R2 past it at small key rates).
+  (snr2 > inr1).
 
 An optional no-secrecy sum bound (classical one-sided-interference genie
 argument, not part of the keyed-bound family) can be stacked on top; it is
@@ -35,7 +33,6 @@ class OuterBounds:
     r1_p2p: float
     r2_p2p: float
     r2_keyed: float
-    r2_sum_part: float | None
     sum_keyed: float | None
     sum_nonsecrecy: float | None = None
 
@@ -50,25 +47,15 @@ class OuterBounds:
 def sum_rate_outer(ch: ChannelParams):
     """Keyed sum-rate outer bound, or None when inr1 >= snr2.
 
-    Composed as the R1 point-to-point cap plus the interference-decoding
-    R2 component; in symmetric channels this collapses to
+    Composed as the R1 point-to-point cap plus C(snr2) - C(inr1) + rk,
+    which is no R2 face on its own (artificial noise can push R2 past it
+    at small key rates); in symmetric channels this collapses to
     log2(1+snr) - 0.5*log2(1+inr) + rk.
     """
     snr1, snr2, inr1 = snr_inr(ch)
     if not snr2 > inr1:
         return None
     return float((_c(snr1) + _c(snr2)) - _c(inr1) + ch.rk)
-
-
-def r2_sum_component(ch: ChannelParams):
-    """R2 component of the keyed sum bound, or None when inr1 >= snr2.
-
-    Only meaningful inside the sum composition; not a standalone R2 bound.
-    """
-    snr1, snr2, inr1 = snr_inr(ch)
-    if not snr2 > inr1:
-        return None
-    return float(_c(snr2) - _c(inr1) + ch.rk)
 
 
 def r2_outer_high(ch: ChannelParams) -> float:
@@ -96,7 +83,6 @@ def evaluate_outer_bounds(ch: ChannelParams,
         r1_p2p=float(_c(snr1)),
         r2_p2p=float(_c(snr2)),
         r2_keyed=r2_outer_high(ch),
-        r2_sum_part=r2_sum_component(ch),
         sum_keyed=sum_rate_outer(ch),
         sum_nonsecrecy=nonsecrecy_sum_bound(ch) if include_nonsecrecy else None,
     )
@@ -114,8 +100,3 @@ def composite_outer_region(ch: ChannelParams,
     include_nonsecrecy is set."""
     caps = evaluate_outer_bounds(ch, include_nonsecrecy).caps
     return hull(polygon_points(*caps))
-
-
-def outer_max_sum(ch: ChannelParams, include_nonsecrecy: bool = False) -> float:
-    """Largest R1 + R2 allowed by the composite outer region."""
-    return composite_outer_region(ch, include_nonsecrecy).max_sum

@@ -111,5 +111,9 @@ def _c(x):
 
 
 def db_to_linear(value_db: float) -> float:
-    """Convert a power-like quantity from dB to linear scale."""
-    return 10.0 ** (value_db / 10.0)
+    """Convert a power-like quantity from dB to linear scale; inf where
+    that overflows float64, which ChannelParams refuses."""
+    try:
+        return 10.0 ** (value_db / 10.0)
+    except OverflowError:
+        return math.inf

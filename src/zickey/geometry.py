@@ -16,10 +16,7 @@ import numpy as np
 
 GEOM_TOL = 1e-12   # orientation and self-consistency predicates
 REGION_TOL = 1e-9  # cross-module containment queries
-# staircase buckets x into STAIR_BINS bins; pareto_filter runs it first on
-# inputs of at least PREFILTER_MIN points, below which a plain sort is fast
-STAIR_BINS = 4096
-PREFILTER_MIN = 16 * STAIR_BINS
+STAIR_BINS = 4096  # staircase buckets x into this many bins
 
 
 class UnboundedRegionError(ValueError):
@@ -85,14 +82,9 @@ def pareto_filter(pts: np.ndarray) -> np.ndarray:
     equal points one stays. Dominated points can never be hull vertices of
     a down-closed region, so this is a safe (and large) reduction before
     hulling swept point clouds. Survivors come sorted by decreasing x.
-
-    Large inputs first drop the points their own staircase claims: all of
-    them are dominated, so the result is exact.
     """
     if len(pts) == 0:
         return pts
-    if len(pts) >= PREFILTER_MIN:
-        pts = pts[pts[:, 1] > staircase(pts, pts[:, 0])]
     p = pts[np.argsort(-pts[:, 0])]
     ymax = np.maximum.accumulate(p[:, 1])
     keep = np.empty(len(p), dtype=bool)

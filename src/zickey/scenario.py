@@ -25,9 +25,9 @@ FLOAT_KEYS = frozenset({
 })
 # the GridSpec point counts, each set by a dotted grid.<field> key
 GRID_KEYS = tuple(f.name for f in fields(GridSpec) if f.name.startswith("n_"))
-INT_KEYS = frozenset({"alpha_steps", "rk_steps", "seed"}
+INT_KEYS = frozenset({"alpha_steps", "rk_steps"}
                      | {f"grid.{k}" for k in GRID_KEYS})
-BOOL_KEYS = frozenset({"nonsecrecy_bound", "full_power", "svg", "corrupt"})
+BOOL_KEYS = frozenset({"nonsecrecy_bound", "full_power", "svg"})
 STR_KEYS = frozenset({"out_dir"})
 LIST_FLOAT_KEYS = frozenset({"alpha_list", "rk_list"})
 LIST_STR_KEYS = frozenset({"schemes"})
@@ -53,10 +53,7 @@ def _parse_int(key, raw):
         v = int(raw, 10)
     except ValueError:
         raise ConfigError(f"key {key!r}: expected an integer, got {raw!r}") from None
-    if key == "seed":
-        if v < 0:
-            raise ConfigError(f"key {key!r}: must be >= 0, got {v}")
-    elif v < 1:
+    if v < 1:
         raise ConfigError(f"key {key!r}: must be >= 1, got {v}")
     return v
 

@@ -506,11 +506,9 @@ def _add_block(ch, clip, etas, block, front):
     """
     polygons = block
     if len(etas) > 1 and len(front):
-        # (ax, by) + margin is at least as large as both corners of a
-        # polygon at every key fraction
-        top, r2max, margin = _key_bound(ch.rk, block)
-        ax, by = np.minimum(block[0], top), np.minimum(r2max, top)
-        live = by + margin > staircase(front, ax + margin)
+        # each polygon is its own cell, its slack the least
+        ax, by = _cell_corners(ch, clip, etas, block, block[3])
+        live = by > staircase(front, ax)
         polygons = [b[live] for b in block]
         if not polygons[0].size:
             return front

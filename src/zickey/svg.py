@@ -6,13 +6,16 @@ randomness), so rerunning a command reproduces the file byte for byte.
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
-
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd",
            "#ff7f0e", "#8c564b", "#17becf", "#7f7f7f")
 
 _W, _H = 660, 460
 _ML, _MR, _MT, _MB = 62, 170, 34, 50
+
+
+def escape(text: str) -> str:
+    """text with &, < and > as character references; quotes stay."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _fmt(v: float) -> str:

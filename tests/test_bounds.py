@@ -8,9 +8,8 @@ import pytest
 
 from zickey import (ChannelParams, GridSpec, SchemeParams,
                     composite_outer_region, contains, evaluate_outer_bounds,
-                    nonsecrecy_sum_bound, outer_max_sum, r2_outer_high,
-                    r2_sum_component, scheme_point, subset_of, sum_rate_outer,
-                    sweep_region)
+                    nonsecrecy_sum_bound, r2_outer_high, scheme_point,
+                    subset_of, sum_rate_outer, sweep_region)
 
 CH = ChannelParams(1, 1, 0.6, 100, 100, rk=1.0)  # snr 100, inr 36
 
@@ -100,14 +99,13 @@ def test_evaluate_outer_bounds_fields():
     assert ob.r1_p2p == pytest.approx(float(c(100.0)), abs=1e-12)
     assert ob.r2_p2p == pytest.approx(float(c(100.0)), abs=1e-12)
     assert ob.r2_keyed == pytest.approx(4.111736642719113, abs=1e-12)
-    assert ob.r2_sum_part == pytest.approx(1.7243790585614227, abs=1e-12)
     assert ob.sum_keyed == pytest.approx(5.05348479993732, abs=1e-12)
     assert ob.sum_nonsecrecy is None
     ob = evaluate_outer_bounds(CH, include_nonsecrecy=True)
     assert ob.sum_nonsecrecy == pytest.approx(4.273395100041686, abs=1e-12)
     # high-interference channel: the sum family is inapplicable, never NaN
     ob = evaluate_outer_bounds(ChannelParams(1, 1, 1.2, 10, 10))
-    assert ob.sum_keyed is None and ob.r2_sum_part is None
+    assert ob.sum_keyed is None
     assert ob.r2_keyed > 0.0
 
 
@@ -153,9 +151,10 @@ def test_composite_region_high_regime_faces():
 
 
 def test_sum_part_is_not_a_standalone_r2_face():
-    """Artificial noise can push R2 past the sum bound's R2 component."""
+    """Artificial noise can push R2 past the sum bound's R2 component,
+    C(snr2) - C(inr1) + rk."""
     ch = ChannelParams(1, 1, 0.6, 100, 100, rk=0.0)
-    part = r2_sum_component(ch)
+    part = float(c(100.0) - c(36.0)) + ch.rk
     # all of user 1's power spent on noise, all of user 2's on the private layer
     rc = scheme_point(ch, "key_splitting", SchemeParams(lambda1=0.0))
     assert rc.r2_cap > part + 1.0
@@ -171,12 +170,6 @@ def test_nonsecrecy_face_optional_and_tighter():
     assert subset_of(stacked, plain, tol=1e-12)
     # rk = 2 pushes the keyed sum face past the no-secrecy reference
     assert stacked.max_sum < plain.max_sum - 0.5
-
-
-def test_outer_max_sum_matches_region():
-    for ch in (CH, ChannelParams(1, 1, 1.5, 10, 10, rk=0.5)):
-        assert outer_max_sum(ch) == pytest.approx(
-            composite_outer_region(ch).max_sum, abs=1e-12)
 
 
 def test_default_grid_containment_single_channel():

@@ -4,14 +4,20 @@ import csv
 import filecmp
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import zickey
 from zickey import containment_margin, hull, schemes
 from zickey.cli import main
+from zickey.svg import polyline_chart
 from zickey.verify import REPORT_SCHEMA
 
 WEAK = ["--h11", "1", "--h22", "1", "--h21", "0.6",
@@ -166,6 +172,31 @@ def test_region_svg_is_wellformed_and_csv_sourced(tmp_path):
         assert name in text  # legend entry per emitted polygon
 
 
+def test_svg_escapes_markup_but_not_quotes():
+    svg = polyline_chart([("a<b & \"c\" 'd'>", [(0, 0), (1, 1)])],
+                         "x & <y>", "'q' \"r\" >", title="T<1> & \"2\"")
+    assert '>T&lt;1&gt; &amp; "2"</text>' in svg
+    assert '>x &amp; &lt;y&gt;</text>' in svg
+    assert '>\'q\' "r" &gt;</text>' in svg
+    assert '>a&lt;b &amp; "c" \'d\'&gt;</text>' in svg
+    texts = set(ET.fromstring(svg).itertext())
+    assert {"T<1> & \"2\"", "x & <y>", "'q' \"r\" >",
+            "a<b & \"c\" 'd'>"} <= texts
+
+
+def test_cli_import_loads_no_xml_or_network_modules():
+    src = str(Path(zickey.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    loaded = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, zickey.cli; print(*sorted(sys.modules))"],
+        env=env, capture_output=True, text=True, check=True).stdout.split()
+    # pathlib, which numpy imports too, loads urllib.parse and nothing more
+    assert not [m for m in loaded if m not in {"urllib", "urllib.parse"}
+                and m.split(".")[0] in {"xml", "urllib", "http", "email", "ssl"}]
+
+
 def test_region_error_exit_codes(tmp_path, capsys):
     # missing channel parameters -> config error
     assert main(["region", "--h11", "1", "--out-dir", str(tmp_path)]) == 2
@@ -218,6 +249,20 @@ def test_huge_powers_exit_with_domain_error(tmp_path, capsys, power):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("form", ["flag", "file"])
+def test_overflowing_db_power_exits_with_domain_error(tmp_path, capsys, form):
+    if form == "flag":
+        argv = ["region", "--h11", "1", "--h22", "1", "--h21", "0.5",
+                "--p1-db", "4000", "--p2", "1"]
+    else:
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text("h11 = 1\nh22 = 1\nh21 = 0.5\np1_db = 4000\np2 = 1\n")
+        argv = ["region", "--config", str(cfg)]
+    assert main([*argv, "--grid", "coarse", "--out-dir", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == \
+        "error: p1 must be a finite number, got inf\n"
+
+
 def test_overflowing_caps_exit_with_domain_error(tmp_path, capsys):
     # finite received powers whose sum overflows inside the rate caps
     assert main(["region", "--h11", "1", "--h22", "1", "--h21", "1",
@@ -265,6 +310,18 @@ def test_config_file_parse_errors(tmp_path):
         cfg = tmp_path / "t.cfg"
         cfg.write_text(text)
         assert main(["region", "--config", str(cfg), "--out-dir", out]) == 2
+
+
+@pytest.mark.parametrize("key, value", [("seed", "3"), ("corrupt", "true")])
+def test_verify_keys_are_unknown_in_scenario_files(tmp_path, capsys, key,
+                                                   value):
+    # verify takes only flags; no command reads these keys from a file
+    cfg = tmp_path / "t.cfg"
+    cfg.write_text("h11 = 1\nh22 = 1\nh21 = 0.5\np1 = 1\np2 = 1\n"
+                   f"{key} = {value}\n")
+    assert main(["region", "--config", str(cfg), "--grid", "coarse",
+                 "--out-dir", str(tmp_path)]) == 2
+    assert "unknown key" in capsys.readouterr().err
 
 
 def test_sumrate_alpha_sweep(tmp_path, capsys):

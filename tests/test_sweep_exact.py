@@ -1,10 +1,9 @@
 """The fast sweep against plain brute force, bit for bit.
 
 sweep_region computes the eta-free key-splitting terms one block at a time,
-just before the block is used, emits two corners per rate polygon, and
-prefilters large point sets by x buckets before sorting. It drops a polygon
-when its running Pareto front, bucketed by x, already holds a point above
-both its corners. Both sweeps bound each block over every key fraction at
+just before the block is used, and emits two corners per rate polygon. It
+drops a polygon when its running Pareto front, bucketed by x, already
+holds a point above both its corners. Both sweeps bound each block over every key fraction at
 once: max_sum_rate evaluates only the polygons whose bound reaches its best
 sum rate so far, sweep_region only those whose bounded corners no front
 point matches. On large layered grids sweep_region walks cells of power
@@ -182,20 +181,14 @@ signed = st.one_of(coord, st.floats(-10.0, 0.0, allow_nan=False),
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(signed, signed), max_size=120),
-       st.integers(1, 8))
-def test_pareto_filter_matches_brute_force(rows, bins):
-    pts = np.array(rows, dtype=float).reshape(-1, 2)
-    kept = _assert_exact(pts)
-    # the same set once the prefilter runs, on coarse buckets
-    with mock.patch.object(geometry, "PREFILTER_MIN", 1), \
-            mock.patch.object(geometry, "STAIR_BINS", bins):
-        assert np.array_equal(_assert_exact(pts), kept)
+@given(st.lists(st.tuples(signed, signed), max_size=120))
+def test_pareto_filter_matches_brute_force(rows):
+    _assert_exact(np.array(rows, dtype=float).reshape(-1, 2))
 
 
 def test_pareto_filter_large_inputs():
     rng = np.random.default_rng(3)
-    n = geometry.PREFILTER_MIN + 999
+    n = 66_535
     # few distinct values: ties in x, duplicates, equal y across buckets
     grid_pts = rng.integers(0, 60, size=(n, 2)) / 7.0
     _assert_exact(grid_pts)
@@ -203,12 +196,9 @@ def test_pareto_filter_large_inputs():
     assert np.array_equal(_assert_exact(same_x), [[0.25, same_x[:, 1].max()]])
     _assert_exact(np.zeros((n, 2)))
     _assert_exact(np.zeros((0, 2)))
-    # continuous values: the prefilter changes nothing the sort keeps
+    # continuous values
     cloud = rng.random((n, 2)) ** 0.2
-    with mock.patch.object(geometry, "PREFILTER_MIN", 10 * n):
-        plain = pareto_filter(cloud)
-    assert np.array_equal(pareto_filter(cloud), plain)
-    assert np.array_equal(np.unique(plain, axis=0),
+    assert np.array_equal(np.unique(pareto_filter(cloud), axis=0),
                           np.unique(_ref_sort_filter(cloud), axis=0))
 
 

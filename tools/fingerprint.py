@@ -1,0 +1,142 @@
+"""SHA-256 fingerprints of the zickey command line's outputs.
+
+Run from the repository root:
+
+    python3 tools/fingerprint.py fingerprints.json
+    python3 tools/fingerprint.py --compare old.json new.json
+
+The first form runs every command of COMMANDS in this process, with the
+`zickey` package of this checkout's `src/`, each into an empty directory
+of its own, and writes one JSON file: per command, its exit code and the
+SHA-256 digests of its standard output, its standard error and every
+file it wrote. The output directory's path reads `<out>` in the console
+text, so two checkouts give the same digests wherever their outputs
+agree byte for byte. The second form lists every entry that differs
+between two such files and exits 1 when there is one.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import random
+import sys
+import tempfile
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _draws(seed: int, n: int):
+    """n seeded random channels for region and n GDOF points for gdof."""
+    rng = random.Random(seed)
+    region, gdof = [], []
+    for _ in range(n):
+        h11, h22, h21 = (rng.uniform(0.2, 2.0) for _ in range(3))
+        p1, p2 = (10 ** rng.uniform(0.0, 3.0) for _ in range(2))
+        region.append(["region", "--h11", repr(h11), "--h22", repr(h22),
+                       "--h21", repr(h21), "--p1", repr(p1), "--p2", repr(p2),
+                       "--rk", repr(rng.uniform(0.0, 3.0)),
+                       "--grid", "coarse", "--svg"])
+        gdof.append(["gdof", "--alpha", repr(rng.uniform(0.0, 1.0)),
+                     "--gamma", repr(rng.uniform(0.0, 1.5)),
+                     "--eta", repr(rng.uniform(0.0, 1.0)), "--svg"])
+    return region + gdof
+
+
+SHOWCASE = ["--h11", "1", "--h22", "1", "--p1", "100", "--p2", "100"]
+COMMANDS = [
+    *(["region", *SHOWCASE, "--h21", h21, "--rk", rk]
+      for h21, rk in (("0.6", "0.2"), ("0.8", "1"), ("1.2", "2"))),
+    *_draws(7, 4),
+    ["sumrate", *SHOWCASE, "--h21", "0.6", "--rk-min", "0", "--rk-max", "2",
+     "--rk-steps", "5", "--sweep-powers"],
+    ["sumrate", "--p", "100", "--rk", "1", "--alpha-min", "0.25",
+     "--alpha-max", "1.25", "--alpha-steps", "5", "--sweep-powers"],
+    ["verify", "--seed", "7"],
+    ["verify", "--seed", "20240817"],
+    ["verify", "--seed", "7", "--corrupt"],
+]
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run(commands) -> dict:
+    """{command line: {"exit", "stdout", "stderr", "files"}} of commands."""
+    if str(SRC) not in sys.path:
+        sys.path.insert(0, str(SRC))
+    from zickey.cli import main
+
+    prints = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, argv in enumerate(commands):
+            out = Path(tmp) / str(i)
+            out.mkdir()
+            where = (["--out", str(out / "report.json")] if argv[0] == "verify"
+                     else ["--out-dir", str(out)])
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), \
+                    contextlib.redirect_stderr(stderr):
+                try:
+                    code = main([*argv, *where])
+                except SystemExit as e:
+                    code = e.code
+                except Exception as e:  # a traceback is a fingerprint too
+                    code = type(e).__name__
+            prints[" ".join(argv)] = {
+                "exit": code,
+                **{name: _digest(text.getvalue().replace(str(out), "<out>")
+                                 .encode("utf-8"))
+                   for name, text in (("stdout", stdout), ("stderr", stderr))},
+                "files": {p.name: _digest(p.read_bytes())
+                          for p in sorted(out.iterdir())},
+            }
+    return prints
+
+
+def compare(old: dict, new: dict) -> list:
+    """One line per command whose fingerprint moved, naming what moved."""
+    moved = []
+    for cmd in sorted(old.keys() | new.keys()):
+        if cmd not in new or cmd not in old:
+            moved.append(f"{cmd}: only in {'old' if cmd in old else 'new'}")
+            continue
+        a, b = old[cmd], new[cmd]
+        what = [k for k in ("exit", "stdout", "stderr") if a[k] != b[k]]
+        what += [f"files/{name}" for name in sorted(a["files"].keys()
+                                                    | b["files"].keys())
+                 if a["files"].get(name) != b["files"].get(name)]
+        if what:
+            moved.append(f"{cmd}: {', '.join(what)}")
+    return moved
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("out", nargs="?",
+                        help="write the fingerprints of COMMANDS here")
+    parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
+                        help="list the entries that moved between two files")
+    args = parser.parse_args(argv)
+    if args.compare:
+        old, new = (json.loads(Path(p).read_text(encoding="utf-8"))
+                    for p in args.compare)
+        moved = compare(old, new)
+        print("\n".join(moved) if moved else "no entry moved")
+        return 1 if moved else 0
+    if not args.out:
+        parser.error("give an output file or --compare OLD NEW")
+    prints = run(COMMANDS)
+    Path(args.out).write_text(json.dumps(prints, indent=1, sort_keys=True)
+                              + "\n", encoding="utf-8")
+    print(f"wrote {len(prints)} fingerprints to {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
