@@ -25,7 +25,7 @@ import numpy as np
 from .bounds import composite_outer_region, evaluate_outer_bounds
 from .channel import ChannelParams, DomainError, classify_regime, snr_inr
 from .gdof import GdofParams, gdof_region, no_secrecy_gdof
-from .scenario import (GRID_KEYS, KNOWN_KEYS, ConfigError, build_channel,
+from .scenario import (COMMAND_KEYS, GRID_KEYS, ConfigError, build_channel,
                        build_grid, load_config, parse_value)
 from .schemes import SCHEMES, VARIANTS, GridSpec, max_sum_rates, sweep_regions
 # unused here; benchmarks/spans.py traces them under this module's name
@@ -49,12 +49,13 @@ def _f(v) -> str:
 def _merge_values(args) -> dict:
     """Scenario dict from the config file with CLI flags layered on top.
 
-    A flag counts when its destination is a scenario key and it was given;
-    text values are parsed by the scenario file's rules.
+    A flag counts when its destination is a scenario key of the command
+    and it was given; text values are parsed by the scenario file's rules.
     """
-    values = load_config(args.config) if args.config else {}
+    keys = COMMAND_KEYS[args.command]
+    values = load_config(args.config, keys) if args.config else {}
     for key, v in vars(args).items():
-        if key in KNOWN_KEYS and v is not None and v is not False:
+        if key in keys and v is not None and v is not False:
             values[key] = parse_value(key, v) if isinstance(v, str) else v
     return values
 

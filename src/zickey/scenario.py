@@ -33,6 +33,17 @@ LIST_FLOAT_KEYS = frozenset({"alpha_list", "rk_list"})
 LIST_STR_KEYS = frozenset({"schemes"})
 KNOWN_KEYS = (FLOAT_KEYS | INT_KEYS | BOOL_KEYS | STR_KEYS
               | LIST_FLOAT_KEYS | LIST_STR_KEYS)
+# the keys each command reads; any other is unknown in its scenario file
+_SWEPT = {"h11", "h22", "h21", "p1", "p2", "p1_db", "p2_db", "rk", "schemes",
+          "nonsecrecy_bound", "full_power", "out_dir", "svg",
+          *(f"grid.{k}" for k in GRID_KEYS)}
+COMMAND_KEYS = {
+    "region": frozenset(_SWEPT),
+    "sumrate": frozenset(_SWEPT | LIST_FLOAT_KEYS | {
+        "p", "alpha", "alpha_min", "alpha_max", "alpha_steps", "rk_min",
+        "rk_max", "rk_steps"}),
+    "gdof": frozenset({"alpha", "gamma", "eta", "schemes", "out_dir", "svg"}),
+}
 
 _TRUE = {"true", "1", "yes", "on"}
 _FALSE = {"false", "0", "no", "off"}
@@ -87,8 +98,9 @@ def parse_value(key: str, raw: str):
     raise ConfigError(f"unknown key {key!r}")
 
 
-def parse_config(text: str) -> dict:
-    """Parse scenario text into a validated {key: value} dict."""
+def parse_config(text: str, keys=KNOWN_KEYS) -> dict:
+    """Parse scenario text into a validated {key: value} dict; a key not
+    in keys is unknown."""
     out = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
@@ -98,7 +110,7 @@ def parse_config(text: str) -> dict:
             raise ConfigError(f"line {lineno}: expected key = value, got {line!r}")
         key, _, raw = line.partition("=")
         key, raw = key.strip(), raw.strip()
-        if key not in KNOWN_KEYS:
+        if key not in keys:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in out:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
@@ -108,10 +120,10 @@ def parse_config(text: str) -> dict:
     return out
 
 
-def load_config(path) -> dict:
+def load_config(path, keys=KNOWN_KEYS) -> dict:
     with open(path, encoding="utf-8") as fh:
         try:
-            return parse_config(fh.read())
+            return parse_config(fh.read(), keys)
         except ConfigError as e:
             raise ConfigError(f"{path}: {e}") from None
 

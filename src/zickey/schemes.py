@@ -37,9 +37,10 @@ from .geometry import Region, hull, pareto_filter, staircase
 # splits) of about CHUNK polygons, so that a block's temporaries stay in
 # cache and no array spans the whole grid
 CHUNK = 32768
-# region sweeps of more than CHUNK // 2 polygons whose terms have a cell
-# bound walk cells of TILE x TILE (lambda1, beta1) index pairs times
-# TILE x TILE (lambda2, beta2) index pairs, in batches of about CHUNK // 2
+# groups of more than CHUNK // 2 polygons whose terms have a cell bound
+# walk cells of TILE x TILE (lambda1, beta1) index pairs times TILE x TILE
+# (lambda2, beta2) index pairs, in batches of about CHUNK // 2, in both
+# sweeps
 TILE = 3
 # max_sum_rate seeds its best sum rate of a block with the polygons of the
 # SEED_POLYGONS largest upper bounds
@@ -225,7 +226,7 @@ class Scheme(NamedTuple):
 
 
 _KEY_SPLITTING = (_key_splitting_base, _key_splitting_eta)
-# the cell bound of each terms function that has one (see _walk)
+# the cell bound of each terms function that has one (see _cells)
 _CELL_BOUNDS = {_key_splitting_base: _key_splitting_cells}
 _UNLAYERED = ("lambda1", "lambda2", "eta")
 # every scheme name the sweeps take, in the order of the command line's
@@ -342,7 +343,7 @@ def _groups(ch, schemes, grid, undominated=False):
     being 1. The scheme's terms(ch, L1[rows, None], L2[None],
     B1[rows, None], B2[None]) is the elementwise expression of the 4-D
     mesh, so each polygon's terms are the same floats in any layout, in
-    row blocks (_blocks) or in cells (_walk); clip(ch, polygons of terms,
+    row blocks (_blocks) or in cells (_cells); clip(ch, polygons of terms,
     eta) gives their (r1, r2, sum) caps at key fraction eta, or at each of
     a column of key fractions.
 
@@ -374,13 +375,14 @@ def _groups(ch, schemes, grid, undominated=False):
     p2p, and that cap_priv less leak at the largest p1a and least p2p are
     each at least the term of every polygon of the cell, to the bit, and
     cap_priv at the least p2p less leak at the least p1a and largest p2p
-    is at most every slack. The key clips and the corners' min(r1, sum)
-    and min(r2, sum) are monotone in the terms too, so at one key fraction
-    the cell's caps bound both corners of its every polygon, and at
-    several _key_bound's formulas do, with the margin of the cells'
-    largest terms and |slack|. Where a polygon's rsum overflows, so does
-    the cell's (a larger g11 p1m + g21 p2c over a smaller noise), and a
-    cell with a non-finite bound is always built.
+    is at most every slack. The key clips, the corners' min(r1, sum) and
+    min(r2, sum) and the sum rate min(sum, r1 + r2) are monotone in the
+    terms too, so at one key fraction the cell's caps bound both corners
+    and the sum rate of its every polygon, and at several _key_bound's
+    formulas do (min(top, r1 + r2max) for the sum rate), with the margin
+    of the cells' largest terms and |slack|. Where a polygon's rsum
+    overflows, so does the cell's (a larger g11 p1m + g21 p2c over a
+    smaller noise), and a cell with a non-finite bound is always built.
     """
     groups = {}
     for scheme in schemes:
@@ -442,50 +444,48 @@ def _cell_corners(ch, clip, etas, base, slack_lo):
     return np.minimum(r1, rsum), np.minimum(r2, rsum)
 
 
-def _walk(ch, bound, terms, rows, cols, members, fronts):
-    """Each member's polygons merged into its front in fronts, cell by cell.
+def _cell_sums(ch, clip, etas, base, slack_lo):
+    """(ub, margin): per cell of bounds base and slack_lo, no sum rate of
+    its polygons at a key fraction of etas exceeds ub + margin (_groups)."""
+    if len(etas) > 1:
+        top, r2max, margin = _key_bound(ch.rk, base, slack_lo)
+        return np.minimum(top, base[0] + r2max), margin
+    r1, r2, rsum = clip(ch, base, etas[0])
+    return np.minimum(rsum, r1 + r2), 0.0
 
-    A cell is a tile of rows times a tile of columns (_tiles); bound gives
-    per cell the terms no polygon of it exceeds and the least slack (see
-    _groups). From them each member bounds both corners of every polygon
-    of a cell, ax for min(r1, sum) and by for min(r2, sum)
-    (_cell_corners). The cells go largest ax + by first: the best cell
-    alone, then batches of about CHUNK // 2 polygons. Before each batch a
-    cell goes when a front point in a strictly higher bucket than its ax
-    has a y of at least its by, as in _add_block: that point dominates
-    both corners of every polygon of the cell. The kept cells' polygons
-    are built and pass _add_block, so the front is the Pareto set of every
-    corner, to the bit. A cell with a non-finite bound goes first and is
-    never dropped, so an overflowing sum raises DomainError as it does on
-    the whole grid.
+
+def _cells(ch, terms, rows, cols):
+    """(base, slack_lo, wild, batches), the table of cells of a group whose
+    terms have a cell bound and that has more than CHUNK // 2 polygons;
+    else None. A cell is a tile of rows times a tile of columns (_tiles);
+    base and slack_lo bound its terms (_groups), and wild marks a
+    non-finite base. batches(todo, live) yields the terms of the cells of
+    todo in order, the first alone, then about CHUNK // 2 polygons at a
+    time, dropping before each batch the cells where live(todo) is False.
     """
+    bound = _CELL_BOUNDS.get(terms)
+    if not bound or len(rows[0]) * len(cols[0]) <= CHUNK // 2:
+        return None
     (o1, s1), (o2, s2) = _tiles(*rows), _tiles(*cols)
     rows, cols = [a[o1] for a in rows], [a[o2] for a in cols]
     *base, slack_lo = bound(ch, rows, cols, (s1, s2))
     wild = ~np.logical_and.reduce([np.isfinite(b) for b in base])
     k1, k2 = np.diff(s1, append=len(o1)), np.diff(s2, append=len(o2))
     size = np.outer(k1, k2).ravel()  # polygons per cell
-    for scheme, clip, etas in members:
-        ax, by = _cell_corners(ch, clip, etas, base, slack_lo)
-        ax[wild] = by[wild] = math.inf
-        todo = np.argsort(-(ax + by), kind="stable")
-        front = fronts[scheme]
-        while True:
-            if len(front):  # a cell goes only where this holds, never on nan
-                todo = todo[~(by[todo] <= staircase(front, ax[todo]))]
-            if not todo.size:
-                break
-            # the best cell alone meets an empty front; no batch holds more
-            # than budget + 1 cells
-            budget = CHUNK // 2 if len(front) else 0
-            n = max(1, int(np.searchsorted(np.cumsum(size[todo[:budget + 1]]),
-                                           budget, side="right")))
+
+    def batches(todo, live):
+        n = 1
+        while todo.size:
             t1, t2 = np.divmod(todo[:n], len(k2))
             r, c = _cell_pairs(s1[t1], k1[t1], s2[t2], k2[t2])
-            block = terms(ch, rows[0][r], cols[0][c], rows[1][r], cols[1][c])
-            front = _add_block(ch, clip, etas, block, front)
+            yield terms(ch, rows[0][r], cols[0][c], rows[1][r], cols[1][c])
             todo = todo[n:]
-        fronts[scheme] = front
+            todo = todo[live(todo)] if todo.size else todo
+            # no batch holds more than CHUNK // 2 + 1 cells
+            n = max(1, int(np.searchsorted(np.cumsum(
+                size[todo[:CHUNK // 2 + 1]]), CHUNK // 2, side="right")))
+
+    return base, slack_lo, wild, batches
 
 
 def _caps(ch, clip, etas, polygons, pairs):
@@ -500,7 +500,7 @@ def _add_block(ch, clip, etas, block, front):
     """The Pareto front of `front` and the corners of a block's polygons.
 
     A block is the terms of a row block (_blocks) or of a batch of cells
-    (_walk). With several key fractions and a front, the block is first
+    (_cells). With several key fractions and a front, the block is first
     bounded over all of them at once; only the polygons whose bounded
     corners no front point matches are evaluated.
     """
@@ -537,12 +537,15 @@ def sweep_regions(ch: ChannelParams, schemes,
     contribute a single point.
     Deterministic for identical inputs. A group of schemes that share
     their terms (see _groups) is built in row blocks, each built once and
-    fed to the running Pareto front of every member; a group of more than
-    CHUNK // 2 polygons whose terms have a cell bound is walked instead,
-    each member building only the cells its front does not already
-    dominate (_walk). Either way the front is the Pareto set of every
-    corner of every polygon, the same to the bit as one swept scheme by
-    scheme.
+    fed to the running Pareto front of every member; where the group
+    walks cells (_cells), each member takes them largest corner bounds
+    ax + by first (_cell_corners), and a cell goes when a front point in a
+    strictly higher bucket than its ax has a y of at least its by, as in
+    _add_block: that point dominates both corners of its every polygon.
+    Either way the front is the Pareto set of every corner of every
+    polygon, the same to the bit as one swept scheme by scheme; a cell
+    with a non-finite bound is never dropped, so an overflowing sum
+    raises DomainError as on the whole grid.
     """
     grid = grid or GridSpec()
     # the warning points at the first caller outside this module
@@ -559,14 +562,24 @@ def sweep_regions(ch: ChannelParams, schemes,
     # Pareto set of every corner so far, per scheme
     fronts = {scheme: np.empty((0, 2)) for scheme in schemes}
     for terms, rows, cols, members in _groups(ch, schemes, grid):
-        bound = _CELL_BOUNDS.get(terms)
-        if bound and len(rows[0]) * len(cols[0]) > CHUNK // 2:
-            _walk(ch, bound, terms, rows, cols, members, fronts)
-        else:
+        cells = _cells(ch, terms, rows, cols)
+        if not cells:
             for block in _blocks(ch, terms, rows, cols):
                 for scheme, clip, etas in members:
                     fronts[scheme] = _add_block(ch, clip, etas, block,
                                                 fronts[scheme])
+            continue
+        base, slack_lo, wild, batches = cells
+        for scheme, clip, etas in members:
+            ax, by = _cell_corners(ch, clip, etas, base, slack_lo)
+            ax[wild] = by[wild] = math.inf
+
+            def live(todo):  # a cell goes only where this holds, never on nan
+                return ~(by[todo] <= staircase(fronts[scheme], ax[todo]))
+
+            for block in batches(np.argsort(-(ax + by), kind="stable"), live):
+                fronts[scheme] = _add_block(ch, clip, etas, block,
+                                            fronts[scheme])
     # hull adds the axis corners back as projections of the other two
     return {scheme: hull(fronts[scheme]) for scheme in schemes}
 
@@ -608,18 +621,44 @@ def max_sum_rates(ch: ChannelParams, schemes, grid: GridSpec | None,
 
     A scheme is any name in VARIANTS; the channel's own rk is not read.
     Only the power splits no other split beats are built (see _groups).
-    Each row block of terms is built once and serves every scheme that
-    shares it, at every key rate. With several key fractions, a block is
-    first bounded over all of them at once; only polygons whose bound
-    reaches the best sum rate so far are evaluated at every fraction. A
-    polygon is skipped only when none of its sum rates can reach that
-    best, so the maximum is the one over every polygon, to the bit.
+    Each row block of terms, or batch of cells where the group walks them
+    (_cells), is built once and serves every scheme that shares it, at
+    every key rate. The cells go largest bound ub of any scheme's sum
+    rates first (_cell_sums), and before each batch a cell goes only when,
+    for every scheme and key rate, its ub is below the best sum rate so
+    far less the margin of the cells left. With several key
+    fractions, a block is first bounded over all of them at once; only
+    polygons whose bound reaches the best sum rate so far are evaluated at
+    every fraction. A polygon is skipped only when none of its sum rates
+    can reach that best, so the maximum is the one over every polygon, to
+    the bit; a cell with a non-finite bound is never dropped.
     """
     chs = [replace(ch, rk=rk) for rk in rks]
     best = {scheme: [0.0] * len(chs) for scheme in schemes}
     for terms, rows, cols, members in _groups(ch, schemes, grid or GridSpec(),
                                               undominated=True):
-        for block in _blocks(ch, terms, rows, cols):
+        blocks = _blocks(ch, terms, rows, cols)  # built only as iterated
+        cells = _cells(ch, terms, rows, cols)
+        if cells:
+            base, slack_lo, wild, batches = cells
+
+            def live(todo):  # a cell goes only where this holds, never on nan
+                cut = [b[todo] for b in base], slack_lo[todo]
+                keep = wild[todo]
+                for scheme, clip, etas in members:
+                    for c, b in zip(chs, best[scheme]):
+                        ub, margin = _cell_sums(c, clip, etas, *cut)
+                        keep |= ~(ub < b - margin)
+                return keep
+
+            # no ub falls as rk grows: the largest rk gives each cell's
+            # largest ub of any job
+            top = max(chs, key=lambda c: c.rk, default=ch)
+            ub = np.max([_cell_sums(top, clip, etas, base, slack_lo)[0]
+                         for _, clip, etas in members], axis=0)
+            ub[wild] = math.inf
+            blocks = batches(np.argsort(-ub, kind="stable"), live)
+        for block in blocks:
             for scheme, clip, etas in members:
                 best[scheme] = [_best_in_block(c, clip, etas, block, b)
                                 for c, b in zip(chs, best[scheme])]

@@ -17,6 +17,7 @@ import pytest
 import zickey
 from zickey import containment_margin, hull, schemes
 from zickey.cli import main
+from zickey.scenario import COMMAND_KEYS, KNOWN_KEYS
 from zickey.svg import polyline_chart
 from zickey.verify import REPORT_SCHEMA
 
@@ -322,6 +323,32 @@ def test_verify_keys_are_unknown_in_scenario_files(tmp_path, capsys, key,
     assert main(["region", "--config", str(cfg), "--grid", "coarse",
                  "--out-dir", str(tmp_path)]) == 2
     assert "unknown key" in capsys.readouterr().err
+
+
+CHANNEL_FILE = "h11 = 1\nh22 = 1\nh21 = 0.5\np1 = 1\np2 = 1\n"
+
+
+@pytest.mark.parametrize("argv, text, key", [
+    (["region", "--grid", "coarse"], CHANNEL_FILE, "gamma"),     # gdof's
+    (["region", "--grid", "coarse"], CHANNEL_FILE, "rk_steps"),  # sumrate's
+    (["sumrate", "--rk-list", "0,1", "--grid", "coarse"], CHANNEL_FILE,
+     "eta"),                                                     # gdof's
+    (["gdof", "--alpha", "0.5"], "gamma = 0.2\n", "h11"),         # region's
+])
+def test_keys_another_command_reads_are_unknown(tmp_path, capsys, argv,
+                                                 text, key):
+    # each command takes the keys it reads; the file passes without the key
+    cfg = tmp_path / "t.cfg"
+    cfg.write_text(text)
+    run = [*argv, "--config", str(cfg), "--out-dir", str(tmp_path)]
+    assert main(run) == 0
+    cfg.write_text(f"{text}{key} = 5\n")
+    assert main(run) == 2
+    assert f"unknown key {key!r}" in capsys.readouterr().err
+
+
+def test_every_scenario_key_is_read_by_some_command():
+    assert set().union(*COMMAND_KEYS.values()) == KNOWN_KEYS
 
 
 def test_sumrate_alpha_sweep(tmp_path, capsys):

@@ -6,10 +6,12 @@ drops a polygon when its running Pareto front, bucketed by x, already
 holds a point above both its corners. Both sweeps bound each block over every key fraction at
 once: max_sum_rate evaluates only the polygons whose bound reaches its best
 sum rate so far, sweep_region only those whose bounded corners no front
-point matches. On large layered grids sweep_region walks cells of power
-splits best bound first and builds only the cells whose bound its front
-does not dominate. sweep_regions and max_sum_rates build each row block
-once for every scheme that shares it, at every key rate. Each step is
+point matches. On large layered grids both walk cells of power splits
+best bound first: sweep_region builds only the cells whose bound its front
+does not dominate, max_sum_rates only those whose bound reaches the best
+sum rate so far of some scheme and key rate. sweep_regions and
+max_sum_rates build each row block once for every scheme that shares it,
+at every key rate, and max_sum_rates each batch of cells too. Each step is
 checked here against a literal, unoptimized version of itself kept in this
 file.
 """
@@ -388,19 +390,30 @@ def test_cell_bound_covers_brute_force_terms():
 
 def test_cells_with_a_non_finite_bound_are_never_dropped():
     # an overflowing sum makes its cell's bound non-finite; such a cell is
-    # built whatever the front, so the sweep raises where the whole grid
-    # does: with every bound non-finite, every polygon is built, once
+    # built whatever the front or the best sum rate, so both sweeps raise
+    # where the whole grid does: with every bound non-finite, every
+    # polygon the sweep takes is built, once
     def overflowing(*args):
         *upper, slack_lo = _key_splitting_cells(*args)
         upper[4] = np.where(np.arange(upper[4].size) % 2, np.inf, np.nan)
         return [*upper, slack_lo]
 
-    polygons = 17 * 18 * 17 * 17
-    for scheme in ("key_splitting", "rate_splitting"):
-        with _spy("_key_splitting_base") as built, \
-                mock.patch.dict(schemes._CELL_BOUNDS, {built: overflowing}):
-            sweep_region(SHOWCASE[4], scheme, GRID17)
-        assert sum(c.args[1].size for c in built.call_args_list) == polygons
+    ch = SHOWCASE[4]
+    ((_, rows, cols, _),) = schemes._groups(ch, ["key_splitting"], GRID17,
+                                            undominated=True)
+    # the sum rates' 11,172 undominated polygons walk below the default CHUNK
+    for sweep, args, polygons, chunk in (
+            (sweep_regions, (), 17 * 18 * 17 * 17, schemes.CHUNK),
+            (max_sum_rates, ([0.0, 1.0],), len(rows[0]) * len(cols[0]),
+             2 * 729)):
+        for scheme in ("key_splitting", "rate_splitting"):
+            with _spy("_key_splitting_base") as built, \
+                    mock.patch.object(schemes, "CHUNK", chunk), \
+                    mock.patch.dict(schemes._CELL_BOUNDS,
+                                    {built: overflowing}):
+                sweep(ch, [scheme], GRID17, *args)
+            assert sum(c.args[1].size for c in built.call_args_list) == \
+                polygons, (sweep, scheme)
 
 
 tiny = st.sampled_from([0.0, 5e-324, 1e-300, 1e-16])
@@ -475,26 +488,78 @@ def test_max_sum_rates_equal_the_full_grid_maximum():
                     for rk in rks], (grid, ch, scheme)
 
 
+WALK_RKS = (0.0, 0.2, 3.0, 1e6)
+
+
+@functools.lru_cache(maxsize=None)
+def _ref_sums(i, grid):
+    """_ref_max_sum of channel i of SHOWCASE + EDGE + CROWDED at WALK_RKS,
+    per scheme, built once."""
+    ch = (SHOWCASE + EDGE + CROWDED)[i]
+    return {scheme: [_ref_max_sum(dataclasses.replace(ch, rk=rk), scheme,
+                                  grid) for rk in WALK_RKS]
+            for scheme in VARIANTS}
+
+
+def _assert_walked_sums_exact(chunk):
+    """max_sum_rates at CHUNK = chunk, where the layered groups of COARSE
+    and GRID17 walk cells, equals the brute force; returns the batches
+    each call builds, over both of its layered groups."""
+    batches = []
+    for grid in (COARSE, GRID17):
+        for i, ch in enumerate(SHOWCASE + EDGE + CROWDED):
+            with mock.patch.object(schemes, "CHUNK", chunk), \
+                    _spy("_key_splitting_base") as built:
+                sums = max_sum_rates(ch, VARIANTS, grid, WALK_RKS)
+            assert sums == _ref_sums(i, grid), (chunk, grid, ch)
+            batches.append(built.call_count)
+    return batches
+
+
+@pytest.mark.parametrize("tile", [1, schemes.TILE, 10**6])
+def test_walked_max_sum_rates_match_brute_force(tile):
+    # every group of more than 30 polygons walks: each layered group of
+    # COARSE and GRID17, in batches of about 30 polygons, or of one cell
+    # where a cell holds more; one cell spanning a group is built alone,
+    # in one batch per group
+    with mock.patch.object(schemes, "TILE", tile):
+        batches = _assert_walked_sums_exact(60)
+    assert set(batches) == {2} if tile == 10**6 else max(batches) > 10, tile
+
+
+def test_multi_batch_walked_max_sum_rates_match_brute_force():
+    # batches of about 729 polygons, several cells each, against a best
+    # sum rate that grows from batch to batch
+    assert max(_assert_walked_sums_exact(2 * 729)) > 10
+
+
 def test_max_sum_rates_overflow_where_the_full_grid_does():
     # the first two overflow on some power splits of the layered schemes,
-    # the last on none
+    # the last on none; at CHUNK = 2 the layered groups walk cells, whose
+    # non-finite bounds are built first
     near = [ChannelParams(1, 1, 1, 1.5e308, 1.5e308, rk=1.0),
             ChannelParams(1, 1, 1, 1e308, 1e308, rk=1.0),
             ChannelParams(1, 1, 0.5, 1e308, 1e308, rk=1.0)]
-    raised = []
-    for ch in near:
-        for scheme in VARIANTS:
-            try:
-                want = _ref_max_sum(ch, scheme, COARSE)
-            except DomainError:
-                raised.append((ch.p1, ch.h21, scheme))
-                with pytest.raises(DomainError, match="overflow"):
-                    max_sum_rates(ch, [scheme], COARSE, [0.0, ch.rk])
-            else:
-                assert max_sum_rate(ch, scheme, COARSE) == want, (ch, scheme)
-    assert raised == [(p1, 1.0, scheme) for p1 in (1.5e308, 1e308)
-                      for scheme in VARIANTS
-                      if VARIANTS[scheme].terms is _key_splitting_base]
+    for chunk in (schemes.CHUNK, 2):
+        raised = []
+        with mock.patch.object(schemes, "CHUNK", chunk), \
+                mock.patch.object(schemes, "_cell_sums",
+                                  wraps=schemes._cell_sums) as walked:
+            for ch in near:
+                for scheme in VARIANTS:
+                    try:
+                        want = _ref_max_sum(ch, scheme, COARSE)
+                    except DomainError:
+                        raised.append((ch.p1, ch.h21, scheme))
+                        with pytest.raises(DomainError, match="overflow"):
+                            max_sum_rates(ch, [scheme], COARSE, [0.0, ch.rk])
+                    else:
+                        assert max_sum_rate(ch, scheme, COARSE) == want, \
+                            (chunk, ch, scheme)
+        assert raised == [(p1, 1.0, scheme) for p1 in (1.5e308, 1e308)
+                          for scheme in VARIANTS
+                          if VARIANTS[scheme].terms is _key_splitting_base]
+        assert walked.called == (chunk == 2)
 
 
 power = st.one_of(st.just(0.0),
@@ -738,7 +803,7 @@ RKS = (0.0, 0.2, 3.0)
 def _assert_shared_pass_is_exact(ch, grid):
     """sweep_regions and max_sum_rates over every variant equal, to the bit,
     sweep_region and max_sum_rate called for one scheme and key rate."""
-    for chunk in (1, 10**9):  # one row per block, or one block
+    for chunk in (1, 10**9):  # one cell or row per block, or one block
         with mock.patch.object(schemes, "CHUNK", chunk):
             regions = sweep_regions(ch, VARIANTS, grid)
             sums = max_sum_rates(ch, VARIANTS, grid, RKS)
@@ -772,7 +837,8 @@ def test_base_is_reused_across_key_rates_and_schemes():
     # each row block of terms is built once per pass, for every scheme that
     # shares it and every key rate: sweep_regions builds every (lambda1,
     # beta1) pair once, max_sum_rates each undominated pair once; above
-    # CHUNK // 2 polygons sweep_regions walks cells instead
+    # CHUNK // 2 polygons both walk cells instead, sweep_regions once per
+    # scheme, max_sum_rates once per group for every scheme and key rate
     ch = SHOWCASE[1]
     _assert_shared_pass_is_exact(ch, COARSE)
     axis = np.linspace(0.0, 1.0, 9)  # every axis of COARSE
@@ -797,18 +863,20 @@ def test_base_is_reused_across_key_rates_and_schemes():
                     _spy("_key_splitting_base") as layered, \
                     _spy("_unlayered_terms") as unlayered:
                 sweep(ch, VARIANTS, COARSE, *args)
-            if sweep is sweep_regions and chunk == 1:
-                _assert_walked_cells(layered.call_args_list)
+            built = [np.concatenate([c.args[i].ravel()
+                                     for c in layered.call_args_list])
+                     for i in (1, 3)]
+            if chunk == 1:
+                # each pair built is one the pass takes, in whole cells
+                assert set(split(zip(*built))) <= set(want), sweep
+                _assert_walked_cells(layered.call_args_list,
+                                     2 if sweep is sweep_regions else 1)
             else:
                 # key_splitting and rate_splitting share one group, built
-                # block by block, one pair per block at CHUNK = 1;
-                # rate_splitting_no_an's pairs at lambda1 = 1 are another
-                assert layered.call_count == \
-                    (len(want) if chunk == 1 else 2), (chunk, sweep)
-                built = [np.concatenate([c.args[i].ravel()
-                                         for c in layered.call_args_list])
-                         for i in (1, 3)]
-                assert split(zip(*built)) == sorted(want), (chunk, sweep)
+                # in one block; rate_splitting_no_an's pairs at lambda1 = 1
+                # are another
+                assert layered.call_count == 2, sweep
+                assert split(zip(*built)) == sorted(want), sweep
             # key_as_wiretap and one_time_pad share the other, beta1 rows;
             # the sum rates need only the largest beta1
             rows = np.concatenate([c.args[3].ravel()
@@ -819,11 +887,11 @@ def test_base_is_reused_across_key_rates_and_schemes():
                 (chunk, sweep)
 
 
-def _assert_walked_cells(calls):
+def _assert_walked_cells(calls, walks):
     """Each block one whole cell, a tile of each user's pairs (TILE x TILE
-    index pairs, fewer at an edge), and no polygon built twice by one of
-    the three walks (key_splitting, rate_splitting, and
-    rate_splitting_no_an at lambda1 = 1)."""
+    index pairs, fewer at an edge), and no polygon built twice by one walk:
+    `walks` of the key_splitting/rate_splitting group, one of
+    rate_splitting_no_an's at lambda1 = 1."""
     seen = {}
     for call in calls:
         l1, l2, b1, b2 = (a.ravel() for a in call.args[1:])
@@ -831,7 +899,7 @@ def _assert_walked_cells(calls):
         assert max(n1, n2) <= schemes.TILE**2 and l1.size == n1 * n2
         for polygon in zip(l1, l2, b1, b2):
             seen[polygon] = seen.get(polygon, 0) + 1
-    assert seen and all(n <= (3 if polygon[0] == 1.0 else 2)
+    assert seen and all(n <= walks + (polygon[0] == 1.0)
                         for polygon, n in seen.items())
 
 

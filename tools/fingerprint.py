@@ -11,7 +11,9 @@ of its own, and writes one JSON file: per command, its exit code and the
 SHA-256 digests of its standard output, its standard error and every
 file it wrote. The output directory's path reads `<out>` in the console
 text, so two checkouts give the same digests wherever their outputs
-agree byte for byte. The second form lists every entry that differs
+agree byte for byte. It also digests the exact floats that
+`schemes.max_sum_rates` gives every variant on each case of SUM_RATES,
+or the error it raises. The second form lists every entry that differs
 between two such files and exits 1 when there is one.
 """
 
@@ -62,6 +64,35 @@ COMMANDS = [
 ]
 
 
+# name: GridSpec keyword arguments
+SUM_RATE_GRIDS = {
+    "coarse": {"n_lambda1": 9, "n_lambda2": 9, "n_beta1": 9, "n_beta2": 9,
+               "n_eta": 7},
+    "17-point": {"n_lambda1": 17, "n_lambda2": 17, "n_beta1": 17,
+                 "n_beta2": 17, "n_eta": 17},
+    "full-power": {"full_power": True},
+    "default": {},
+}
+SUM_RATE_RKS = (0.0, 0.5, 2.0, 1e6)
+
+
+def _sum_rate_cases(seed: int, n: int):
+    """n seeded channels, powers 1e-12 to 1e12, one in four each with
+    P1 = 0, P2 = 0 or h21 = 0, each on every grid of SUM_RATE_GRIDS."""
+    rng = random.Random(seed)
+    cases = []
+    for i in range(n):
+        h11, h22, h21 = (rng.uniform(0.2, 2.0) for _ in range(3))
+        p1, p2 = (10 ** rng.uniform(-12.0, 12.0) for _ in range(2))
+        p1, p2, h21 = [(p1, p2, h21), (0.0, p2, h21), (p1, 0.0, h21),
+                       (p1, p2, 0.0)][i % 4]
+        cases += [((h11, h22, h21, p1, p2), grid) for grid in SUM_RATE_GRIDS]
+    return cases
+
+
+SUM_RATES = _sum_rate_cases(11, 12)
+
+
 def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -99,6 +130,32 @@ def run(commands) -> dict:
     return prints
 
 
+def run_sums(cases) -> dict:
+    """{case: {"exit", "sums"}}: per (channel, grid name) of cases, 0 and
+    the digest of every variant's max_sum_rates floats at SUM_RATE_RKS
+    in hex, or the name and the digest of the message of what it raised."""
+    if str(SRC) not in sys.path:
+        sys.path.insert(0, str(SRC))
+    from zickey import ChannelParams, GridSpec
+    from zickey.schemes import VARIANTS, max_sum_rates
+
+    prints = {}
+    for channel, grid in cases:
+        try:
+            sums = max_sum_rates(ChannelParams(*channel), VARIANTS,
+                                 GridSpec(**SUM_RATE_GRIDS[grid]),
+                                 SUM_RATE_RKS)
+        except Exception as e:  # an error is a fingerprint too
+            code, text = type(e).__name__, str(e)
+        else:
+            code = 0
+            text = json.dumps({scheme: [float(v).hex() for v in values]
+                               for scheme, values in sums.items()})
+        name = "max_sum_rates " + " ".join(map(repr, channel)) + " " + grid
+        prints[name] = {"exit": code, "sums": _digest(text.encode("utf-8"))}
+    return prints
+
+
 def compare(old: dict, new: dict) -> list:
     """One line per command whose fingerprint moved, naming what moved."""
     moved = []
@@ -107,10 +164,11 @@ def compare(old: dict, new: dict) -> list:
             moved.append(f"{cmd}: only in {'old' if cmd in old else 'new'}")
             continue
         a, b = old[cmd], new[cmd]
-        what = [k for k in ("exit", "stdout", "stderr") if a[k] != b[k]]
-        what += [f"files/{name}" for name in sorted(a["files"].keys()
-                                                    | b["files"].keys())
-                 if a["files"].get(name) != b["files"].get(name)]
+        what = [k for k in ("exit", "stdout", "stderr", "sums")
+                if a.get(k) != b.get(k)]
+        fa, fb = a.get("files", {}), b.get("files", {})
+        what += [f"files/{name}" for name in sorted(fa.keys() | fb.keys())
+                 if fa.get(name) != fb.get(name)]
         if what:
             moved.append(f"{cmd}: {', '.join(what)}")
     return moved
@@ -131,7 +189,7 @@ def main(argv=None) -> int:
         return 1 if moved else 0
     if not args.out:
         parser.error("give an output file or --compare OLD NEW")
-    prints = run(COMMANDS)
+    prints = {**run(COMMANDS), **run_sums(SUM_RATES)}
     Path(args.out).write_text(json.dumps(prints, indent=1, sort_keys=True)
                               + "\n", encoding="utf-8")
     print(f"wrote {len(prints)} fingerprints to {args.out}")
