@@ -233,6 +233,8 @@ def _axis_values(values, prefix, lo_default, hi_default, n_default):
     steps = values.get(f"{prefix}_steps", n_default)
     lo = values.get(f"{prefix}_min", lo_default)
     hi = values.get(f"{prefix}_max", hi_default)
+    if not np.isfinite(hi - lo):  # np.linspace would step by inf
+        raise ConfigError(f"{prefix}_max - {prefix}_min overflows float64")
     return [float(v) for v in np.linspace(lo, hi, steps)]
 
 

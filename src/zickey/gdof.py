@@ -18,7 +18,8 @@ from .channel import ChannelParams, DomainError, as_real
 from .geometry import Region, distance_to_region, hull
 # unused here; benchmarks/spans.py traces it under this module's name
 from .geometry import intersect_halfplanes  # noqa: F401
-from .schemes import SCHEMES, VARIANTS, gdof_split_lambda2, polygon_points
+from .schemes import (SCHEMES, VARIANTS, _key_splitting_base,
+                      gdof_split_lambda2, polygon_points)
 
 GAP_TOL = 1e-12  # a convergence gap may rise this much and stay monotone
 
@@ -100,8 +101,8 @@ def _achieved_region(ch: ChannelParams, scheme: str, eta: float,
         snr = ch.h11**2 * ch.p1
         b2 = np.unique(np.concatenate([snr ** (-u), [0.0, 1.0, lam2]]))
         lam2 = 1.0
-    terms = row.terms(ch, 1.0, lam2, 1.0, b2)
-    return hull(polygon_points(*row.clip(ch, terms, eta)))
+    base = _key_splitting_base(ch, 1.0, lam2, 1.0, b2)
+    return hull(polygon_points(*row.clip(ch, base, eta)))
 
 
 def gdof_convergence_check(gp: GdofParams, scheme: str,

@@ -13,9 +13,10 @@ at receiver 1 for user 2's message:
 - one_time_pad: the key directly encrypts min(rk, capacity) bits; the cross
   link is treated as noise.
 
-Each scheme maps parameters to caps (r1_cap, r2_cap, sum_cap); a missing sum
-face is +inf. sweep_regions evaluates schemes over a parameter grid and
-returns, per scheme, the down-closed convex hull of every induced rate
+Each scheme clips the terms of key_splitting's layer powers (the last two
+at lambda1 = lambda2 = 1) into caps (r1_cap, r2_cap, sum_cap); a missing
+sum face is +inf. sweep_regions evaluates schemes over a parameter grid
+and returns, per scheme, the down-closed convex hull of every induced rate
 polygon; max_sum_rates gives their largest sum rates at several key rates.
 """
 
@@ -33,14 +34,11 @@ import numpy as np
 from .channel import ChannelParams, DomainError, SchemeParams, _c
 from .geometry import Region, hull, pareto_filter, staircase
 
-# caps are built and evaluated in blocks of whole rows (user 1's power
-# splits) of about CHUNK polygons, so that a block's temporaries stay in
-# cache and no array spans the whole grid
+# a group of at most CHUNK // 2 polygons is one block; larger ones walk
+# cells of TILE x TILE (lambda1, beta1) times TILE x TILE (lambda2, beta2)
+# index pairs, in batches of about CHUNK // 2 polygons, so that no array
+# spans the grid; caps are evaluated about CHUNK pairs at a time
 CHUNK = 32768
-# groups of more than CHUNK // 2 polygons whose terms have a cell bound
-# walk cells of TILE x TILE (lambda1, beta1) index pairs times TILE x TILE
-# (lambda2, beta2) index pairs, in batches of about CHUNK // 2, in both
-# sweeps
 TILE = 3
 # max_sum_rate seeds its best sum rate of a block with the polygons of the
 # SEED_POLYGONS largest upper bounds
@@ -124,10 +122,10 @@ def _key_splitting_terms(ch, p1m, p1a, p2p, p2c):
 
 
 def _key_splitting_base(ch, lam1, lam2, b1, b2):
-    """The eta-free terms of the key-splitting caps (broadcastable inputs).
+    """The eta-free terms of every scheme's caps (broadcastable inputs).
 
     Returns (r1, common-layer minimum, cap_priv, cap_priv - leak, sum-face
-    log term); _key_splitting_eta adds the key clips.
+    log term); each VARIANTS row's clip adds its key clips.
     """
     r1, common, cap_priv, leak, rsum = _key_splitting_terms(
         ch, *_key_splitting_powers(ch, lam1, lam2, b1, b2))
@@ -170,27 +168,16 @@ def _key_splitting_eta(ch, base, eta):
     return r1, term_c + term_p, rsum + term_p
 
 
-def _unlayered_terms(ch, lam1, lam2, b1, b2):
-    """(r1, cap2, leak) when user 2 sends one codeword that receiver 1
-    treats as noise: user 1's rate, user 2's link capacity and its leak;
-    lam1 and lam2, pinned at 1, are not read."""
-    g11, g22, g21 = ch.h11**2, ch.h22**2, ch.h21**2
-    q1 = b1 * ch.p1
-    q2 = b2 * ch.p2
-    return _finite(_c(g11 * q1 / (1.0 + g21 * q2)), _c(g22 * q2),
-                   _c(g21 * q2))
+def _wiretap_clip(ch, base, eta):
+    """Key-as-wiretap caps (r1, r2, sum) of terms at lambda1 = lambda2 = 1."""
+    r1, _, cap_priv, slack, _ = base
+    return r1, np.maximum(0.0, np.minimum(cap_priv, slack + ch.rk)), math.inf
 
 
-def _wiretap_clip(ch, terms, eta):
-    """Key-as-wiretap caps (r1, r2, sum) of the unlayered terms."""
-    r1, cap2, leak = terms
-    return r1, np.maximum(0.0, np.minimum(cap2, cap2 - leak + ch.rk)), math.inf
-
-
-def _otp_clip(ch, terms, eta):
-    """One-time-pad caps (r1, r2, sum) of the unlayered terms."""
-    r1, cap2, _ = terms
-    return r1, np.minimum(ch.rk, cap2), math.inf
+def _otp_clip(ch, base, eta):
+    """One-time-pad caps (r1, r2, sum) of terms at lambda1 = lambda2 = 1."""
+    r1, _, cap_priv, _, _ = base
+    return r1, np.minimum(ch.rk, cap_priv), math.inf
 
 
 def _layered_gdof(alpha, gamma, eta):
@@ -211,35 +198,29 @@ def _otp_gdof(alpha, gamma, eta):
 
 
 class Scheme(NamedTuple):
-    """A row of VARIANTS: terms(ch, lambda1, lambda2, beta1, beta2) are the
-    eta-free terms of broadcastable parameters, clip(ch, terms, eta) their
-    (r1, r2, sum) caps; pins are the axes held at 1; weak_only schemes are
-    claimed only while the cross link does not dominate (inr1 <= snr2);
-    gdof(alpha, gamma, eta) gives the (d1, d2, sum) caps of the pentagons
-    whose hull is the claimed GDOF region, or is None without a claim."""
+    """A row of VARIANTS: clip(ch, terms, eta) gives the (r1, r2, sum) caps
+    of _key_splitting_base's terms at key fraction eta; pins are the axes
+    held at 1; weak_only schemes are claimed only while the cross link does
+    not dominate (inr1 <= snr2); gdof(alpha, gamma, eta) gives the (d1, d2,
+    sum) caps of the pentagons whose hull is the claimed GDOF region, or is
+    None without a claim."""
 
-    terms: Callable
     clip: Callable
     pins: tuple
     weak_only: bool
     gdof: Callable | None
 
 
-_KEY_SPLITTING = (_key_splitting_base, _key_splitting_eta)
-# the cell bound of each terms function that has one (see _cells)
-_CELL_BOUNDS = {_key_splitting_base: _key_splitting_cells}
 _UNLAYERED = ("lambda1", "lambda2", "eta")
 # every scheme name the sweeps take, in the order of the command line's
 # output columns; rate_splitting is key_splitting with the whole key on the
 # common layer, and rate_splitting_no_an also sends no artificial noise
 VARIANTS = {
-    "key_splitting": Scheme(*_KEY_SPLITTING, (), False, _layered_gdof),
-    "rate_splitting": Scheme(*_KEY_SPLITTING, ("eta",), False, _layered_gdof),
-    "rate_splitting_no_an": Scheme(*_KEY_SPLITTING, ("eta", "lambda1"), True, None),
-    "key_as_wiretap": Scheme(_unlayered_terms, _wiretap_clip, _UNLAYERED, True,
-                             _wiretap_gdof),
-    "one_time_pad": Scheme(_unlayered_terms, _otp_clip, _UNLAYERED, False,
-                           _otp_gdof),
+    "key_splitting": Scheme(_key_splitting_eta, (), False, _layered_gdof),
+    "rate_splitting": Scheme(_key_splitting_eta, ("eta",), False, _layered_gdof),
+    "rate_splitting_no_an": Scheme(_key_splitting_eta, ("eta", "lambda1"), True, None),
+    "key_as_wiretap": Scheme(_wiretap_clip, _UNLAYERED, True, _wiretap_gdof),
+    "one_time_pad": Scheme(_otp_clip, _UNLAYERED, False, _otp_gdof),
 }
 # the schemes with a GDOF claim, in VARIANTS order
 SCHEMES = tuple(name for name, row in VARIANTS.items() if row.gdof)
@@ -259,8 +240,8 @@ def scheme_point(ch: ChannelParams, scheme: str,
     axes the scheme pins read 1, whatever sp holds."""
     row = _row(scheme)
     sp = replace(sp, **dict.fromkeys(row.pins, 1.0))
-    terms = row.terms(ch, sp.lambda1, sp.lambda2, sp.beta1, sp.beta2)
-    return RateConstraints(*map(float, row.clip(ch, terms, sp.eta)))
+    base = _key_splitting_base(ch, sp.lambda1, sp.lambda2, sp.beta1, sp.beta2)
+    return RateConstraints(*map(float, row.clip(ch, base, sp.eta)))
 
 
 def gdof_split_lambda2(ch: ChannelParams) -> float:
@@ -310,18 +291,6 @@ def _points(n):
     return np.linspace(0.0, 1.0, n) if n else np.ones(1)
 
 
-def _row_blocks(shape):
-    """Slices of whole rows of a (rows, columns) grid, about CHUNK polygons
-    each.
-
-    The last rows come first: the rows are user 1's (lambda1, beta1) pairs
-    in lambda1-major order, whose largest give the largest r1, so a running
-    Pareto front soon spans the whole x range.
-    """
-    step = max(1, CHUNK // math.prod(shape[1:]))
-    return [slice(i, i + step) for i in range(0, shape[0], step)][::-1]
-
-
 def _pairs(lam, beta):
     """Every (lambda, beta) of two axes, lambda-major, as two flat arrays."""
     return np.repeat(lam, len(beta)), np.tile(beta, len(lam))
@@ -335,17 +304,17 @@ def _undominated(shared, own):
 
 
 def _groups(ch, schemes, grid, undominated=False):
-    """(terms, rows, cols, members) per group of schemes with the same terms
-    on the same power splits; members holds (scheme, clip, eta values).
+    """(rows, cols, members) per group of schemes on the same power splits;
+    members holds (scheme, clip, eta values).
 
     The polygons are rows x columns: user 1's (lambda1, beta1) pairs times
     user 2's (lambda2, beta2) pairs, each lambda-major, a pinned lambda
-    being 1. The scheme's terms(ch, L1[rows, None], L2[None],
-    B1[rows, None], B2[None]) is the elementwise expression of the 4-D
-    mesh, so each polygon's terms are the same floats in any layout, in
-    row blocks (_blocks) or in cells (_cells); clip(ch, polygons of terms,
-    eta) gives their (r1, r2, sum) caps at key fraction eta, or at each of
-    a column of key fractions.
+    being 1. _key_splitting_base(ch, L1[:, None], L2[None], B1[:, None],
+    B2[None]) is the elementwise expression of the 4-D mesh, so each
+    polygon's terms are the same floats in any layout, in one block
+    (_blocks) or in cells (_cells); clip(ch, polygons of terms, eta) gives
+    their (r1, r2, sum) caps at key fraction eta, or at each of a column
+    of key fractions.
 
     With `undominated`, only the pairs no other pair beats on the sum rate
     are kept: per distinct p1a = (1 - lambda1) beta1 p1, the one with the
@@ -359,8 +328,8 @@ def _groups(ch, schemes, grid, undominated=False):
     min(rsum + term_p, r1 + r2) never fall as p1m or p2c grows, at every
     key fraction and key rate, and the largest sum rate is the same float.
     The unlayered schemes pin lambda1 = lambda2 = 1: p1a = 0 for every
-    pair, so the largest beta1 is kept (q1 = p1m enters only r1), and each
-    p2p = beta2 p2 is its own group. At p1 = 0 (p2 = 0) every row (column)
+    pair, so the largest beta1 is kept, and p2c = 0, so each p2p = beta2 p2
+    is its own group. At p1 = 0 (p2 = 0) every row (column)
     pair has the same terms, so keeping any one of them is exact.
     The only term a dropped pair can make non-finite is rsum, where
     g11 p1m + g21 p2c overflows to +inf (h**2 p is finite for every power
@@ -375,14 +344,15 @@ def _groups(ch, schemes, grid, undominated=False):
     p2p, and that cap_priv less leak at the largest p1a and least p2p are
     each at least the term of every polygon of the cell, to the bit, and
     cap_priv at the least p2p less leak at the least p1a and largest p2p
-    is at most every slack. The key clips, the corners' min(r1, sum) and
-    min(r2, sum) and the sum rate min(sum, r1 + r2) are monotone in the
-    terms too, so at one key fraction the cell's caps bound both corners
-    and the sum rate of its every polygon, and at several _key_bound's
-    formulas do (min(top, r1 + r2max) for the sum rate), with the margin
-    of the cells' largest terms and |slack|. Where a polygon's rsum
-    overflows, so does the cell's (a larger g11 p1m + g21 p2c over a
-    smaller noise), and a cell with a non-finite bound is always built.
+    is at most every slack. Every scheme's key clips, the corners'
+    min(r1, sum) and min(r2, sum) and the sum rate min(sum, r1 + r2) are
+    monotone in the terms too, so at one key fraction the cell's caps
+    bound both corners and the sum rate of its every polygon, and at
+    several _key_bound's formulas do (min(top, r1 + r2max) for the sum
+    rate), with the margin of the cells' largest terms and |slack|. Where
+    a polygon's rsum overflows, so does the cell's (a larger
+    g11 p1m + g21 p2c over a smaller noise), and a cell with a non-finite
+    bound is always built.
     """
     groups = {}
     for scheme in schemes:
@@ -397,20 +367,18 @@ def _groups(ch, schemes, grid, undominated=False):
             keep1 = _undominated((1.0 - l1) * b1 * ch.p1, l1 * b1 * ch.p1)
             keep2 = _undominated(l2 * b2 * ch.p2, (1.0 - l2) * b2 * ch.p2)
             rows, cols = [a[keep1] for a in rows], [a[keep2] for a in cols]
-        key = (row.terms, *(a.tobytes() for a in (*rows, *cols)))
-        groups.setdefault(key, (row.terms, rows, cols, []))[3].append(
+        key = tuple(a.tobytes() for a in (*rows, *cols))
+        groups.setdefault(key, (rows, cols, []))[2].append(
             (scheme, row.clip, etas))
     return groups.values()
 
 
-def _blocks(ch, terms, rows, cols):
-    """The terms of a group's polygons (see _groups) as flat arrays, one
-    row block (_row_blocks) at a time, each built just before use so that
-    no array spans the grid."""
-    for r in _row_blocks((len(rows[0]), len(cols[0]))):
-        args = [a for u1, u2 in zip(rows, cols)
-                for a in (u1[r, None], u2[None])]
-        yield [b.ravel() for b in np.broadcast_arrays(*terms(ch, *args))]
+def _blocks(ch, rows, cols):
+    """The terms of a group's polygons (see _groups) as flat arrays, the
+    whole mesh as one block, built only when iterated."""
+    args = [a for u1, u2 in zip(rows, cols) for a in (u1[:, None], u2[None])]
+    yield [b.ravel() for b in
+           np.broadcast_arrays(*_key_splitting_base(ch, *args))]
 
 
 def _tiles(lam, beta):
@@ -454,21 +422,20 @@ def _cell_sums(ch, clip, etas, base, slack_lo):
     return np.minimum(rsum, r1 + r2), 0.0
 
 
-def _cells(ch, terms, rows, cols):
-    """(base, slack_lo, wild, batches), the table of cells of a group whose
-    terms have a cell bound and that has more than CHUNK // 2 polygons;
-    else None. A cell is a tile of rows times a tile of columns (_tiles);
+def _cells(ch, rows, cols):
+    """(base, slack_lo, wild, batches), the table of cells of a group of
+    more than CHUNK // 2 polygons; else None, and the group is one block
+    (_blocks). A cell is a tile of rows times a tile of columns (_tiles);
     base and slack_lo bound its terms (_groups), and wild marks a
     non-finite base. batches(todo, live) yields the terms of the cells of
     todo in order, the first alone, then about CHUNK // 2 polygons at a
     time, dropping before each batch the cells where live(todo) is False.
     """
-    bound = _CELL_BOUNDS.get(terms)
-    if not bound or len(rows[0]) * len(cols[0]) <= CHUNK // 2:
+    if len(rows[0]) * len(cols[0]) <= CHUNK // 2:
         return None
     (o1, s1), (o2, s2) = _tiles(*rows), _tiles(*cols)
     rows, cols = [a[o1] for a in rows], [a[o2] for a in cols]
-    *base, slack_lo = bound(ch, rows, cols, (s1, s2))
+    *base, slack_lo = _key_splitting_cells(ch, rows, cols, (s1, s2))
     wild = ~np.logical_and.reduce([np.isfinite(b) for b in base])
     k1, k2 = np.diff(s1, append=len(o1)), np.diff(s2, append=len(o2))
     size = np.outer(k1, k2).ravel()  # polygons per cell
@@ -478,7 +445,8 @@ def _cells(ch, terms, rows, cols):
         while todo.size:
             t1, t2 = np.divmod(todo[:n], len(k2))
             r, c = _cell_pairs(s1[t1], k1[t1], s2[t2], k2[t2])
-            yield terms(ch, rows[0][r], cols[0][c], rows[1][r], cols[1][c])
+            yield _key_splitting_base(ch, rows[0][r], cols[0][c], rows[1][r],
+                                      cols[1][c])
             todo = todo[n:]
             todo = todo[live(todo)] if todo.size else todo
             # no batch holds more than CHUNK // 2 + 1 cells
@@ -499,8 +467,8 @@ def _caps(ch, clip, etas, polygons, pairs):
 def _add_block(ch, clip, etas, block, front):
     """The Pareto front of `front` and the corners of a block's polygons.
 
-    A block is the terms of a row block (_blocks) or of a batch of cells
-    (_cells). With several key fractions and a front, the block is first
+    A block is the terms of a whole group (_blocks) or of a batch of
+    cells (_cells). With several key fractions and a front, the block is first
     bounded over all of them at once; only the polygons whose bounded
     corners no front point matches are evaluated.
     """
@@ -536,9 +504,9 @@ def sweep_regions(ch: ChannelParams, schemes,
     noise-floor sample; pinned axes (the row's pins, and full_power's)
     contribute a single point.
     Deterministic for identical inputs. A group of schemes that share
-    their terms (see _groups) is built in row blocks, each built once and
-    fed to the running Pareto front of every member; where the group
-    walks cells (_cells), each member takes them largest corner bounds
+    their power splits (see _groups) is built once as one block and fed to
+    the running Pareto front of every member; where the group walks cells
+    (_cells), each member takes them largest corner bounds
     ax + by first (_cell_corners), and a cell goes when a front point in a
     strictly higher bucket than its ax has a y of at least its by, as in
     _add_block: that point dominates both corners of its every polygon.
@@ -561,10 +529,10 @@ def sweep_regions(ch: ChannelParams, schemes,
                               stacklevel=level)
     # Pareto set of every corner so far, per scheme
     fronts = {scheme: np.empty((0, 2)) for scheme in schemes}
-    for terms, rows, cols, members in _groups(ch, schemes, grid):
-        cells = _cells(ch, terms, rows, cols)
+    for rows, cols, members in _groups(ch, schemes, grid):
+        cells = _cells(ch, rows, cols)
         if not cells:
-            for block in _blocks(ch, terms, rows, cols):
+            for block in _blocks(ch, rows, cols):
                 for scheme, clip, etas in members:
                     fronts[scheme] = _add_block(ch, clip, etas, block,
                                                 fronts[scheme])
@@ -590,11 +558,11 @@ def sweep_region(ch: ChannelParams, scheme: str,
     return sweep_regions(ch, [scheme], grid)[scheme]
 
 
-def _key_bound(rk, base, slack_lo=None):
+def _key_bound(rk, base, slack_lo):
     """(top, r2max, margin): per polygon of base, its sum cap never exceeds
     top, nor its r2 cap r2max + margin, at any key fraction; margin is one
-    number for the whole block. slack_lo, where given, is at most every
-    slack the margin must cover (the least slacks of cells).
+    number for the whole block. slack_lo is at most every slack the margin
+    must cover (the least slacks of cells, or the slacks themselves).
 
     term_p never exceeds tpmax = max(0, min(cap_priv, slack + rk)), to the
     bit, as every step rounds monotonically; so the sum cap never exceeds
@@ -610,8 +578,7 @@ def _key_bound(rk, base, slack_lo=None):
     r2max = np.minimum(common + tpmax,
                        np.maximum(reach, np.minimum(common, rk)))
     scale = float((r1 + r2max).max()) + rk
-    low = slack if slack_lo is None else slack_lo
-    scale += max(float(slack.max()), -float(low.min()))
+    scale += max(float(slack.max()), -float(slack_lo.min()))
     return rsum + tpmax, r2max, 8.0 * math.ulp(scale)
 
 
@@ -621,8 +588,8 @@ def max_sum_rates(ch: ChannelParams, schemes, grid: GridSpec | None,
 
     A scheme is any name in VARIANTS; the channel's own rk is not read.
     Only the power splits no other split beats are built (see _groups).
-    Each row block of terms, or batch of cells where the group walks them
-    (_cells), is built once and serves every scheme that shares it, at
+    Each group's block of terms, or batch of cells where the group walks
+    them (_cells), is built once and serves every scheme that shares it, at
     every key rate. The cells go largest bound ub of any scheme's sum
     rates first (_cell_sums), and before each batch a cell goes only when,
     for every scheme and key rate, its ub is below the best sum rate so
@@ -635,10 +602,10 @@ def max_sum_rates(ch: ChannelParams, schemes, grid: GridSpec | None,
     """
     chs = [replace(ch, rk=rk) for rk in rks]
     best = {scheme: [0.0] * len(chs) for scheme in schemes}
-    for terms, rows, cols, members in _groups(ch, schemes, grid or GridSpec(),
-                                              undominated=True):
-        blocks = _blocks(ch, terms, rows, cols)  # built only as iterated
-        cells = _cells(ch, terms, rows, cols)
+    for rows, cols, members in _groups(ch, schemes, grid or GridSpec(),
+                                       undominated=True):
+        blocks = _blocks(ch, rows, cols)  # built only as iterated
+        cells = _cells(ch, rows, cols)
         if cells:
             base, slack_lo, wild, batches = cells
 
@@ -673,8 +640,8 @@ def _best_in_block(ch, clip, etas, block, best):
                    for r1, r2, rsum in _caps(ch, clip, etas, polygons, CHUNK))
 
     if len(etas) > 1:
-        ub, r2max, margin = _key_bound(ch.rk, block)
-        ub = np.minimum(ub, block[0] + r2max)
+        # each polygon is its own cell, its slack the least
+        ub, margin = _cell_sums(ch, clip, etas, block, block[3])
         top = np.argpartition(ub, max(0, ub.size - SEED_POLYGONS))
         best = max(best, best_of([b[top[-SEED_POLYGONS:]] for b in block]))
         live = ub >= best - margin

@@ -408,6 +408,25 @@ def test_sumrate_axis_validation(tmp_path):
                  "--rk-list=-1,0", "--out-dir", out]) == 2
 
 
+@pytest.mark.parametrize("axis, channel", [
+    ("rk", ["--h11", "1", "--h22", "1", "--h21", "0.5", "--p1", "10",
+            "--p2", "10"]),
+    ("alpha", ["--p", "100", "--rk", "1"]),
+])
+def test_overflowing_axis_span_is_a_config_error(tmp_path, capsys, axis,
+                                                 channel):
+    # max - min overflows to inf: refused before linspace steps by it
+    span = [f"--{axis}-min", "-1e308", f"--{axis}-max", "1e308",
+            f"--{axis}-steps", "3"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["sumrate", *channel, *span,
+                     "--out-dir", str(tmp_path)]) == 2
+    assert not caught
+    assert capsys.readouterr().err == \
+        f"error: {axis}_max - {axis}_min overflows float64\n"
+
+
 def test_sumrate_meta_records_the_swept_grid(tmp_path):
     grid = "n_lambda1=5,n_lambda2=5,n_beta1=5,n_beta2=5,n_eta=3"
     for flags, pinned in ((["--grid", grid, "--sweep-powers"], False),

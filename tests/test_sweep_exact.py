@@ -1,19 +1,20 @@
 """The fast sweep against plain brute force, bit for bit.
 
-sweep_region computes the eta-free key-splitting terms one block at a time,
-just before the block is used, and emits two corners per rate polygon. It
-drops a polygon when its running Pareto front, bucketed by x, already
-holds a point above both its corners. Both sweeps bound each block over every key fraction at
-once: max_sum_rate evaluates only the polygons whose bound reaches its best
-sum rate so far, sweep_region only those whose bounded corners no front
-point matches. On large layered grids both walk cells of power splits
-best bound first: sweep_region builds only the cells whose bound its front
-does not dominate, max_sum_rates only those whose bound reaches the best
-sum rate so far of some scheme and key rate. sweep_regions and
-max_sum_rates build each row block once for every scheme that shares it,
-at every key rate, and max_sum_rates each batch of cells too. Each step is
-checked here against a literal, unoptimized version of itself kept in this
-file.
+sweep_region computes the eta-free key-splitting terms of every scheme, the
+unlayered ones at lambda1 = lambda2 = 1, one block at a time, just before
+the block is used, and emits two corners per rate polygon. It drops a
+polygon when its running Pareto front, bucketed by x, already holds a point
+above both its corners. Both sweeps bound each block over every key
+fraction at once: max_sum_rate evaluates only the polygons whose bound
+reaches its best sum rate so far, sweep_region only those whose bounded
+corners no front point matches. Groups of more than CHUNK // 2 polygons
+walk cells of power splits best bound first: sweep_region builds only the
+cells whose bound its front does not dominate, max_sum_rates only those
+whose bound reaches the best sum rate so far of some scheme and key rate;
+smaller groups are one block. sweep_regions and max_sum_rates build each
+such block once for every scheme that shares it, at every key rate, and
+max_sum_rates each batch of cells too. Each step is checked here against a
+literal, unoptimized version of itself kept in this file.
 """
 
 import contextlib
@@ -34,8 +35,7 @@ from zickey import geometry, schemes, sweep_region
 from zickey.geometry import hull, pareto_filter, staircase
 from zickey.schemes import (SCHEMES, VARIANTS, _key_bound,
                             _key_splitting_base, _key_splitting_cells,
-                            _key_splitting_eta, _row_blocks, _tiles,
-                            _unlayered_terms, gdof_split_lambda2,
+                            _key_splitting_eta, _tiles, gdof_split_lambda2,
                             max_sum_rates, sweep_regions)
 
 SHOWCASE = [ChannelParams(1, 1, h21, 100, 100, rk=rk)
@@ -46,6 +46,12 @@ EDGE = [ChannelParams(1, 1, 0.0, 100, 100, rk=1.0),     # no cross link
 # tiny P1, huge P2: many polygons come close to the best sum rate
 CROWDED = [ChannelParams(1, 1, h21, 1e-9, 1e9, rk=rk)
            for h21 in (0.6, 1.2) for rk in (0.0, 0.7, 30.0)]
+# powers at the ends of the range the sweeps are checked on, a silent
+# user 1 and no cross link
+EXTREME = [ChannelParams(1, 1, 0.6, 1e-12, 1e15, rk=0.5),
+           ChannelParams(1.2, 0.8, 1.1, 1e15, 1e-12, rk=3.0),
+           ChannelParams(0.9, 1.1, 0.7, 0.0, 1e15, rk=1.0),
+           ChannelParams(1, 1, 0.0, 1e15, 1e15, rk=2.0)]
 GRID17 = GridSpec(n_lambda1=17, n_lambda2=17, n_beta1=17, n_beta2=17,
                   n_eta=17)
 
@@ -97,7 +103,7 @@ PINS = {"key_splitting": (), "rate_splitting": ("eta",),
 def test_scheme_point_matches_the_restated_caps():
     assert list(PINS) == list(VARIANTS)
     rng = np.random.default_rng(19)
-    for ch in SHOWCASE + EDGE + CROWDED:
+    for ch in SHOWCASE + EDGE + CROWDED + EXTREME:
         for _ in range(12):
             # each axis uniform, or at an end of [0, 1]
             values = np.where(rng.random(5) < 0.3, rng.integers(0, 2, 5),
@@ -275,10 +281,11 @@ ROW17 = 18 * 17 * 17  # polygons in one lambda1 row of GRID17 (gdof split on)
 
 
 @pytest.mark.parametrize("name, value", [
-    # the layered regions walk cells, the rest and the sum rates take rows
-    ("CHUNK", 1),                 # one cell, or one row, per block
-    ("CHUNK", 5 * ROW17 + 7),     # cell batches of 13,008, or 5 rows
-    ("CHUNK", 10**9),             # one row block per group
+    # groups of more than CHUNK // 2 polygons walk cells, the rest are
+    # one block
+    ("CHUNK", 1),                 # every group walks, one cell per batch
+    ("CHUNK", 5 * ROW17 + 7),     # the layered regions in batches of 13,008
+    ("CHUNK", 10**9),             # one block per group
     ("STAIR_BINS", 1),            # one bucket: the staircase drops nothing
     ("STAIR_BINS", 2),
     ("STAIR_BINS", 7),
@@ -373,7 +380,8 @@ def test_cell_bound_covers_brute_force_terms():
         # and the cell's corner bounds hold at every key fraction, with a
         # rounding margin no smaller than that of the polygons' own terms
         top, r2max, margin = _key_bound(ch.rk, upper, slack_lo)
-        assert margin >= _key_bound(ch.rk, [t.ravel() for t in terms])[2], ch
+        flat = [t.ravel() for t in terms]
+        assert margin >= _key_bound(ch.rk, flat, flat[3])[2], ch
         for etas in (np.array([1.0]), np.linspace(0.0, 1.0, 21)):
             ax, by = schemes._cell_corners(ch, _key_splitting_eta, etas,
                                            upper, slack_lo)
@@ -399,8 +407,8 @@ def test_cells_with_a_non_finite_bound_are_never_dropped():
         return [*upper, slack_lo]
 
     ch = SHOWCASE[4]
-    ((_, rows, cols, _),) = schemes._groups(ch, ["key_splitting"], GRID17,
-                                            undominated=True)
+    ((rows, cols, _),) = schemes._groups(ch, ["key_splitting"], GRID17,
+                                         undominated=True)
     # the sum rates' 11,172 undominated polygons walk below the default CHUNK
     for sweep, args, polygons, chunk in (
             (sweep_regions, (), 17 * 18 * 17 * 17, schemes.CHUNK),
@@ -409,8 +417,8 @@ def test_cells_with_a_non_finite_bound_are_never_dropped():
         for scheme in ("key_splitting", "rate_splitting"):
             with _spy("_key_splitting_base") as built, \
                     mock.patch.object(schemes, "CHUNK", chunk), \
-                    mock.patch.dict(schemes._CELL_BOUNDS,
-                                    {built: overflowing}):
+                    mock.patch.object(schemes, "_key_splitting_cells",
+                                      overflowing):
                 sweep(ch, [scheme], GRID17, *args)
             assert sum(c.args[1].size for c in built.call_args_list) == \
                 polygons, (sweep, scheme)
@@ -430,18 +438,6 @@ def test_staircase_only_claims_points_with_larger_x(rows, xs, bins):
         got = staircase(front, x)
     for xi, yi in zip(x, got):
         assert yi == -math.inf or yi in front[front[:, 0] > xi, 1], (xi, yi)
-
-
-@pytest.mark.parametrize("chunk", [1, 5 * ROW17 + 7, 10**9])
-def test_row_blocks_cover_every_row_once(chunk):
-    for shape in ((17, 18, 17, 17), (17, 17), (1, 34, 33, 33), (33, 1, 1, 1)):
-        rows, width = np.arange(shape[0]), math.prod(shape[1:])
-        with mock.patch.object(schemes, "CHUNK", chunk):
-            blocks = _row_blocks(shape)
-        got = np.concatenate([rows[b] for b in blocks])
-        assert sorted(got) == list(rows), (chunk, shape)
-        # whole rows, and no more than CHUNK polygons unless one row is more
-        assert all(len(rows[b]) * width <= max(chunk, width) for b in blocks)
 
 
 @functools.lru_cache(maxsize=None)
@@ -504,7 +500,7 @@ def _ref_sums(i, grid):
 def _assert_walked_sums_exact(chunk):
     """max_sum_rates at CHUNK = chunk, where the layered groups of COARSE
     and GRID17 walk cells, equals the brute force; returns the batches
-    each call builds, over both of its layered groups."""
+    each call builds, over its two layered groups and the unlayered one."""
     batches = []
     for grid in (COARSE, GRID17):
         for i, ch in enumerate(SHOWCASE + EDGE + CROWDED):
@@ -521,10 +517,11 @@ def test_walked_max_sum_rates_match_brute_force(tile):
     # every group of more than 30 polygons walks: each layered group of
     # COARSE and GRID17, in batches of about 30 polygons, or of one cell
     # where a cell holds more; one cell spanning a group is built alone,
-    # in one batch per group
+    # in one batch per group, and the unlayered group's single row of at
+    # most 17 polygons is one block
     with mock.patch.object(schemes, "TILE", tile):
         batches = _assert_walked_sums_exact(60)
-    assert set(batches) == {2} if tile == 10**6 else max(batches) > 10, tile
+    assert set(batches) == {3} if tile == 10**6 else max(batches) > 10, tile
 
 
 def test_multi_batch_walked_max_sum_rates_match_brute_force():
@@ -543,8 +540,7 @@ def test_max_sum_rates_overflow_where_the_full_grid_does():
     for chunk in (schemes.CHUNK, 2):
         raised = []
         with mock.patch.object(schemes, "CHUNK", chunk), \
-                mock.patch.object(schemes, "_cell_sums",
-                                  wraps=schemes._cell_sums) as walked:
+                _spy("_key_splitting_cells") as walked:
             for ch in near:
                 for scheme in VARIANTS:
                     try:
@@ -556,9 +552,10 @@ def test_max_sum_rates_overflow_where_the_full_grid_does():
                     else:
                         assert max_sum_rate(ch, scheme, COARSE) == want, \
                             (chunk, ch, scheme)
+        # rsum = r1 where lambda1 = lambda2 = 1: only the layered overflow
         assert raised == [(p1, 1.0, scheme) for p1 in (1.5e308, 1e308)
                           for scheme in VARIANTS
-                          if VARIANTS[scheme].terms is _key_splitting_base]
+                          if "lambda2" not in PINS[scheme]]
         assert walked.called == (chunk == 2)
 
 
@@ -576,9 +573,10 @@ def pair_cases(draw):
     return ch, GridSpec(*(draw(points) for _ in range(4)), n_eta=2)
 
 
-def _built_by_max_sum_rates(ch, scheme, grid, terms):
-    """The arguments max_sum_rates builds `terms` of, in one block."""
-    with mock.patch.object(schemes, "CHUNK", 10**9), _spy(terms) as spy:
+def _built_by_max_sum_rates(ch, scheme, grid):
+    """The arguments max_sum_rates builds the terms of, in one block."""
+    with mock.patch.object(schemes, "CHUNK", 10**9), \
+            _spy("_key_splitting_base") as spy:
         max_sum_rates(ch, [scheme], grid, [0.0])
     return [a.ravel() for a in spy.call_args.args[1:]]
 
@@ -603,8 +601,7 @@ def test_max_sum_rate_keeps_a_dominating_pair_for_every_dropped_one(case):
     # every pair, and the pairs the sum rates build
     L1, B1 = np.repeat(l1, len(b1)), np.tile(b1, len(l1))
     L2, B2 = np.repeat(l2, len(b2)), np.tile(b2, len(l2))
-    kl1, kl2, kb1, kb2 = _built_by_max_sum_rates(ch, "key_splitting", grid,
-                                                 "_key_splitting_base")
+    kl1, kl2, kb1, kb2 = _built_by_max_sum_rates(ch, "key_splitting", grid)
     # user 1 shares its noise power p1a, user 2 its private power p2p
     j1 = _kept_for((1.0 - L1) * B1 * ch.p1, L1 * B1 * ch.p1,
                    (1.0 - kl1) * kb1 * ch.p1, kl1 * kb1 * ch.p1)
@@ -623,15 +620,14 @@ def test_max_sum_rate_keeps_a_dominating_pair_for_every_dropped_one(case):
     # without layers, lambda1 = lambda2 = 1: only the largest beta1, and
     # every beta2; where p1 (p2) is 0, every beta1 (beta2) gives the same
     # terms, and one of them is kept
-    kl1, kl2, kb1, kb2 = _built_by_max_sum_rates(ch, "key_as_wiretap", grid,
-                                                 "_unlayered_terms")
+    kl1, kl2, kb1, kb2 = _built_by_max_sum_rates(ch, "key_as_wiretap", grid)
     b1 = np.linspace(0.0, 1.0, grid.n_beta1)
     assert kl1.tolist() == [1.0] and set(kl2.tolist()) == {1.0}
     assert kb1.tolist() == [1.0] or (ch.p1 == 0.0 and len(kb1) == 1)
     assert kb2.tolist() == list(b2) or (ch.p2 == 0.0 and len(kb2) == 1)
     for term, at_kept in zip(
-            _unlayered_terms(ch, 1.0, 1.0, b1[:, None], b2[None]),
-            _unlayered_terms(ch, 1.0, 1.0, kb1[:, None], kb2[None])):
+            _key_splitting_base(ch, 1.0, 1.0, b1[:, None], b2[None]),
+            _key_splitting_base(ch, 1.0, 1.0, kb1[:, None], kb2[None])):
         assert np.all(term <= at_kept), ch
 
 
@@ -663,7 +659,7 @@ def bases(draw):
 def test_sum_rate_bound_covers_every_key_fraction(case, etas):
     rk, base = case
     ch = ChannelParams(1, 1, 0.5, 1, 1, rk=rk)
-    top, r2max, margin = _key_bound(rk, base)
+    top, r2max, margin = _key_bound(rk, base, base[3])
     ub = np.minimum(top, base[0] + r2max)  # as max_sum_rate bounds it
     for eta in [*np.linspace(0.0, 1.0, 21), *etas]:
         r1, r2, rsum = _key_splitting_eta(ch, base, float(eta))
@@ -685,7 +681,7 @@ def test_sum_rate_bound_under_cancellation():
             base = [np.where(rng.random(n) < 0.5, 0.0, small[0] * rk),
                     small[1] * rk, np.full(n, 1e300), -rk * (1.0 - small[2]),
                     np.full(n, 1e300)]
-            top, r2max, margin = _key_bound(rk, base)
+            top, r2max, margin = _key_bound(rk, base, base[3])
             ub = np.minimum(top, base[0] + r2max)
             for eta in np.concatenate([np.linspace(0.0, 1.0, 101),
                                        np.linspace(0.0, width, 101)]):
@@ -702,7 +698,7 @@ def test_sum_rate_bound_under_cancellation():
 def test_corner_bound_covers_every_key_fraction(case, etas):
     rk, base = case
     ch = ChannelParams(1, 1, 0.5, 1, 1, rk=rk)
-    top, r2max, margin = _key_bound(rk, base)
+    top, r2max, margin = _key_bound(rk, base, base[3])
     # as in sweep_region, which drops a polygon when a front point reaches
     # (AX, BY) + margin
     ax = np.minimum(base[0], top) + margin
@@ -735,7 +731,7 @@ def _whole_grid_terms(ch, scheme, grid):
     as (user 1's pairs, user 2's pairs): (lambda1, beta1) rows and
     (lambda2, beta2) columns, each lambda-major; beta1 x beta2 unlayered."""
     if scheme in ("key_as_wiretap", "one_time_pad"):
-        return np.broadcast_arrays(*_unlayered_terms(
+        return np.broadcast_arrays(*_key_splitting_base(
             ch, 1.0, 1.0, np.linspace(0.0, 1.0, grid.n_beta1)[:, None],
             np.linspace(0.0, 1.0, grid.n_beta2)[None, :]))
     whole = np.broadcast_arrays(*_key_splitting_base(
@@ -745,21 +741,72 @@ def _whole_grid_terms(ch, scheme, grid):
 
 
 @pytest.mark.parametrize("chunk", [1, 5 * ROW17 + 7, 10**9])
+def test_row_blocks_cover_every_row_once(chunk):
+    # a group is one block of every row times every column, or a cell
+    # table: its tiles take every row (column) once, at most TILE distinct
+    # lambdas and betas each, and its batches, the first one cell alone and
+    # none of several cells over CHUNK // 2 polygons, build every polygon
+    # of the group once when no cell is dropped
+    with mock.patch.object(schemes, "CHUNK", chunk):
+        for ch in (SHOWCASE[1], EDGE[0], CROWDED[0]):
+            for scheme in VARIANTS:
+                ((rows, cols, _),) = schemes._groups(ch, [scheme], GRID17)
+                n1, n2 = len(rows[0]), len(cols[0])
+                cells = schemes._cells(ch, rows, cols)
+                if cells is None:
+                    assert n1 * n2 <= chunk // 2, (chunk, scheme)
+                    (block,) = schemes._blocks(ch, rows, cols)
+                    assert all(b.size == n1 * n2 for b in block)
+                    continue
+                assert n1 * n2 > chunk // 2, (chunk, scheme)
+                for pairs in (rows, cols):
+                    order, starts = _tiles(*pairs)
+                    assert sorted(order) == list(range(len(pairs[0])))
+                    for tile in np.split(order, starts[1:]):
+                        assert all(len(np.unique(a[tile])) <= schemes.TILE
+                                   for a in pairs), (chunk, scheme)
+                base, _, _, batches = cells
+                with _spy("_cell_pairs") as cut, \
+                        _spy("_key_splitting_base") as built:
+                    for _ in batches(np.arange(base[0].size),
+                                     lambda todo: np.ones(todo.size, bool)):
+                        pass
+                axes = [[np.unique(a) for a in pairs] for pairs in (rows, cols)]
+                assert [len(l) * len(b) for l, b in axes] == [n1, n2]
+                seen = []
+                for i, (c, b) in enumerate(zip(cut.call_args_list,
+                                               built.call_args_list)):
+                    n_cells, (l1, l2, b1, b2) = len(c.args[0]), b.args[1:]
+                    assert n_cells == 1 if i == 0 else \
+                        n_cells == 1 or l1.size <= chunk // 2, (chunk, scheme)
+                    seen.append(_position((l1, b1), *axes[0]) * n2 +
+                                _position((l2, b2), *axes[1]))
+                seen = np.sort(np.concatenate(seen))
+                assert seen.tolist() == list(range(n1 * n2)), (chunk, scheme)
+
+
+@pytest.mark.parametrize("chunk", [1, 5 * ROW17 + 7, 10**9])
 def test_row_block_terms_equal_the_whole_grid_terms(chunk):
-    # log2 and the other ufuncs give every element the same bits whether it
-    # is computed in a block of rows or in the whole grid
+    # a group of at most CHUNK // 2 polygons is built in one call, the
+    # whole mesh at once, a block of every row, and log2 and the other ufuncs give every element
+    # the bits of the whole grid's terms; larger groups walk cells
+    # (test_cell_terms_equal_the_whole_grid_terms)
     with mock.patch.object(schemes, "CHUNK", chunk):
         for ch in SHOWCASE + EDGE + CROWDED:
-            for scheme in SCHEMES:
+            for scheme in VARIANTS:
                 whole = _whole_grid_terms(ch, scheme, GRID17)
-                rows = _row_blocks(whole[0].shape)
-                ((terms, r1, c2, _),) = schemes._groups(ch, [scheme], GRID17)
-                got = list(schemes._blocks(ch, terms, r1, c2))
-                assert len(got) == len(rows), (chunk, ch, scheme)
-                for block, r in zip(got, rows):
-                    assert [b.tobytes() for b in block] == \
-                        [w[r].ravel().tobytes() for w in whole], \
-                        (chunk, ch, scheme, r)
+                ((rows, cols, _),) = schemes._groups(ch, [scheme], GRID17)
+                assert len(rows[0]) * len(cols[0]) == whole[0].size
+                if whole[0].size > chunk // 2:
+                    assert schemes._cells(ch, rows, cols), (chunk, scheme)
+                    continue
+                assert schemes._cells(ch, rows, cols) is None
+                with _spy("_key_splitting_base") as built:
+                    sweep_region(ch, scheme, GRID17)
+                assert built.call_count == 1, (chunk, ch, scheme)
+                (block,) = schemes._blocks(ch, rows, cols)
+                assert [b.tobytes() for b in block] == \
+                    [w.ravel().tobytes() for w in whole], (chunk, ch, scheme)
 
 
 def _position(pairs, lam, beta):
@@ -819,26 +866,41 @@ def _assert_shared_pass_is_exact(ch, grid):
 @contextlib.contextmanager
 def _spy(name):
     """A mock wrapping the schemes function `name`, put wherever the sweeps
-    look it up: the module attribute, every VARIANTS row holding it and the
-    cell-bound table, as key or value."""
+    look it up: the module attribute and every VARIANTS row holding it (a
+    clip)."""
     fn = getattr(schemes, name)
-    bounds = schemes._CELL_BOUNDS
     with mock.patch.object(schemes, name, wraps=fn) as spy, \
             mock.patch.dict(VARIANTS, {
                 scheme: row._replace(**{field: spy for field in row._fields
                                         if getattr(row, field) is fn})
-                for scheme, row in VARIANTS.items()}), \
-            mock.patch.dict(bounds, {spy if k is fn else k: spy if v is fn
-                                     else v for k, v in bounds.items()}):
+                for scheme, row in VARIANTS.items()}):
         yield spy
 
 
+@contextlib.contextmanager
+def _built_per_group():
+    """{member schemes: the calls of _key_splitting_base made while the
+    sweep takes their group (_groups)}, filled as the sweep goes."""
+    groups, calls = schemes._groups, {}
+
+    def tagged(*args, **kwargs):
+        for group in groups(*args, **kwargs):
+            start = built.call_count
+            yield group
+            calls[tuple(m[0] for m in group[2])] = \
+                built.call_args_list[start:]
+
+    with _spy("_key_splitting_base") as built, \
+            mock.patch.object(schemes, "_groups", tagged):
+        yield calls
+
+
 def test_base_is_reused_across_key_rates_and_schemes():
-    # each row block of terms is built once per pass, for every scheme that
-    # shares it and every key rate: sweep_regions builds every (lambda1,
-    # beta1) pair once, max_sum_rates each undominated pair once; above
-    # CHUNK // 2 polygons both walk cells instead, sweep_regions once per
-    # scheme, max_sum_rates once per group for every scheme and key rate
+    # each group's block of terms is built once per pass, for every scheme
+    # that shares it and every key rate: sweep_regions builds every
+    # (lambda1, beta1) pair once, max_sum_rates each undominated pair once;
+    # above CHUNK // 2 polygons both walk cells instead, sweep_regions once
+    # per scheme, max_sum_rates once per group for every scheme and key rate
     ch = SHOWCASE[1]
     _assert_shared_pass_is_exact(ch, COARSE)
     axis = np.linspace(0.0, 1.0, 9)  # every axis of COARSE
@@ -855,43 +917,44 @@ def test_base_is_reused_across_key_rates_and_schemes():
             best[p1a] = max(best.get(p1a, p1m), p1m)
         return sorted(best.items())
 
+    # key_splitting and rate_splitting share one group, and
+    # rate_splitting_no_an's pairs at lambda1 = 1 are another;
+    # key_as_wiretap and one_time_pad share the third, beta1 rows at
+    # lambda1 = lambda2 = 1
+    groups = [("key_splitting", "rate_splitting"), ("rate_splitting_no_an",),
+              ("key_as_wiretap", "one_time_pad")]
     for sweep, args, want in (
             (sweep_regions, (), split(every) + split(no_an)),
             (max_sum_rates, (RKS,), undominated(every) + undominated(no_an))):
         for chunk in (1, 10**9):
             with mock.patch.object(schemes, "CHUNK", chunk), \
-                    _spy("_key_splitting_base") as layered, \
-                    _spy("_unlayered_terms") as unlayered:
+                    _built_per_group() as calls:
                 sweep(ch, VARIANTS, COARSE, *args)
-            built = [np.concatenate([c.args[i].ravel()
-                                     for c in layered.call_args_list])
-                     for i in (1, 3)]
+            assert list(calls) == groups, (chunk, sweep)
+            built = [np.concatenate([c.args[i].ravel() for g in groups[:2]
+                                     for c in calls[g]]) for i in (1, 3)]
+            # the sum rates need only the largest beta1 without layers
+            rows = np.concatenate([c.args[3].ravel()
+                                   for c in calls[groups[2]]])
+            unlayered = list(axis) if sweep is sweep_regions else [1.0]
             if chunk == 1:
                 # each pair built is one the pass takes, in whole cells
                 assert set(split(zip(*built))) <= set(want), sweep
-                _assert_walked_cells(layered.call_args_list,
-                                     2 if sweep is sweep_regions else 1)
+                assert set(rows) <= set(unlayered), sweep
+                for members in groups:
+                    _assert_walked_cells(calls[members], len(members)
+                                         if sweep is sweep_regions else 1)
             else:
-                # key_splitting and rate_splitting share one group, built
-                # in one block; rate_splitting_no_an's pairs at lambda1 = 1
-                # are another
-                assert layered.call_count == 2, sweep
+                # each group built in one block
+                assert [len(calls[g]) for g in groups] == [1, 1, 1], sweep
                 assert split(zip(*built)) == sorted(want), sweep
-            # key_as_wiretap and one_time_pad share the other, beta1 rows;
-            # the sum rates need only the largest beta1
-            rows = np.concatenate([c.args[3].ravel()
-                                   for c in unlayered.call_args_list])
-            assert sorted(rows) == (list(axis) if sweep is sweep_regions
-                                    else [1.0]), (chunk, sweep)
-            assert unlayered.call_count == (len(rows) if chunk == 1 else 1), \
-                (chunk, sweep)
+                assert sorted(rows) == unlayered, sweep
 
 
 def _assert_walked_cells(calls, walks):
     """Each block one whole cell, a tile of each user's pairs (TILE x TILE
-    index pairs, fewer at an edge), and no polygon built twice by one walk:
-    `walks` of the key_splitting/rate_splitting group, one of
-    rate_splitting_no_an's at lambda1 = 1."""
+    index pairs, fewer at an edge), and no polygon of a group built more
+    than once per walk, `walks` of them."""
     seen = {}
     for call in calls:
         l1, l2, b1, b2 = (a.ravel() for a in call.args[1:])
@@ -899,8 +962,7 @@ def _assert_walked_cells(calls, walks):
         assert max(n1, n2) <= schemes.TILE**2 and l1.size == n1 * n2
         for polygon in zip(l1, l2, b1, b2):
             seen[polygon] = seen.get(polygon, 0) + 1
-    assert seen and all(n <= walks + (polygon[0] == 1.0)
-                        for polygon, n in seen.items())
+    assert seen and max(seen.values()) <= walks
 
 
 @pytest.mark.parametrize("change", [

@@ -11,9 +11,10 @@ of its own, and writes one JSON file: per command, its exit code and the
 SHA-256 digests of its standard output, its standard error and every
 file it wrote. The output directory's path reads `<out>` in the console
 text, so two checkouts give the same digests wherever their outputs
-agree byte for byte. It also digests the exact floats that
-`schemes.max_sum_rates` gives every variant on each case of SUM_RATES,
-or the error it raises. The second form lists every entry that differs
+agree byte for byte. It also digests, on each case of SUM_RATES, the
+exact floats that `schemes.max_sum_rates` gives every variant and the
+vertex bytes of every variant's `schemes.sweep_regions` region, or the
+error each raises. The second form lists every entry that differs
 between two such files and exits 1 when there is one.
 """
 
@@ -130,29 +131,37 @@ def run(commands) -> dict:
     return prints
 
 
-def run_sums(cases) -> dict:
-    """{case: {"exit", "sums"}}: per (channel, grid name) of cases, 0 and
-    the digest of every variant's max_sum_rates floats at SUM_RATE_RKS
-    in hex, or the name and the digest of the message of what it raised."""
+def run_sweeps(cases) -> dict:
+    """{case: {"exit", "sums" or "regions"}}: per (channel, grid name) of
+    cases and per sweep, 0 and the digest of every variant's max_sum_rates
+    floats at SUM_RATE_RKS in hex, or of every variant's sweep_regions
+    vertex bytes in hex; or the name and the digest of the message of what
+    the sweep raised."""
     if str(SRC) not in sys.path:
         sys.path.insert(0, str(SRC))
     from zickey import ChannelParams, GridSpec
-    from zickey.schemes import VARIANTS, max_sum_rates
+    from zickey.schemes import VARIANTS, max_sum_rates, sweep_regions
 
+    sweeps = {
+        "max_sum_rates": ("sums", lambda ch, grid: {
+            scheme: [float(v).hex() for v in values] for scheme, values in
+            max_sum_rates(ch, VARIANTS, grid, SUM_RATE_RKS).items()}),
+        "sweep_regions": ("regions", lambda ch, grid: {
+            scheme: region.vertices.tobytes().hex() for scheme, region in
+            sweep_regions(ch, VARIANTS, grid).items()}),
+    }
     prints = {}
     for channel, grid in cases:
-        try:
-            sums = max_sum_rates(ChannelParams(*channel), VARIANTS,
-                                 GridSpec(**SUM_RATE_GRIDS[grid]),
-                                 SUM_RATE_RKS)
-        except Exception as e:  # an error is a fingerprint too
-            code, text = type(e).__name__, str(e)
-        else:
-            code = 0
-            text = json.dumps({scheme: [float(v).hex() for v in values]
-                               for scheme, values in sums.items()})
-        name = "max_sum_rates " + " ".join(map(repr, channel)) + " " + grid
-        prints[name] = {"exit": code, "sums": _digest(text.encode("utf-8"))}
+        for sweep, (key, outputs) in sweeps.items():
+            try:
+                got = outputs(ChannelParams(*channel),
+                              GridSpec(**SUM_RATE_GRIDS[grid]))
+            except Exception as e:  # an error is a fingerprint too
+                code, text = type(e).__name__, str(e)
+            else:
+                code, text = 0, json.dumps(got)
+            name = f"{sweep} {' '.join(map(repr, channel))} {grid}"
+            prints[name] = {"exit": code, key: _digest(text.encode("utf-8"))}
     return prints
 
 
@@ -164,7 +173,7 @@ def compare(old: dict, new: dict) -> list:
             moved.append(f"{cmd}: only in {'old' if cmd in old else 'new'}")
             continue
         a, b = old[cmd], new[cmd]
-        what = [k for k in ("exit", "stdout", "stderr", "sums")
+        what = [k for k in ("exit", "stdout", "stderr", "sums", "regions")
                 if a.get(k) != b.get(k)]
         fa, fb = a.get("files", {}), b.get("files", {})
         what += [f"files/{name}" for name in sorted(fa.keys() | fb.keys())
@@ -189,7 +198,7 @@ def main(argv=None) -> int:
         return 1 if moved else 0
     if not args.out:
         parser.error("give an output file or --compare OLD NEW")
-    prints = {**run(COMMANDS), **run_sums(SUM_RATES)}
+    prints = {**run(COMMANDS), **run_sweeps(SUM_RATES)}
     Path(args.out).write_text(json.dumps(prints, indent=1, sort_keys=True)
                               + "\n", encoding="utf-8")
     print(f"wrote {len(prints)} fingerprints to {args.out}")
