@@ -5,16 +5,17 @@ Subcommands: `region` (rate region polygons plus the outer bound),
 (normalized high-power regions), and `verify` (invariant battery).
 
 Outputs are CSV tables plus a JSON metadata sidecar; `--svg` draws a
-chart by re-reading the emitted CSV so the picture can never disagree
-with the data. Reruns produce byte-identical files. Exit codes: 0 ok,
-1 failed verification, 2 bad configuration, 3 unsupported parameter
-domain.
+chart from the very string rows written to the CSV, so the picture can
+never disagree with the data. Reruns produce byte-identical files. Exit
+codes: 0 ok, 1 failed verification, 2 bad configuration, 3 unsupported
+parameter domain.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from dataclasses import asdict, replace
@@ -105,30 +106,24 @@ def _write_csv(path: Path, header, rows):
         w.writerows(rows)
 
 
-def _read_csv(path: Path):
-    with open(path, encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    return rows[0], rows[1:]
-
-
 def _vertex_rows(name, region):
     return [(name, _f(x), _f(y)) for x, y in region.vertices]
 
 
-def _svg_polygons(csv_paths, xlabel, ylabel, title) -> str:
-    """Chart of closed polygons, one per distinct name in column 0."""
+def _svg_polygons(rows, xlabel, ylabel, title) -> str:
+    """Chart of closed polygons of CSV rows, one per distinct name in
+    column 0."""
     series = {}  # in order of first appearance
-    for csv_path in csv_paths:
-        for name, xs, ys in _read_csv(csv_path)[1]:
-            series.setdefault(name, []).append((float(xs), float(ys)))
+    for name, xs, ys in rows:
+        series.setdefault(name, []).append((float(xs), float(ys)))
     plot = [(name, pts + pts[:1] if len(pts) > 2 else pts)
             for name, pts in series.items()]
     return polyline_chart(plot, xlabel, ylabel, title)
 
 
-def _svg_curves(csv_path: Path, ylabel, title) -> str:
-    """Chart of one curve per value column, x from column 0, blanks skipped."""
-    header, rows = _read_csv(csv_path)
+def _svg_curves(header, rows, ylabel, title) -> str:
+    """Chart of one curve per value column of CSV rows, x from column 0,
+    blanks skipped."""
     plot = []
     for col in range(1, len(header)):
         pts = [(float(r[0]), float(r[col])) for r in rows if r[col] != ""]
@@ -146,7 +141,7 @@ def _out_dir(values) -> Path:
 def _finish(out: Path, command, csv_paths, svg, draw, meta) -> int:
     """Draw the chart when asked, write the meta sidecar, list every file.
 
-    draw() returns the SVG text, drawn from the CSVs already written.
+    draw() returns the SVG text, drawn from the rows the CSVs hold.
     """
     written = list(csv_paths)
     if svg:
@@ -189,12 +184,13 @@ def cmd_region(args) -> int:
               "does not dominate (inr1 <= snr2)", file=sys.stderr)
 
     out = _out_dir(values)
-    csv_paths = []
+    csv_paths, drawn = [], []
 
     def write(name, region):
         csv_paths.append(out / f"region_{name}.csv")
-        _write_csv(csv_paths[-1], ("scheme", "R1", "R2"),
-                   _vertex_rows(name, region))
+        rows = _vertex_rows(name, region)
+        drawn.extend(rows)
+        _write_csv(csv_paths[-1], ("scheme", "R1", "R2"), rows)
 
     for name, region in sweep_regions(ch, kept, grid).items():
         write(name, region)
@@ -202,7 +198,7 @@ def cmd_region(args) -> int:
     write("outer", composite_outer_region(ch, include_nonsecrecy=include_ns))
     ob = evaluate_outer_bounds(ch, include_nonsecrecy=include_ns)
     return _finish(out, "region", csv_paths, values.get("svg"),
-                   lambda: _svg_polygons(csv_paths, "R1 [bits/use]",
+                   lambda: _svg_polygons(drawn, "R1 [bits/use]",
                                          "R2 [bits/use]", "secrecy rate regions"),
                    {"channel": _channel_meta(ch),
                     "regime": classify_regime(ch),
@@ -306,7 +302,8 @@ def cmd_sumrate(args) -> int:
 
     out = _out_dir(values)
     csv_path = out / "sumrate.csv"
-    _write_csv(csv_path, [axis_name, *schemes, "outer"], table)
+    header = [axis_name, *schemes, "outer"]
+    _write_csv(csv_path, header, table)
     meta = {
         "axis": axis_name,
         "axis_values": [float(v) for v in axis_vals],
@@ -321,7 +318,7 @@ def cmd_sumrate(args) -> int:
     else:
         meta["channel"] = _channel_meta(chans[0])
     return _finish(out, "sumrate", [csv_path], values.get("svg"),
-                   lambda: _svg_curves(csv_path, "sum rate [bits/use]",
+                   lambda: _svg_curves(header, table, "sum rate [bits/use]",
                                        f"largest sum rate vs {axis_name}"),
                    meta)
 
@@ -343,7 +340,7 @@ def cmd_gdof(args) -> int:
     csv_path = out / "gdof.csv"
     _write_csv(csv_path, ("scheme", "d1", "d2"), rows)
     return _finish(out, "gdof", [csv_path], values.get("svg"),
-                   lambda: _svg_polygons([csv_path], "d1", "d2",
+                   lambda: _svg_polygons(rows, "d1", "d2",
                                          "normalized high-power regions"),
                    {"alpha": gp.alpha, "gamma": gp.gamma, "eta": gp.eta,
                     "schemes": list(schemes)})
@@ -386,6 +383,8 @@ def _join_float_values(argv) -> list:
     return joined
 
 
+# parse_args leaves the parser as it was: one per process serves every call
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zickey",

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -48,7 +49,17 @@ class Region:
 
 
 def _cross(o, a, b):
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+    """(a - o) x (b - o) in floats, or its exact sign (-1, 0 or 1) where
+    rounding may have flipped it: within 2**-51 (|l| + |r|) + 1e-300 of 0,
+    l and r the two products (Shewchuk's orient2d bound is
+    (3 + 16 eps) eps (|l| + |r|), eps = 2**-53, plus underflow), it is
+    recomputed in rationals of the floats."""
+    left, right = (a[0] - o[0]) * (b[1] - o[1]), (a[1] - o[1]) * (b[0] - o[0])
+    if abs(left - right) > 2.0**-51 * (abs(left) + abs(right)) + 1e-300:
+        return left - right
+    o, a, b = ([Fraction(v) for v in p] for p in (o, a, b))
+    exact = (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+    return (exact > 0) - (exact < 0)
 
 
 def staircase(front, x):
@@ -164,7 +175,7 @@ def hull(items) -> Region:
     (x0, y0), (xn, yn) = front[0], front[-1]
     if xn > 0.0 and yn > 0.0:
         front.append([0.0, yn])
-    walk = []  # collinear points dropped
+    walk = []  # points exactly collinear or bending inwards dropped
     for q in front:
         while len(walk) >= 2 and _cross(walk[-2], walk[-1], q) <= 0.0:
             walk.pop()

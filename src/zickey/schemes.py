@@ -40,8 +40,9 @@ from .geometry import Region, hull, pareto_filter, staircase
 # spans the grid; caps are evaluated about CHUNK pairs at a time
 CHUNK = 32768
 TILE = 3
-# max_sum_rate seeds its best sum rate of a block with the polygons of the
-# SEED_POLYGONS largest upper bounds
+# both sweeps seed a block, max_sum_rate its best sum rate and
+# sweep_region an empty front, with the polygons of the SEED_POLYGONS
+# largest upper bounds
 SEED_POLYGONS = 16
 # largest n_lambda1 * (n_lambda2 + 1) * n_beta1 * n_beta2, the polygons of
 # one eta slice with the gdof split ("fine" has 5.9 M), and largest n_eta
@@ -468,18 +469,24 @@ def _add_block(ch, clip, etas, block, front):
     """The Pareto front of `front` and the corners of a block's polygons.
 
     A block is the terms of a whole group (_blocks) or of a batch of
-    cells (_cells). With several key fractions and a front, the block is first
-    bounded over all of them at once; only the polygons whose bounded
-    corners no front point matches are evaluated.
+    cells (_cells). On an empty front, the SEED_POLYGONS polygons of the
+    largest corner bounds ax + by go first, so that the rest meet a front.
+    With several key fractions and a front, the block is first bounded
+    over all of them at once; only the polygons whose bounded corners no
+    front point matches are evaluated.
     """
     polygons = block
-    if len(etas) > 1 and len(front):
+    if len(etas) > 1 or not len(front):
         # each polygon is its own cell, its slack the least
         ax, by = _cell_corners(ch, clip, etas, block, block[3])
-        live = by > staircase(front, ax)
-        polygons = [b[live] for b in block]
-        if not polygons[0].size:
-            return front
+        if not len(front) and ax.size > SEED_POLYGONS:
+            top = np.argpartition(-(ax + by), SEED_POLYGONS)[:SEED_POLYGONS]
+            front = _add_block(ch, clip, etas, [b[top] for b in block], front)
+        if len(etas) > 1 and len(front):
+            live = by > staircase(front, ax)
+            polygons = [b[live] for b in block]
+            if not polygons[0].size:
+                return front
     # no more (polygon, key fraction) pairs at a time than polygons
     for caps in _caps(ch, clip, etas, polygons, block[0].size):
         r1, r2, rsum = np.broadcast_arrays(*caps)

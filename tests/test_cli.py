@@ -16,7 +16,7 @@ import pytest
 
 import zickey
 from zickey import containment_margin, hull, schemes
-from zickey.cli import main
+from zickey.cli import _svg_curves, _svg_polygons, main
 from zickey.scenario import COMMAND_KEYS, KNOWN_KEYS
 from zickey.svg import polyline_chart
 from zickey.verify import REPORT_SCHEMA
@@ -171,6 +171,74 @@ def test_region_svg_is_wellformed_and_csv_sourced(tmp_path):
     assert root.tag.endswith("svg")
     for name in (*ALL_SCHEMES, "outer"):
         assert name in text  # legend entry per emitted polygon
+
+
+def _chart_of_written_csvs(out, command):
+    """The chart of a command's CSVs as read back from disk, every one its
+    meta lists, in that order."""
+    meta = json.loads((out / f"{command}_meta.json").read_text())
+    tables = [read_rows(out / name) for name in meta["files"]
+              if name.endswith(".csv")]
+    if command == "sumrate":
+        ((header, rows),) = tables
+        return _svg_curves(header, rows, "sum rate [bits/use]",
+                           f"largest sum rate vs {meta['axis']}")
+    rows = [row for _, table in tables for row in table]
+    if command == "gdof":
+        return _svg_polygons(rows, "d1", "d2", "normalized high-power regions")
+    return _svg_polygons(rows, "R1 [bits/use]", "R2 [bits/use]",
+                         "secrecy rate regions")
+
+
+@pytest.mark.parametrize("argv", [
+    ["region", *WEAK, "--grid", "coarse"],
+    ["region", *HIGH, "--grid", "coarse", "--nonsecrecy-bound"],
+    ["gdof", "--alpha", "0.6", "--gamma", "0.5", "--eta", "0.3"],
+    # blank cells where the cross link dominates
+    ["sumrate", "--p", "10", "--rk", "0.4", "--alpha-list", "0,0.6,1.2",
+     "--grid", "coarse"],
+    ["sumrate", *WEAK[:-2], "--rk-list", "0,1", "--grid", "coarse"],
+])
+def test_svg_is_the_chart_of_the_written_csvs(tmp_path, argv):
+    # the chart is drawn from the rows in memory: byte for byte the one
+    # drawn by re-reading the CSVs just written
+    assert main([*argv, "--svg", "--out-dir", str(tmp_path)]) == 0
+    assert (tmp_path / f"{argv[0]}.svg").read_text(encoding="utf-8") == \
+        _chart_of_written_csvs(tmp_path, argv[0])
+
+
+def _written(out):
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("first", [
+    ["region", *HIGH, "--svg", "--full-power", "--nonsecrecy-bound",
+     "--grid", "coarse"],
+    ["region", "--config", "{cfg}", "--grid", "n_beta1=5"],
+])
+def test_a_parser_reused_in_process_leaks_nothing_between_calls(tmp_path,
+                                                                first):
+    # one parser serves every call of a process: a plain call after one
+    # with every switch, or after one reading a scenario file, writes
+    # what the plain call writes in a process of its own
+    cfg = tmp_path / "scene.cfg"
+    cfg.write_text("h11 = 1\nh22 = 1\nh21 = 1.2\np1 = 100\np2 = 100\n"
+                   "rk = 1\nschemes = key_splitting, one_time_pad\n"
+                   "svg = true\nfull_power = true\nnonsecrecy_bound = true\n"
+                   "grid.n_lambda1 = 5\n")
+    plain = ["region", *WEAK]
+    first = [a.format(cfg=cfg) for a in first]
+    assert main([*first, "--out-dir", str(tmp_path / "first")]) == 0
+    assert main([*plain, "--out-dir", str(tmp_path / "after")]) == 0
+    src = str(Path(zickey.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-m", "zickey", *plain, "--out-dir",
+                    str(tmp_path / "fresh")], env=env, check=True,
+                   capture_output=True)
+    after, fresh = _written(tmp_path / "after"), _written(tmp_path / "fresh")
+    assert list(after) == list(fresh)
+    assert after == fresh
 
 
 def test_svg_escapes_markup_but_not_quotes():

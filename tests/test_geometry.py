@@ -1,15 +1,19 @@
 """Down-closed convex region geometry: hulls, half-planes, containment."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zickey import (REGION_TOL, Region, UnboundedRegionError,
-                    containment_margin, contains, distance_to_region, hull,
-                    intersect_halfplanes, max_y_at_x, pareto_filter, subset_of)
+from zickey import (REGION_TOL, ChannelParams, GridSpec, Region,
+                    SchemeParams, UnboundedRegionError, containment_margin,
+                    contains, distance_to_region, hull, intersect_halfplanes,
+                    max_y_at_x, pareto_filter, polygon_points, scheme_point,
+                    subset_of, sweep_regions)
+from zickey.schemes import VARIANTS
 
 
 def _verts(region):
@@ -104,7 +108,8 @@ def test_no_negative_zero_in_vertices():
 
 def _reference_hull(pts):
     """Monotone-chain hull of the Pareto front, its axis projections and
-    the origin, collinear points dropped, CCW from the lexicographic minimum.
+    the origin, points collinear in exact arithmetic dropped, CCW from the
+    lexicographic minimum.
     """
     front = pareto_filter(np.maximum(pts, 0.0))
     zeros = np.zeros(len(front))
@@ -115,7 +120,8 @@ def _reference_hull(pts):
     if len(p) <= 2:
         return p
 
-    def turn(o, a, b):
+    def turn(o, a, b):  # in rationals of the floats
+        o, a, b = ([Fraction(v) for v in p] for p in (o, a, b))
         return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
     def chain(seq):
@@ -145,6 +151,86 @@ def test_hull_walk_matches_monotone_chain(rows):
     pts = np.array(rows)
     got, want = _verts(hull(pts)), _reference_hull(pts)
     assert got.shape == want.shape and got.tobytes() == want.tobytes(), rows
+
+
+def _exact(*points):
+    return [tuple(Fraction(c) for c in p) for p in points]
+
+
+def _turn(o, a, b):
+    """(a - o) x (b - o) in rationals: > 0 where o, a, b turn left."""
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _assert_strictly_convex(v):
+    """Every vertex of a polygon turns left, in exact arithmetic."""
+    q = _exact(*v.tolist())
+    if len(q) >= 3:
+        for a, b, c in zip(q[-1:] + q[:-1], q, q[1:] + q[:1]):
+            assert _turn(a, b, c) > 0, (v.tolist(), b)
+
+
+def _assert_inside_every_edge(v, points):
+    """Each point lies on the inner side of every edge, however short, in
+    exact arithmetic (no tolerance)."""
+    q = _exact(*v.tolist())
+    for p in _exact(*points):
+        for a, b in zip(q, q[1:] + q[:1]):
+            assert _turn(a, b, p) >= 0, (v.tolist(), p, a, b)
+
+
+# coarse_batch seed 2701 of the benchmark: the rate_splitting front holds
+# (1.1813378716081595, 1.7807321500520703) and
+# (1.1813378716081593, 1.7807321500520705); the float cross product there
+# rounded to the wrong sign, so the hull kept a vertex that bends inwards,
+# and the line of its one-ulp edge cut off the region's own corner
+# (3.5747, 0)
+ULP_CHANNEL = ChannelParams(h11=1.8187217784616612, h22=0.34765217594441256,
+                            h21=0.2745623503443858, p1=42.61577535003615,
+                            p2=147.89799859641136, rk=0.4243706857242967)
+
+
+def test_hull_is_strictly_convex_where_floats_round_the_turn_wrongly():
+    coarse = GridSpec(n_lambda1=9, n_lambda2=9, n_beta1=9, n_beta2=9,
+                      n_eta=7)
+    grid_point = SchemeParams(lambda1=1.0, lambda2=0.0, beta1=1.0, beta2=0.0,
+                              eta=1.0)
+    for scheme, region in sweep_regions(ULP_CHANNEL, VARIANTS,
+                                        coarse).items():
+        _assert_strictly_convex(region.vertices)
+        rc = scheme_point(ULP_CHANNEL, scheme, grid_point)
+        corners = polygon_points(rc.r1_cap, rc.r2_cap, rc.sum_cap).tolist()
+        _assert_inside_every_edge(region.vertices, corners)
+
+
+def _nudged(x, ulps):
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+@st.composite
+def _near_degenerate(draw):
+    # points rounded onto a falling line, and points a few ulps from them
+    mag = st.floats(1e-3, 1e3)
+    (x0, x1), (y0, y1) = sorted(draw(st.tuples(mag, mag))), \
+        sorted(draw(st.tuples(mag, mag)), reverse=True)
+    ts = draw(st.lists(st.floats(0.0, 1.0), max_size=20))
+    pts = [(x0, y0), (x1, y1)] + [(x0 + t * (x1 - x0), y0 + t * (y1 - y0))
+                                  for t in ts]
+    ulps = st.integers(-3, 3)
+    for i, dx, dy in draw(st.lists(st.tuples(
+            st.integers(0, len(pts) - 1), ulps, ulps), max_size=20)):
+        pts.append((_nudged(pts[i][0], dx), _nudged(pts[i][1], dy)))
+    return pts
+
+
+@settings(max_examples=300, deadline=None)
+@given(_near_degenerate())
+def test_hull_of_near_collinear_points_is_strictly_convex(rows):
+    v = _verts(hull(np.array(rows)))
+    _assert_strictly_convex(v)
+    _assert_inside_every_edge(v, rows)
 
 
 def test_hull_of_tiny_point_is_a_square():

@@ -4,7 +4,8 @@ sweep_region computes the eta-free key-splitting terms of every scheme, the
 unlayered ones at lambda1 = lambda2 = 1, one block at a time, just before
 the block is used, and emits two corners per rate polygon. It drops a
 polygon when its running Pareto front, bucketed by x, already holds a point
-above both its corners. Both sweeps bound each block over every key
+above both its corners; an empty front is first seeded with the polygons
+of the largest corner bounds. Both sweeps bound each block over every key
 fraction at once: max_sum_rate evaluates only the polygons whose bound
 reaches its best sum rate so far, sweep_region only those whose bounded
 corners no front point matches. Groups of more than CHUNK // 2 polygons
@@ -31,7 +32,7 @@ from hypothesis import strategies as st
 
 from zickey import (ChannelParams, DomainError, GridSpec, SchemeParams,
                     max_sum_rate, scheme_point)
-from zickey import geometry, schemes, sweep_region
+from zickey import geometry, schemes, sweep_region, verify
 from zickey.geometry import hull, pareto_filter, staircase
 from zickey.schemes import (SCHEMES, VARIANTS, _key_bound,
                             _key_splitting_base, _key_splitting_cells,
@@ -324,6 +325,32 @@ def test_cell_walk_matches_brute_force(tile):
                                "rate_splitting_no_an"):
                     _assert_matches_brute_force(ch, scheme, NINE,
                                                 _ref_crowded(i, scheme), tile)
+
+
+COARSE = GridSpec(n_lambda1=9, n_lambda2=9, n_beta1=9, n_beta2=9, n_eta=7)
+
+
+@pytest.mark.parametrize("grid", [COARSE, verify._GRID, GRID17],
+                         ids=["coarse", "verify", "17"])
+def test_seeded_fronts_equal_the_unseeded_ones(grid):
+    # an empty front first takes the SEED_POLYGONS polygons of the largest
+    # corner bounds, then the rest of the block against them; the Pareto
+    # set of every corner does not hang on that order, so the fronts and
+    # regions are the bytes of a sweep without seeds
+    for ch in SHOWCASE + EDGE + CROWDED:
+        runs = []
+        for seeds in (schemes.SEED_POLYGONS, 10**9):
+            with mock.patch.object(schemes, "SEED_POLYGONS", seeds), \
+                    mock.patch.object(schemes, "hull", wraps=hull) as hulled, \
+                    mock.patch.object(schemes, "_add_block",
+                                      wraps=schemes._add_block) as added:
+                regions = sweep_regions(ch, VARIANTS, grid)
+            runs.append(([c.args[0].tobytes() for c in hulled.call_args_list],
+                         [r.vertices.tobytes() for r in regions.values()],
+                         added.call_count))
+        (fronts, vertices, seeded), (want_fronts, want, unseeded) = runs
+        assert fronts == want_fronts and vertices == want, ch
+        assert seeded > unseeded, ch  # the seeds ran
 
 
 def test_multi_batch_cell_walk_matches_brute_force():
