@@ -22,6 +22,7 @@ polygon; max_sum_rates gives their largest sum rates at several key rates.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import sys
@@ -107,19 +108,24 @@ def _key_splitting_powers(ch, lam1, lam2, b1, b2):
 
 
 def _key_splitting_terms(ch, p1m, p1a, p2p, p2c):
-    """(r1, common-layer minimum, cap_priv, leak, sum-face log term) of the
-    layer powers; the sum-face term is inf or nan where the received powers
+    """(r1, common-layer minimum, cap_priv, sum-face log term) of the layer
+    powers; the sum-face term is inf or nan where the received powers
     overflow."""
     g11, g22, g21 = ch.h11**2, ch.h22**2, ch.h21**2
     with np.errstate(over="ignore", invalid="ignore"):
         n1 = 1.0 + g11 * p1a + g21 * p2p
         r1 = _c(g11 * p1m / n1)
-        leak = _c(g21 * p2p / (1.0 + g11 * p1a))
         common = np.minimum(_c(g21 * p2c / n1),
                             _c(g22 * p2c / (1.0 + g22 * p2p)))
         cap_priv = _c(g22 * p2p)
         rsum = _c((g11 * p1m + g21 * p2c) / n1)
-    return r1, common, cap_priv, leak, rsum
+    return r1, common, cap_priv, rsum
+
+
+def _leak(ch, p1a, p2p):
+    """What receiver 1 learns of user 2's private layer, its noise p1a."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _c(ch.h21**2 * p2p / (1.0 + ch.h11**2 * p1a))
 
 
 def _key_splitting_base(ch, lam1, lam2, b1, b2):
@@ -128,10 +134,10 @@ def _key_splitting_base(ch, lam1, lam2, b1, b2):
     Returns (r1, common-layer minimum, cap_priv, cap_priv - leak, sum-face
     log term); each VARIANTS row's clip adds its key clips.
     """
-    r1, common, cap_priv, leak, rsum = _key_splitting_terms(
-        ch, *_key_splitting_powers(ch, lam1, lam2, b1, b2))
+    p1m, p1a, p2p, p2c = _key_splitting_powers(ch, lam1, lam2, b1, b2)
+    r1, common, cap_priv, rsum = _key_splitting_terms(ch, p1m, p1a, p2p, p2c)
     # sums of huge received powers overflow; _finite then raises DomainError
-    return _finite(r1, common, cap_priv, cap_priv - leak, rsum)
+    return _finite(r1, common, cap_priv, cap_priv - _leak(ch, p1a, p2p), rsum)
 
 
 def _key_splitting_cells(ch, rows, cols, starts):
@@ -142,7 +148,9 @@ def _key_splitting_cells(ch, rows, cols, starts):
     column starts); a cell is a row tile times a column tile, row tile
     major. Per cell: the five terms of _key_splitting_base, each at least
     that of every polygon of the cell, and a slack at most theirs. Each
-    term is taken where the layer powers favour it (see _groups).
+    term is taken where the layer powers favour it (see _groups): one
+    _key_splitting_terms call, cap_priv at the largest p2p on one row (it
+    reads p2p alone), and two _leak calls.
     """
     (l1, b1), (l2, b2) = rows, cols
     p1m, p1a, p2p, p2c = _key_splitting_powers(ch, l1[:, None], l2[None],
@@ -154,9 +162,9 @@ def _key_splitting_cells(ch, rows, cols, starts):
 
     (_, m1), (a1, a1_hi), (p2, p2_hi), (_, c2) = (
         span(p1m, 0), span(p1a, 0), span(p2p, 1), span(p2c, 1))
-    r1, common, cap_lo, _, rsum = _key_splitting_terms(ch, m1, a1, p2, c2)
-    _, _, cap_hi, leak_hi, _ = _key_splitting_terms(ch, m1, a1, p2_hi, c2)
-    leak_lo = _key_splitting_terms(ch, m1, a1_hi, p2, c2)[3]
+    r1, common, cap_lo, rsum = _key_splitting_terms(ch, m1, a1, p2, c2)
+    cap_hi = _key_splitting_terms(ch, m1[:1], a1[:1], p2_hi, c2)[2]
+    leak_hi, leak_lo = _leak(ch, a1, p2_hi), _leak(ch, a1_hi, p2)
     return [b.ravel() for b in np.broadcast_arrays(
         r1, common, cap_hi, cap_hi - leak_lo, rsum, cap_lo - leak_hi)]
 
@@ -299,9 +307,28 @@ def _pairs(lam, beta):
 
 def _undominated(shared, own):
     """Sorted indices of one pair per distinct `shared` power, one with the
-    largest `own` power."""
+    largest `own` power: the first of each run of the lexsort. The powers
+    are finite (ChannelParams refuses others), so runs need no nan rule."""
     order = np.lexsort((-own, shared))
-    return np.sort(order[np.unique(shared[order], return_index=True)[1]])
+    shared = shared[order]
+    return np.sort(order[np.r_[True, shared[1:] != shared[:-1]]])
+
+
+def _user_pairs(ch, undominated, user, n_lam, n_beta):
+    """User 1's (lambda1, beta1) or user 2's (lambda2, beta2) pairs, lambda-
+    major, of n_lam and n_beta swept points (see _groups)."""
+    lam = _points(n_lam)
+    if user == 2 and n_lam:
+        # one more lambda2 sample, at the cross-link noise floor
+        lam = np.unique(np.concatenate([lam, [gdof_split_lambda2(ch)]]))
+    lam, beta = _pairs(lam, _points(n_beta))
+    if undominated:
+        p = (ch.p1, ch.p2)[user - 1]
+        # user 1 shares its noise layer, user 2 its private layer
+        powers = (1.0 - lam) * beta * p, lam * beta * p
+        keep = _undominated(*(powers if user == 1 else powers[::-1]))
+        lam, beta = lam[keep], beta[keep]
+    return lam, beta
 
 
 def _groups(ch, schemes, grid, undominated=False):
@@ -310,7 +337,9 @@ def _groups(ch, schemes, grid, undominated=False):
 
     The polygons are rows x columns: user 1's (lambda1, beta1) pairs times
     user 2's (lambda2, beta2) pairs, each lambda-major, a pinned lambda
-    being 1. _key_splitting_base(ch, L1[:, None], L2[None], B1[:, None],
+    being 1; each user's pairs are built once per call for every scheme
+    of the same (lambda, beta) counts (_user_pairs), and the group key is
+    their bytes. _key_splitting_base(ch, L1[:, None], L2[None], B1[:, None],
     B2[None]) is the elementwise expression of the 4-D mesh, so each
     polygon's terms are the same floats in any layout, in one block
     (_blocks) or in cells (_cells); clip(ch, polygons of terms, eta) gives
@@ -355,19 +384,13 @@ def _groups(ch, schemes, grid, undominated=False):
     g11 p1m + g21 p2c over a smaller noise), and a cell with a non-finite
     bound is always built.
     """
+    pairs = functools.cache(functools.partial(_user_pairs, ch, undominated))
     groups = {}
     for scheme in schemes:
         row, counts = _swept(scheme, grid)
-        lam1, lam2, beta1, beta2, etas = (_points(counts[a]) for a in AXES)
-        if counts["lambda2"]:
-            # one more lambda2 sample, at the cross-link noise floor
-            lam2 = np.unique(np.concatenate([lam2, [gdof_split_lambda2(ch)]]))
-        rows, cols = _pairs(lam1, beta1), _pairs(lam2, beta2)
-        if undominated:
-            (l1, b1), (l2, b2) = rows, cols
-            keep1 = _undominated((1.0 - l1) * b1 * ch.p1, l1 * b1 * ch.p1)
-            keep2 = _undominated(l2 * b2 * ch.p2, (1.0 - l2) * b2 * ch.p2)
-            rows, cols = [a[keep1] for a in rows], [a[keep2] for a in cols]
+        rows, cols = (pairs(u, counts[f"lambda{u}"], counts[f"beta{u}"])
+                      for u in (1, 2))
+        etas = _points(counts["eta"])
         key = tuple(a.tobytes() for a in (*rows, *cols))
         groups.setdefault(key, (rows, cols, []))[2].append(
             (scheme, row.clip, etas))
@@ -428,9 +451,12 @@ def _cells(ch, rows, cols):
     more than CHUNK // 2 polygons; else None, and the group is one block
     (_blocks). A cell is a tile of rows times a tile of columns (_tiles);
     base and slack_lo bound its terms (_groups), and wild marks a
-    non-finite base. batches(todo, live) yields the terms of the cells of
-    todo in order, the first alone, then about CHUNK // 2 polygons at a
-    time, dropping before each batch the cells where live(todo) is False.
+    non-finite base. batches(key, live) yields the terms of the cells in
+    the stable ascending order of key (nan last), the first alone, then
+    about CHUNK // 2 polygons at a time, dropping before each batch the
+    cells of todo where live(todo), which judges each cell on its own, is
+    False. Only the cells left after the first are sorted, stably, which
+    keeps their order in the sort of all.
     """
     if len(rows[0]) * len(cols[0]) <= CHUNK // 2:
         return None
@@ -441,18 +467,26 @@ def _cells(ch, rows, cols):
     k1, k2 = np.diff(s1, append=len(o1)), np.diff(s2, append=len(o2))
     size = np.outer(k1, k2).ravel()  # polygons per cell
 
-    def batches(todo, live):
-        n = 1
+    def build(todo):
+        t1, t2 = np.divmod(todo, len(k2))
+        r, c = _cell_pairs(s1[t1], k1[t1], s2[t2], k2[t2])
+        return _key_splitting_base(ch, rows[0][r], cols[0][c], rows[1][r],
+                                   cols[1][c])
+
+    def batches(key, live):
+        low = np.fmin.reduce(key)  # nan only where every key is
+        first = [0] if np.isnan(low) else np.flatnonzero(key == low)[:1]
+        yield build(first)
+        todo = np.delete(np.arange(key.size), first)
+        todo = todo[live(todo)] if todo.size else todo
+        todo = todo[np.argsort(key[todo], kind="stable")]
         while todo.size:
-            t1, t2 = np.divmod(todo[:n], len(k2))
-            r, c = _cell_pairs(s1[t1], k1[t1], s2[t2], k2[t2])
-            yield _key_splitting_base(ch, rows[0][r], cols[0][c], rows[1][r],
-                                      cols[1][c])
-            todo = todo[n:]
-            todo = todo[live(todo)] if todo.size else todo
             # no batch holds more than CHUNK // 2 + 1 cells
             n = max(1, int(np.searchsorted(np.cumsum(
                 size[todo[:CHUNK // 2 + 1]]), CHUNK // 2, side="right")))
+            yield build(todo[:n])
+            todo = todo[n:]
+            todo = todo[live(todo)] if todo.size else todo
 
     return base, slack_lo, wild, batches
 
@@ -552,7 +586,7 @@ def sweep_regions(ch: ChannelParams, schemes,
             def live(todo):  # a cell goes only where this holds, never on nan
                 return ~(by[todo] <= staircase(fronts[scheme], ax[todo]))
 
-            for block in batches(np.argsort(-(ax + by), kind="stable"), live):
+            for block in batches(-(ax + by), live):
                 fronts[scheme] = _add_block(ch, clip, etas, block,
                                             fronts[scheme])
     # hull adds the axis corners back as projections of the other two
@@ -631,7 +665,7 @@ def max_sum_rates(ch: ChannelParams, schemes, grid: GridSpec | None,
             ub = np.max([_cell_sums(top, clip, etas, base, slack_lo)[0]
                          for _, clip, etas in members], axis=0)
             ub[wild] = math.inf
-            blocks = batches(np.argsort(-ub, kind="stable"), live)
+            blocks = batches(-ub, live)
         for block in blocks:
             for scheme, clip, etas in members:
                 best[scheme] = [_best_in_block(c, clip, etas, block, b)

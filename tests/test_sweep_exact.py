@@ -1061,3 +1061,221 @@ def test_refined_grid_never_loses_rates():
             margin = geometry.containment_margin(fine[scheme],
                                                  coarse[scheme].vertices)
             assert margin <= 4 * math.ulp(scale), (ch, scheme, margin)
+
+
+# the per-call set-up of the cell engine, against its literal forms: each
+# user's pairs built per scheme, three cells-wide calls of every term, and
+# batches that sort every cell before the first
+
+
+def _ref_undominated(shared, own):
+    """schemes._undominated restated with np.unique's first indices."""
+    order = np.lexsort((-own, shared))
+    return np.sort(order[np.unique(shared[order], return_index=True)[1]])
+
+
+def _ref_groups(ch, names, grid, undominated):
+    """schemes._groups restated: every scheme builds its own pairs."""
+    groups = {}
+    for scheme in names:
+        row, counts = schemes._swept(scheme, grid)
+        lam1, lam2, beta1, beta2, etas = (schemes._points(counts[a])
+                                          for a in schemes.AXES)
+        if counts["lambda2"]:
+            lam2 = np.unique(np.concatenate([lam2, [gdof_split_lambda2(ch)]]))
+        rows, cols = schemes._pairs(lam1, beta1), schemes._pairs(lam2, beta2)
+        if undominated:
+            (l1, b1), (l2, b2) = rows, cols
+            keep1 = _ref_undominated((1.0 - l1) * b1 * ch.p1, l1 * b1 * ch.p1)
+            keep2 = _ref_undominated(l2 * b2 * ch.p2, (1.0 - l2) * b2 * ch.p2)
+            rows, cols = [a[keep1] for a in rows], [a[keep2] for a in cols]
+        key = tuple(a.tobytes() for a in (*rows, *cols))
+        groups.setdefault(key, (rows, cols, []))[2].append(
+            (scheme, row.clip, etas))
+    return list(groups.values())
+
+
+# a silent user 2 (EDGE holds P1 = 0 and h21 = 0)
+SILENT2 = [ChannelParams(1, 1, 0.6, 100, 0.0, rk=1.0)]
+
+
+def test_groups_build_each_users_pairs_once():
+    # the five variants take two (lambda1, beta1) counts and two (lambda2,
+    # beta2) counts, so the sum rates keep the pairs of 4 axes, not 10;
+    # every group is, byte for byte, the one of a per-scheme construction
+    with _spy("_undominated") as kept:
+        schemes._groups(SHOWCASE[0], VARIANTS, GridSpec(), undominated=True)
+    assert kept.call_count == 4
+    for ch in SHOWCASE + EDGE + CROWDED + SILENT2:
+        for grid, undominated in ((GridSpec(), True), (GRID17, True),
+                                  (GRID17, False)):
+            got = list(schemes._groups(ch, VARIANTS, grid, undominated))
+            want = _ref_groups(ch, VARIANTS, grid, undominated)
+            assert len(got) == len(want), (ch, grid)
+            for (rows, cols, members), (rows0, cols0, members0) in zip(got,
+                                                                       want):
+                assert [a.tobytes() for a in (*rows, *cols)] == \
+                    [a.tobytes() for a in (*rows0, *cols0)], (ch, grid)
+                assert [(s, clip, etas.tobytes()) for s, clip, etas in
+                        members] == [(s, clip, etas.tobytes()) for s, clip,
+                                     etas in members0], (ch, grid)
+        # the first of each run of the lexsort is np.unique's first index
+        for rows, cols, _ in _ref_groups(ch, VARIANTS, GridSpec(), False):
+            (l1, b1), (l2, b2) = rows, cols
+            for shared, own in (((1.0 - l1) * b1 * ch.p1, l1 * b1 * ch.p1),
+                                (l2 * b2 * ch.p2, (1.0 - l2) * b2 * ch.p2)):
+                assert schemes._undominated(shared, own).tolist() == \
+                    _ref_undominated(shared, own).tolist(), ch
+
+
+def _ref_terms(ch, p1m, p1a, p2p, p2c):
+    """(r1, common, cap_priv, leak, rsum) of the layer powers, restated."""
+    g11, g22, g21 = ch.h11**2, ch.h22**2, ch.h21**2
+    with np.errstate(over="ignore", invalid="ignore"):
+        n1 = 1.0 + g11 * p1a + g21 * p2p
+        r1 = _c(g11 * p1m / n1)
+        leak = _c(g21 * p2p / (1.0 + g11 * p1a))
+        common = np.minimum(_c(g21 * p2c / n1),
+                            _c(g22 * p2c / (1.0 + g22 * p2p)))
+        cap_priv = _c(g22 * p2p)
+        rsum = _c((g11 * p1m + g21 * p2c) / n1)
+    return r1, common, cap_priv, leak, rsum
+
+
+def _ref_cell_bounds(ch, rows, cols, starts):
+    """_key_splitting_cells restated: three cells-wide calls of every term."""
+    (l1, b1), (l2, b2) = rows, cols
+    p1m, p1a, p2p, p2c = schemes._key_splitting_powers(
+        ch, l1[:, None], l2[None], b1[:, None], b2[None])
+
+    def span(v, axis):
+        return [f.reduceat(v, starts[axis], axis)
+                for f in (np.minimum, np.maximum)]
+
+    (_, m1), (a1, a1_hi), (p2, p2_hi), (_, c2) = (
+        span(p1m, 0), span(p1a, 0), span(p2p, 1), span(p2c, 1))
+    r1, common, cap_lo, _, rsum = _ref_terms(ch, m1, a1, p2, c2)
+    _, _, cap_hi, leak_hi, _ = _ref_terms(ch, m1, a1, p2_hi, c2)
+    leak_lo = _ref_terms(ch, m1, a1_hi, p2, c2)[3]
+    return [b.ravel() for b in np.broadcast_arrays(
+        r1, common, cap_hi, cap_hi - leak_lo, rsum, cap_lo - leak_hi)]
+
+
+def test_lean_cell_bounds_equal_the_three_call_form():
+    # one cells-wide call of the terms, cap_priv at the largest p2p on one
+    # row and the two leaks alone give every bound its bits, also where
+    # the sum overflows in some cells and not in others
+    overflowing = ChannelParams(1, 1, 1, 1e308, 1e308, rk=1.0)
+    wild = set()
+    for ch in SHOWCASE + EDGE + CROWDED + [overflowing]:
+        for grid, undominated in ((GRID17, False), (GridSpec(), True)):
+            for rows, cols, _ in schemes._groups(ch, VARIANTS, grid,
+                                                 undominated):
+                (o1, s1), (o2, s2) = _tiles(*rows), _tiles(*cols)
+                rows, cols = [a[o1] for a in rows], [a[o2] for a in cols]
+                got = _key_splitting_cells(ch, rows, cols, (s1, s2))
+                want = _ref_cell_bounds(ch, rows, cols, (s1, s2))
+                assert [g.tobytes() for g in got] == \
+                    [w.tobytes() for w in want], (ch, grid, undominated)
+                if ch is overflowing:
+                    wild.update((~np.isfinite(got[4])).tolist())
+    assert wild == {False, True}
+
+
+def _full_sort_cells(cells, ch, rows, cols):
+    """cells(ch, rows, cols) with the batches of a walk that stable-sorts
+    every cell first, restated."""
+    table = cells(ch, rows, cols)
+    if table is None:
+        return None
+    (o1, s1), (o2, s2) = _tiles(*rows), _tiles(*cols)
+    rows, cols = [a[o1] for a in rows], [a[o2] for a in cols]
+    k1, k2 = np.diff(s1, append=len(o1)), np.diff(s2, append=len(o2))
+    size = np.outer(k1, k2).ravel()
+    half = schemes.CHUNK // 2
+
+    def batches(key, live):
+        todo, n = np.argsort(key, kind="stable"), 1
+        while todo.size:
+            t1, t2 = np.divmod(todo[:n], len(k2))
+            r, c = schemes._cell_pairs(s1[t1], k1[t1], s2[t2], k2[t2])
+            yield schemes._key_splitting_base(ch, rows[0][r], cols[0][c],
+                                              rows[1][r], cols[1][c])
+            todo = todo[n:]
+            todo = todo[live(todo)] if todo.size else todo
+            n = max(1, int(np.searchsorted(np.cumsum(size[todo[:half + 1]]),
+                                           half, side="right")))
+
+    return (*table[:3], batches)
+
+
+def test_survivor_sort_builds_the_cells_of_a_full_sort():
+    # at CHUNK 1458 both sweeps walk GRID17's layered groups in many
+    # batches; sorting only the cells left after the first builds the
+    # terms of a walk that sorts every cell, call for call
+    cells, calls = schemes._cells, []
+    for ch in SHOWCASE + EDGE + CROWDED:
+        runs = []
+        for table in (cells, functools.partial(_full_sort_cells, cells)):
+            with mock.patch.object(schemes, "CHUNK", 1458), \
+                    mock.patch.object(schemes, "_cells", table), \
+                    _spy("_key_splitting_base") as built:
+                sweep_regions(ch, VARIANTS, GRID17)
+                max_sum_rates(ch, VARIANTS, GRID17, WALK_RKS)
+            runs.append([b"".join(np.asarray(a).tobytes() for a in c.args[1:])
+                         for c in built.call_args_list])
+        assert runs[0] == runs[1], ch
+        calls.append(len(runs[0]))
+    # most channels walk many batches
+    assert sorted(calls)[len(calls) // 2] > 20, calls
+
+
+# key_splitting's group on the 7-point grid: 81 cells of 1 to 81 polygons
+SEVEN = GridSpec(n_lambda1=7, n_lambda2=7, n_beta1=7, n_beta2=7, n_eta=2)
+SEVEN_CHUNK = 200
+
+
+@functools.lru_cache(maxsize=None)
+def _seven_walks():
+    """The batches of SHOWCASE[1]'s key_splitting group on SEVEN, and
+    those of a full sort (_full_sort_cells)."""
+    ch = SHOWCASE[1]
+    ((rows, cols, _),) = schemes._groups(ch, ["key_splitting"], SEVEN)
+    with mock.patch.object(schemes, "CHUNK", SEVEN_CHUNK):
+        tables = [cells(ch, rows, cols) for cells in (
+            schemes._cells,
+            functools.partial(_full_sort_cells, schemes._cells))]
+    assert all(t[0][0].size == 81 for t in tables)
+    return [t[3] for t in tables]
+
+
+sort_key = st.one_of(st.sampled_from([-math.inf, math.inf, math.nan, 0.0,
+                                      -0.0, 1.0, -1.0]),
+                     st.floats(-3.0, 3.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(sort_key, min_size=81, max_size=81),
+       st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.3, 0.8, 1.0]))
+def test_survivor_sort_matches_a_full_sort(keys, seed, share):
+    # ties, infinities and nan keys, and a live that drops a random share
+    # of the cells at each step: the batches are those of a full stable
+    # sort, and live judges the same cells at every step
+    key = np.array(keys)
+    masks = np.random.default_rng(seed).random((key.size, key.size)) < share
+    runs = []
+    for batches in _seven_walks():
+        judged = []
+
+        def live(todo):
+            judged.append(sorted(todo.tolist()))
+            return masks[len(judged) - 1][todo]
+
+        with mock.patch.object(schemes, "CHUNK", SEVEN_CHUNK), \
+                _spy("_cell_pairs") as cut:
+            for _ in batches(key, live):
+                pass
+        # the tile starts and sizes of every cell, batch by batch
+        runs.append(([[a.tobytes() for a in c.args] for c in
+                      cut.call_args_list], judged))
+    assert runs[0] == runs[1]

@@ -57,8 +57,12 @@ COMMANDS = [
     *_draws(7, 4),
     ["sumrate", *SHOWCASE, "--h21", "0.6", "--rk-min", "0", "--rk-max", "2",
      "--rk-steps", "5", "--sweep-powers"],
-    ["sumrate", "--p", "100", "--rk", "1", "--alpha-min", "0.25",
-     "--alpha-max", "1.25", "--alpha-steps", "5", "--sweep-powers"],
+    # the alpha family's sum rates: tiny, moderate and huge powers, with
+    # and without a key
+    *(["sumrate", "--p", p, "--rk", rk, "--alpha-min", "0.25",
+       "--alpha-max", "1.25", "--alpha-steps", "5", "--sweep-powers"]
+      for p, rk in (("100", "1"), ("1e-3", "0"), ("1e-3", "1.5"), ("10", "0"),
+                    ("10", "1.5"), ("1e4", "0"), ("1e4", "1.5"))),
     ["verify", "--seed", "7"],
     ["verify", "--seed", "20240817"],
     ["verify", "--seed", "7", "--corrupt"],
