@@ -341,10 +341,11 @@ def _groups(ch, schemes, grid, undominated=False):
     of the same (lambda, beta) counts (_user_pairs), and the group key is
     their bytes. _key_splitting_base(ch, L1[:, None], L2[None], B1[:, None],
     B2[None]) is the elementwise expression of the 4-D mesh, so each
-    polygon's terms are the same floats in any layout, in one block
-    (_blocks) or in cells (_cells); clip(ch, polygons of terms, eta) gives
-    their (r1, r2, sum) caps at key fraction eta, or at each of a column
-    of key fractions.
+    polygon's terms are the same floats in any layout, in one block or in
+    cells (_walk); clip(ch, polygons of terms, eta) gives their (r1, r2,
+    sum) caps at key fraction eta, or at each of a column of key
+    fractions. A swept axis of one point draws a warning, which points at
+    the first caller outside this module.
 
     With `undominated`, only the pairs no other pair beats on the sum rate
     are kept: per distinct p1a = (1 - lambda1) beta1 p1, the one with the
@@ -384,10 +385,20 @@ def _groups(ch, schemes, grid, undominated=False):
     g11 p1m + g21 p2c over a smaller noise), and a cell with a non-finite
     bound is always built.
     """
+    # every scheme name is checked before the first warning
+    swept = [(scheme, *_swept(scheme, grid)) for scheme in schemes]
+    level = 2
+    while sys._getframe(level - 1).f_globals is globals():
+        level += 1
+    for _, _, counts in swept:
+        for axis, n in counts.items():
+            if n == 1:
+                warnings.warn(f"swept axis {axis} has fewer than 2 points; "
+                              "the region will be badly undersampled",
+                              stacklevel=level)
     pairs = functools.cache(functools.partial(_user_pairs, ch, undominated))
     groups = {}
-    for scheme in schemes:
-        row, counts = _swept(scheme, grid)
+    for scheme, row, counts in swept:
         rows, cols = (pairs(u, counts[f"lambda{u}"], counts[f"beta{u}"])
                       for u in (1, 2))
         etas = _points(counts["eta"])
@@ -395,14 +406,6 @@ def _groups(ch, schemes, grid, undominated=False):
         groups.setdefault(key, (rows, cols, []))[2].append(
             (scheme, row.clip, etas))
     return groups.values()
-
-
-def _blocks(ch, rows, cols):
-    """The terms of a group's polygons (see _groups) as flat arrays, the
-    whole mesh as one block, built only when iterated."""
-    args = [a for u1, u2 in zip(rows, cols) for a in (u1[:, None], u2[None])]
-    yield [b.ravel() for b in
-           np.broadcast_arrays(*_key_splitting_base(ch, *args))]
 
 
 def _tiles(lam, beta):
@@ -424,46 +427,60 @@ def _cell_pairs(s1, k1, s2, k2):
     return np.repeat(s1, n) + at // width, np.repeat(s2, n) + at % width
 
 
-def _cell_corners(ch, clip, etas, base, slack_lo):
-    """(ax, by): per cell of bounds base and slack_lo, at least min(r1, sum)
-    and min(r2, sum) of each of its polygons at every key fraction of
-    etas; the clip itself at one key fraction, _key_bound's at several."""
+def _cell_caps(ch, clip, etas, base, slack_lo):
+    """(r1, r2, sum, margin): per cell of bounds base and slack_lo, caps
+    whose corners and sum rate, plus margin, bound those of its polygons at
+    every key fraction of etas (_groups): the clip at one, _key_bound's at
+    several."""
     if len(etas) > 1:
         top, r2max, margin = _key_bound(ch.rk, base, slack_lo)
-        return (np.minimum(base[0], top) + margin,
-                np.minimum(r2max, top) + margin)
-    r1, r2, rsum = clip(ch, base, etas[0])
-    return np.minimum(r1, rsum), np.minimum(r2, rsum)
+        return base[0], r2max, top, margin
+    return (*clip(ch, base, etas[0]), 0.0)
+
+
+def _cell_corners(ch, clip, etas, base, slack_lo):
+    """(ax, by): per cell, at least min(r1, sum) and min(r2, sum) of its
+    polygons at every key fraction of etas (_cell_caps)."""
+    r1, r2, rsum, margin = _cell_caps(ch, clip, etas, base, slack_lo)
+    return np.minimum(r1, rsum) + margin, np.minimum(r2, rsum) + margin
 
 
 def _cell_sums(ch, clip, etas, base, slack_lo):
-    """(ub, margin): per cell of bounds base and slack_lo, no sum rate of
-    its polygons at a key fraction of etas exceeds ub + margin (_groups)."""
-    if len(etas) > 1:
-        top, r2max, margin = _key_bound(ch.rk, base, slack_lo)
-        return np.minimum(top, base[0] + r2max), margin
-    r1, r2, rsum = clip(ch, base, etas[0])
-    return np.minimum(rsum, r1 + r2), 0.0
+    """(ub, margin): per cell, no sum rate of its polygons at a key
+    fraction of etas exceeds ub + margin (_cell_caps)."""
+    r1, r2, rsum, margin = _cell_caps(ch, clip, etas, base, slack_lo)
+    return np.minimum(rsum, r1 + r2), margin
 
 
-def _cells(ch, rows, cols):
-    """(base, slack_lo, wild, batches), the table of cells of a group of
-    more than CHUNK // 2 polygons; else None, and the group is one block
-    (_blocks). A cell is a tile of rows times a tile of columns (_tiles);
-    base and slack_lo bound its terms (_groups), and wild marks a
-    non-finite base. batches(key, live) yields the terms of the cells in
-    the stable ascending order of key (nan last), the first alone, then
-    about CHUNK // 2 polygons at a time, dropping before each batch the
-    cells of todo where live(todo), which judges each cell on its own, is
-    False. Only the cells left after the first are sorted, stably, which
+def _walk(ch, rows, cols, plan):
+    """The terms of a group's polygons (see _groups) as flat arrays, block
+    by block, each built only when iterated.
+
+    A group of at most CHUNK // 2 polygons is one block, its whole mesh,
+    and plan is not called. A larger group walks cells, tiles of rows
+    times tiles of columns (_tiles) whose terms base and slack_lo bound
+    (_key_splitting_cells); plan(base, slack_lo) gives (ub, live). The
+    cells go in the stable descending order of ub (nan last), a cell with
+    a non-finite base as +inf: the first alone, then about CHUNK // 2
+    polygons at a time, and before each batch the cells left where
+    live(cells), which judges each on its own, is False go. live never
+    sees an empty set or a cell with a non-finite base, which always
+    stays. Only the cells left after the first are sorted, stably, which
     keeps their order in the sort of all.
     """
     if len(rows[0]) * len(cols[0]) <= CHUNK // 2:
-        return None
+        args = [a for u1, u2 in zip(rows, cols)
+                for a in (u1[:, None], u2[None])]
+        yield [b.ravel() for b in
+               np.broadcast_arrays(*_key_splitting_base(ch, *args))]
+        return
     (o1, s1), (o2, s2) = _tiles(*rows), _tiles(*cols)
     rows, cols = [a[o1] for a in rows], [a[o2] for a in cols]
     *base, slack_lo = _key_splitting_cells(ch, rows, cols, (s1, s2))
     wild = ~np.logical_and.reduce([np.isfinite(b) for b in base])
+    key, live = plan(base, slack_lo)
+    del base, slack_lo  # live keeps what it reads
+    key = np.where(wild, -math.inf, -key)  # descending ub, wild first
     k1, k2 = np.diff(s1, append=len(o1)), np.diff(s2, append=len(o2))
     size = np.outer(k1, k2).ravel()  # polygons per cell
 
@@ -473,22 +490,23 @@ def _cells(ch, rows, cols):
         return _key_splitting_base(ch, rows[0][r], cols[0][c], rows[1][r],
                                    cols[1][c])
 
-    def batches(key, live):
-        low = np.fmin.reduce(key)  # nan only where every key is
-        first = [0] if np.isnan(low) else np.flatnonzero(key == low)[:1]
-        yield build(first)
-        todo = np.delete(np.arange(key.size), first)
-        todo = todo[live(todo)] if todo.size else todo
-        todo = todo[np.argsort(key[todo], kind="stable")]
-        while todo.size:
-            # no batch holds more than CHUNK // 2 + 1 cells
-            n = max(1, int(np.searchsorted(np.cumsum(
-                size[todo[:CHUNK // 2 + 1]]), CHUNK // 2, side="right")))
-            yield build(todo[:n])
-            todo = todo[n:]
-            todo = todo[live(todo)] if todo.size else todo
+    def prune(todo):
+        keep = wild[todo]
+        if not keep.all():
+            keep[~keep] = live(todo[~keep])
+        return todo[keep]
 
-    return base, slack_lo, wild, batches
+    low = np.fmin.reduce(key)  # nan only where every key is
+    first = [0] if np.isnan(low) else np.flatnonzero(key == low)[:1]
+    yield build(first)
+    todo = prune(np.delete(np.arange(key.size), first))
+    todo = todo[np.argsort(key[todo], kind="stable")]
+    while todo.size:
+        # no batch holds more than CHUNK // 2 + 1 cells
+        n = max(1, int(np.searchsorted(np.cumsum(size[todo[:CHUNK // 2 + 1]]),
+                                       CHUNK // 2, side="right")))
+        yield build(todo[:n])
+        todo = prune(todo[n:])
 
 
 def _caps(ch, clip, etas, polygons, pairs):
@@ -502,8 +520,8 @@ def _caps(ch, clip, etas, polygons, pairs):
 def _add_block(ch, clip, etas, block, front):
     """The Pareto front of `front` and the corners of a block's polygons.
 
-    A block is the terms of a whole group (_blocks) or of a batch of
-    cells (_cells). On an empty front, the SEED_POLYGONS polygons of the
+    A block is one that _walk yields: the terms of a whole group or of a
+    batch of cells. On an empty front, the SEED_POLYGONS polygons of the
     largest corner bounds ax + by go first, so that the rest meet a front.
     With several key fractions and a front, the block is first bounded
     over all of them at once; only the polygons whose bounded corners no
@@ -544,49 +562,35 @@ def sweep_regions(ch: ChannelParams, schemes,
     product of the scheme's free parameter axes, a swept lambda2 with its
     noise-floor sample; pinned axes (the row's pins, and full_power's)
     contribute a single point.
-    Deterministic for identical inputs. A group of schemes that share
-    their power splits (see _groups) is built once as one block and fed to
-    the running Pareto front of every member; where the group walks cells
-    (_cells), each member takes them largest corner bounds
-    ax + by first (_cell_corners), and a cell goes when a front point in a
-    strictly higher bucket than its ax has a y of at least its by, as in
-    _add_block: that point dominates both corners of its every polygon.
-    Either way the front is the Pareto set of every corner of every
-    polygon, the same to the bit as one swept scheme by scheme; a cell
-    with a non-finite bound is never dropped, so an overflowing sum
-    raises DomainError as on the whole grid.
+    Deterministic for identical inputs. Each group of schemes that share
+    their power splits (see _groups) is walked once (_walk), and every
+    block is fed to the running Pareto front of each member. Cells go
+    largest corner bound ax + by of any member first (_cell_corners), and
+    a cell goes when, for every member, a front point in a strictly higher
+    bucket than its ax has a y of at least its by, as in _add_block: that
+    point dominates both corners of its every polygon. So each front is
+    the Pareto set of every corner of every polygon, which does not hang
+    on their order, the same to the bit as one swept scheme by scheme.
     """
-    grid = grid or GridSpec()
-    # the warning points at the first caller outside this module
-    level = 2
-    while sys._getframe(level - 1).f_globals is globals():
-        level += 1
-    # every scheme name is checked before the first warning
-    for counts in [_swept(scheme, grid)[1] for scheme in schemes]:
-        for axis, n in counts.items():
-            if n == 1:
-                warnings.warn(f"swept axis {axis} has fewer than 2 points; "
-                              "the region will be badly undersampled",
-                              stacklevel=level)
     # Pareto set of every corner so far, per scheme
     fronts = {scheme: np.empty((0, 2)) for scheme in schemes}
-    for rows, cols, members in _groups(ch, schemes, grid):
-        cells = _cells(ch, rows, cols)
-        if not cells:
-            for block in _blocks(ch, rows, cols):
-                for scheme, clip, etas in members:
-                    fronts[scheme] = _add_block(ch, clip, etas, block,
-                                                fronts[scheme])
-            continue
-        base, slack_lo, wild, batches = cells
-        for scheme, clip, etas in members:
-            ax, by = _cell_corners(ch, clip, etas, base, slack_lo)
-            ax[wild] = by[wild] = math.inf
+    for rows, cols, members in _groups(ch, schemes, grid or GridSpec()):
+        def plan(base, slack_lo):
+            corners = [(scheme, *_cell_corners(ch, clip, etas, base, slack_lo))
+                       for scheme, clip, etas in members]
 
             def live(todo):  # a cell goes only where this holds, never on nan
-                return ~(by[todo] <= staircase(fronts[scheme], ax[todo]))
+                return np.logical_or.reduce([
+                    ~(by[todo] <= staircase(fronts[scheme], ax[todo]))
+                    for scheme, ax, by in corners])
 
-            for block in batches(-(ax + by), live):
+            ub = np.full(base[0].size, -math.inf)
+            for _, ax, by in corners:  # in place: the cell bounds are alive
+                np.maximum(ub, ax + by, out=ub)
+            return ub, live
+
+        for block in _walk(ch, rows, cols, plan):
+            for scheme, clip, etas in members:
                 fronts[scheme] = _add_block(ch, clip, etas, block,
                                             fronts[scheme])
     # hull adds the axis corners back as projections of the other two
@@ -629,30 +633,26 @@ def max_sum_rates(ch: ChannelParams, schemes, grid: GridSpec | None,
 
     A scheme is any name in VARIANTS; the channel's own rk is not read.
     Only the power splits no other split beats are built (see _groups).
-    Each group's block of terms, or batch of cells where the group walks
-    them (_cells), is built once and serves every scheme that shares it, at
-    every key rate. The cells go largest bound ub of any scheme's sum
-    rates first (_cell_sums), and before each batch a cell goes only when,
-    for every scheme and key rate, its ub is below the best sum rate so
-    far less the margin of the cells left. With several key
-    fractions, a block is first bounded over all of them at once; only
-    polygons whose bound reaches the best sum rate so far are evaluated at
-    every fraction. A polygon is skipped only when none of its sum rates
-    can reach that best, so the maximum is the one over every polygon, to
-    the bit; a cell with a non-finite bound is never dropped.
+    Each group is walked once (_walk), and every block serves every
+    scheme that shares it, at every key rate. Where the group walks
+    cells, they go largest bound ub of any scheme's sum rates first
+    (_cell_sums), and before each batch a cell goes only when, for every
+    scheme and key rate, its ub is below the best sum rate so far less
+    the margin of the cells left. With several key fractions, a block is
+    first bounded over all of them at once; only polygons whose bound
+    reaches the best sum rate so far are evaluated at every fraction. A
+    polygon is skipped only when none of its sum rates can reach that
+    best, so the maximum is the one over every polygon, to the bit; a
+    cell with a non-finite bound is never dropped.
     """
     chs = [replace(ch, rk=rk) for rk in rks]
     best = {scheme: [0.0] * len(chs) for scheme in schemes}
     for rows, cols, members in _groups(ch, schemes, grid or GridSpec(),
                                        undominated=True):
-        blocks = _blocks(ch, rows, cols)  # built only as iterated
-        cells = _cells(ch, rows, cols)
-        if cells:
-            base, slack_lo, wild, batches = cells
-
+        def plan(base, slack_lo):
             def live(todo):  # a cell goes only where this holds, never on nan
                 cut = [b[todo] for b in base], slack_lo[todo]
-                keep = wild[todo]
+                keep = np.zeros(todo.size, bool)
                 for scheme, clip, etas in members:
                     for c, b in zip(chs, best[scheme]):
                         ub, margin = _cell_sums(c, clip, etas, *cut)
@@ -662,11 +662,10 @@ def max_sum_rates(ch: ChannelParams, schemes, grid: GridSpec | None,
             # no ub falls as rk grows: the largest rk gives each cell's
             # largest ub of any job
             top = max(chs, key=lambda c: c.rk, default=ch)
-            ub = np.max([_cell_sums(top, clip, etas, base, slack_lo)[0]
-                         for _, clip, etas in members], axis=0)
-            ub[wild] = math.inf
-            blocks = batches(-ub, live)
-        for block in blocks:
+            return np.max([_cell_sums(top, clip, etas, base, slack_lo)[0]
+                           for _, clip, etas in members], axis=0), live
+
+        for block in _walk(ch, rows, cols, plan):
             for scheme, clip, etas in members:
                 best[scheme] = [_best_in_block(c, clip, etas, block, b)
                                 for c, b in zip(chs, best[scheme])]

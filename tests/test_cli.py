@@ -723,3 +723,19 @@ def test_sumrate_default_grid_power_sweep_matches_golden_bytes(tmp_path):
                  "--sweep-powers", "--out-dir", str(tmp_path)]) == 0
     assert (tmp_path / "sumrate.csv").read_bytes() == \
         GOLDEN_DEFAULT_GRID.encode()
+
+
+def test_one_point_axes_warn_on_sum_rates_as_on_regions(tmp_path):
+    # a swept axis of one point draws the same warnings from both sweeps
+    sumrate = ["sumrate", "--h11", "1", "--h22", "1", "--h21", "0.6",
+               "--p1", "100", "--p2", "100", "--rk-min", "0", "--rk-max", "2",
+               "--rk-steps", "3", "--sweep-powers"]
+    caught = []
+    for argv in (sumrate, ["region", *WEAK]):
+        with warnings.catch_warnings(record=True) as got:
+            warnings.simplefilter("always")
+            assert main([*argv, "--grid", "n_lambda1=1,n_eta=1",
+                         "--out-dir", str(tmp_path / argv[0])]) == 0
+        caught.append([str(w.message).split()[2] for w in got])
+    # key_splitting's lambda1 and eta, rate_splitting's lambda1
+    assert caught == [["lambda1", "eta", "lambda1"]] * 2

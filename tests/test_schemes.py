@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from zickey import (ChannelParams, DomainError, GridSpec, SchemeParams,
-                    gdof_split_lambda2, hull, max_sum_rate, max_y_at_x,
-                    polygon_points, scheme_point, subset_of, sweep_region,
-                    sweep_regions)
+                    gdof_split_lambda2, hull, max_sum_rate, max_sum_rates,
+                    max_y_at_x, polygon_points, scheme_point, subset_of,
+                    sweep_region, sweep_regions)
 from zickey.schemes import MAX_POLYGONS, VARIANTS
 
 CH = ChannelParams(1, 1, 0.6, 100, 100, rk=1.0)
@@ -248,10 +248,12 @@ def test_full_power_restriction_contained():
 
 def test_coarse_grid_warns():
     grid = GridSpec(n_lambda1=1, n_lambda2=8, n_beta1=7, n_beta2=7, n_eta=5)
-    for sweep, scheme in ((sweep_region, "key_splitting"),
-                          (sweep_regions, ["key_splitting"])):
+    for sweep, scheme, *rks in ((sweep_region, "key_splitting"),
+                                (sweep_regions, ["key_splitting"]),
+                                (max_sum_rate, "key_splitting"),
+                                (max_sum_rates, ["key_splitting"], [0.0, 1.0])):
         with pytest.warns(UserWarning, match="fewer than 2 points") as caught:
-            sweep(CH, scheme, grid)
+            sweep(CH, scheme, grid, *rks)
         # the warning points at the line that asked for the sweep
         assert [w.filename for w in caught] == [__file__], sweep
 
@@ -317,30 +319,34 @@ def test_region_r1_reach():
         assert max_y_at_x(reg, 0.0) == pytest.approx(reg.max_y, abs=1e-12)
 
 
-def _coarse_axes(scheme, **counts):
-    """The axes sweep_region warns about, in order, on a grid of `counts`."""
+def _coarse_axes(sweep, scheme, **counts):
+    """The axes a sweep (sweep_region or max_sum_rate) warns about, in
+    order, on a grid of `counts`."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        sweep_region(CH, scheme, GridSpec(**{"n_lambda1": 3, "n_lambda2": 3,
-                                             "n_beta1": 3, "n_beta2": 3,
-                                             "n_eta": 3, **counts}))
+        sweep(CH, scheme, GridSpec(**{"n_lambda1": 3, "n_lambda2": 3,
+                                      "n_beta1": 3, "n_beta2": 3,
+                                      "n_eta": 3, **counts}))
     return [str(w.message).split()[2] for w in caught]
 
 
 def test_coarse_grid_warns_only_for_swept_axes():
     ones = dict(n_lambda1=1, n_lambda2=1, n_beta1=1, n_beta2=1, n_eta=1)
-    assert _coarse_axes("key_splitting", **ones) == [
-        "lambda1", "lambda2", "beta1", "beta2", "eta"]
-    assert _coarse_axes("key_splitting", n_beta2=1, n_lambda2=1) == [
-        "lambda2", "beta2"]
-    # pinned axes hold one point by design
-    assert _coarse_axes("rate_splitting", n_eta=1) == []
-    assert _coarse_axes("rate_splitting_no_an", n_lambda1=1, n_eta=1) == []
-    assert _coarse_axes("key_as_wiretap", n_lambda1=1, n_lambda2=1,
-                        n_eta=1) == []
-    assert _coarse_axes("one_time_pad", **ones, full_power=True) == []
-    assert _coarse_axes("rate_splitting", **ones, full_power=True) == [
-        "lambda1", "lambda2"]
+    for sweep in (sweep_region, max_sum_rate):  # one check for both
+        assert _coarse_axes(sweep, "key_splitting", **ones) == [
+            "lambda1", "lambda2", "beta1", "beta2", "eta"]
+        assert _coarse_axes(sweep, "key_splitting", n_beta2=1,
+                            n_lambda2=1) == ["lambda2", "beta2"]
+        # pinned axes hold one point by design
+        assert _coarse_axes(sweep, "rate_splitting", n_eta=1) == []
+        assert _coarse_axes(sweep, "rate_splitting_no_an", n_lambda1=1,
+                            n_eta=1) == []
+        assert _coarse_axes(sweep, "key_as_wiretap", n_lambda1=1,
+                            n_lambda2=1, n_eta=1) == []
+        assert _coarse_axes(sweep, "one_time_pad", **ones,
+                            full_power=True) == []
+        assert _coarse_axes(sweep, "rate_splitting", **ones,
+                            full_power=True) == ["lambda1", "lambda2"]
 
 
 def test_unknown_scheme_names_every_variant():

@@ -9,13 +9,13 @@ of the largest corner bounds. Both sweeps bound each block over every key
 fraction at once: max_sum_rate evaluates only the polygons whose bound
 reaches its best sum rate so far, sweep_region only those whose bounded
 corners no front point matches. Groups of more than CHUNK // 2 polygons
-walk cells of power splits best bound first: sweep_region builds only the
-cells whose bound its front does not dominate, max_sum_rates only those
-whose bound reaches the best sum rate so far of some scheme and key rate;
-smaller groups are one block. sweep_regions and max_sum_rates build each
-such block once for every scheme that shares it, at every key rate, and
-max_sum_rates each batch of cells too. Each step is checked here against a
-literal, unoptimized version of itself kept in this file.
+walk cells of power splits best bound first: sweep_regions builds only
+the cells whose bound the front of some scheme does not dominate,
+max_sum_rates only those whose bound reaches the best sum rate so far of
+some scheme and key rate; smaller groups are one block. Both build each
+block and each batch of cells once for every scheme that shares it, at
+every key rate. Each step is checked here against a literal, unoptimized
+version of itself kept in this file.
 """
 
 import contextlib
@@ -365,6 +365,27 @@ def test_multi_batch_cell_walk_matches_brute_force():
                                             _ref_sweep(i, scheme))
             assert batches.call_count > (2 if ch in SHOWCASE else 0), \
                 (ch, scheme)
+
+
+@pytest.mark.parametrize("chunk", [1, 2 * 729, schemes.CHUNK])
+def test_group_walk_matches_brute_force(chunk):
+    # every variant at once: key_splitting and rate_splitting walk their
+    # group's cells once, and a cell goes only where both fronts dominate
+    # its bound; every front and region is the brute force's, to the bit
+    cases = [(ch, GRID17, functools.partial(_ref_sweep, i))
+             for i, ch in enumerate(SHOWCASE + EDGE)]
+    cases += [(ch, NINE, functools.partial(_ref_crowded, i))
+              for i, ch in enumerate(CROWDED)]
+    with mock.patch.object(schemes, "CHUNK", chunk):
+        for ch, grid, ref in cases:
+            with mock.patch.object(schemes, "hull", wraps=hull) as hulled:
+                regions = sweep_regions(ch, VARIANTS, grid)
+            fronts = [c.args[0].tobytes() for c in hulled.call_args_list]
+            for scheme, region, front in zip(VARIANTS, regions.values(),
+                                             fronts):
+                want, want_front, _ = ref(scheme)
+                assert front == want_front, (chunk, ch, scheme)
+                assert region.vertices.tobytes() == want, (chunk, ch, scheme)
 
 
 def test_cell_bound_covers_brute_force_terms():
@@ -767,37 +788,48 @@ def _whole_grid_terms(ch, scheme, grid):
     return [w.transpose(0, 2, 1, 3).reshape(n1 * m1, n2 * m2) for w in whole]
 
 
+def _keep_every_cell(planned):
+    """A _walk plan that appends each cell table's size to `planned`, puts
+    the cells in table order and keeps every one."""
+
+    def plan(base, slack_lo):
+        planned.append(base[0].size)
+        return (-np.arange(base[0].size, dtype=float),
+                lambda todo: np.ones(todo.size, bool))
+
+    return plan
+
+
 @pytest.mark.parametrize("chunk", [1, 5 * ROW17 + 7, 10**9])
 def test_row_blocks_cover_every_row_once(chunk):
-    # a group is one block of every row times every column, or a cell
-    # table: its tiles take every row (column) once, at most TILE distinct
-    # lambdas and betas each, and its batches, the first one cell alone and
-    # none of several cells over CHUNK // 2 polygons, build every polygon
-    # of the group once when no cell is dropped
+    # a group is one block of every row times every column, without a plan,
+    # or a walk of cells: its tiles take every row (column) once, at most
+    # TILE distinct lambdas and betas each, and its batches, the first one
+    # cell alone and none of several cells over CHUNK // 2 polygons, build
+    # every polygon of the group once when no cell is dropped
     with mock.patch.object(schemes, "CHUNK", chunk):
         for ch in (SHOWCASE[1], EDGE[0], CROWDED[0]):
             for scheme in VARIANTS:
                 ((rows, cols, _),) = schemes._groups(ch, [scheme], GRID17)
                 n1, n2 = len(rows[0]), len(cols[0])
-                cells = schemes._cells(ch, rows, cols)
-                if cells is None:
+                planned = []
+                with _spy("_cell_pairs") as cut, \
+                        _spy("_key_splitting_base") as built:
+                    blocks = list(schemes._walk(ch, rows, cols,
+                                                _keep_every_cell(planned)))
+                if not planned:
                     assert n1 * n2 <= chunk // 2, (chunk, scheme)
-                    (block,) = schemes._blocks(ch, rows, cols)
+                    (block,) = blocks
                     assert all(b.size == n1 * n2 for b in block)
                     continue
                 assert n1 * n2 > chunk // 2, (chunk, scheme)
+                assert len(planned) == 1, (chunk, scheme)
                 for pairs in (rows, cols):
                     order, starts = _tiles(*pairs)
                     assert sorted(order) == list(range(len(pairs[0])))
                     for tile in np.split(order, starts[1:]):
                         assert all(len(np.unique(a[tile])) <= schemes.TILE
                                    for a in pairs), (chunk, scheme)
-                base, _, _, batches = cells
-                with _spy("_cell_pairs") as cut, \
-                        _spy("_key_splitting_base") as built:
-                    for _ in batches(np.arange(base[0].size),
-                                     lambda todo: np.ones(todo.size, bool)):
-                        pass
                 axes = [[np.unique(a) for a in pairs] for pairs in (rows, cols)]
                 assert [len(l) * len(b) for l, b in axes] == [n1, n2]
                 seen = []
@@ -824,14 +856,17 @@ def test_row_block_terms_equal_the_whole_grid_terms(chunk):
                 whole = _whole_grid_terms(ch, scheme, GRID17)
                 ((rows, cols, _),) = schemes._groups(ch, [scheme], GRID17)
                 assert len(rows[0]) * len(cols[0]) == whole[0].size
+                planned = []
+                walk = schemes._walk(ch, rows, cols,
+                                     _keep_every_cell(planned))
+                block = next(walk)
                 if whole[0].size > chunk // 2:
-                    assert schemes._cells(ch, rows, cols), (chunk, scheme)
+                    assert planned, (chunk, scheme)
                     continue
-                assert schemes._cells(ch, rows, cols) is None
+                assert not planned and next(walk, None) is None
                 with _spy("_key_splitting_base") as built:
                     sweep_region(ch, scheme, GRID17)
                 assert built.call_count == 1, (chunk, ch, scheme)
-                (block,) = schemes._blocks(ch, rows, cols)
                 assert [b.tobytes() for b in block] == \
                     [w.ravel().tobytes() for w in whole], (chunk, ch, scheme)
 
@@ -926,8 +961,8 @@ def test_base_is_reused_across_key_rates_and_schemes():
     # each group's block of terms is built once per pass, for every scheme
     # that shares it and every key rate: sweep_regions builds every
     # (lambda1, beta1) pair once, max_sum_rates each undominated pair once;
-    # above CHUNK // 2 polygons both walk cells instead, sweep_regions once
-    # per scheme, max_sum_rates once per group for every scheme and key rate
+    # above CHUNK // 2 polygons both walk cells instead, once per group for
+    # every scheme (and key rate)
     ch = SHOWCASE[1]
     _assert_shared_pass_is_exact(ch, COARSE)
     axis = np.linspace(0.0, 1.0, 9)  # every axis of COARSE
@@ -969,8 +1004,7 @@ def test_base_is_reused_across_key_rates_and_schemes():
                 assert set(split(zip(*built))) <= set(want), sweep
                 assert set(rows) <= set(unlayered), sweep
                 for members in groups:
-                    _assert_walked_cells(calls[members], len(members)
-                                         if sweep is sweep_regions else 1)
+                    _assert_walked_cells(calls[members], 1)
             else:
                 # each group built in one block
                 assert [len(calls[g]) for g in groups] == [1, 1, 1], sweep
@@ -1011,6 +1045,25 @@ def test_base_is_rebuilt_when_channel_or_axes_change(change):
         max_sum_rates(other, VARIANTS, grid, RKS)
     assert all(c.args[0] is other for c in layered.call_args_list), change
     _assert_shared_pass_is_exact(other, grid)
+
+
+def test_fine_grid_walk_keeps_no_cell_table():
+    # the walk drops the cell bounds once the plan has read them: the five
+    # variants on the fine grid (83,521 cells in the layered group) peaked
+    # at 10.6 MB of traced allocations while every bound stayed alive for
+    # the whole walk and each member walked the table on its own, and peak
+    # at 8.7 MB with one walk per group that releases them (numpy 2.4.6,
+    # Python 3.11)
+    ch = ChannelParams(1, 1, 0.6, 100, 100, rk=1.0)
+    fine = GridSpec(n_lambda1=49, n_lambda2=49, n_beta1=49, n_beta2=49,
+                    n_eta=31)
+    tracemalloc.start()
+    try:
+        sweep_regions(ch, VARIANTS, fine)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9.5e6, peak
 
 
 def test_sweeps_never_hold_the_whole_grid():
@@ -1182,43 +1235,47 @@ def test_lean_cell_bounds_equal_the_three_call_form():
     assert wild == {False, True}
 
 
-def _full_sort_cells(cells, ch, rows, cols):
-    """cells(ch, rows, cols) with the batches of a walk that stable-sorts
-    every cell first, restated."""
-    table = cells(ch, rows, cols)
-    if table is None:
-        return None
+def _full_sort_walk(ch, rows, cols, plan):
+    """schemes._walk restated with a walk that stable-sorts every cell
+    before the first and prunes the cells left after each batch."""
+    if len(rows[0]) * len(cols[0]) <= schemes.CHUNK // 2:
+        yield [b.ravel() for b in np.broadcast_arrays(
+            *schemes._key_splitting_base(ch, rows[0][:, None], cols[0][None],
+                                         rows[1][:, None], cols[1][None]))]
+        return
     (o1, s1), (o2, s2) = _tiles(*rows), _tiles(*cols)
     rows, cols = [a[o1] for a in rows], [a[o2] for a in cols]
+    *base, slack_lo = schemes._key_splitting_cells(ch, rows, cols, (s1, s2))
+    wild = ~np.all([np.isfinite(b) for b in base], axis=0)
+    ub, live = plan(base, slack_lo)
+    ub = np.where(wild, math.inf, ub)
     k1, k2 = np.diff(s1, append=len(o1)), np.diff(s2, append=len(o2))
     size = np.outer(k1, k2).ravel()
     half = schemes.CHUNK // 2
-
-    def batches(key, live):
-        todo, n = np.argsort(key, kind="stable"), 1
-        while todo.size:
-            t1, t2 = np.divmod(todo[:n], len(k2))
-            r, c = schemes._cell_pairs(s1[t1], k1[t1], s2[t2], k2[t2])
-            yield schemes._key_splitting_base(ch, rows[0][r], cols[0][c],
-                                              rows[1][r], cols[1][c])
-            todo = todo[n:]
-            todo = todo[live(todo)] if todo.size else todo
-            n = max(1, int(np.searchsorted(np.cumsum(size[todo[:half + 1]]),
-                                           half, side="right")))
-
-    return (*table[:3], batches)
+    todo, n = np.argsort(-ub, kind="stable"), 1
+    while todo.size:
+        t1, t2 = np.divmod(todo[:n], len(k2))
+        r, c = schemes._cell_pairs(s1[t1], k1[t1], s2[t2], k2[t2])
+        yield schemes._key_splitting_base(ch, rows[0][r], cols[0][c],
+                                          rows[1][r], cols[1][c])
+        todo = todo[n:]
+        judged = todo[~wild[todo]]  # live sees no wild cell and no empty set
+        if judged.size:
+            todo = todo[~np.isin(todo, judged[~live(judged)])]
+        n = max(1, int(np.searchsorted(np.cumsum(size[todo[:half + 1]]),
+                                       half, side="right")))
 
 
 def test_survivor_sort_builds_the_cells_of_a_full_sort():
     # at CHUNK 1458 both sweeps walk GRID17's layered groups in many
     # batches; sorting only the cells left after the first builds the
     # terms of a walk that sorts every cell, call for call
-    cells, calls = schemes._cells, []
+    calls = []
     for ch in SHOWCASE + EDGE + CROWDED:
         runs = []
-        for table in (cells, functools.partial(_full_sort_cells, cells)):
+        for walk in (schemes._walk, _full_sort_walk):
             with mock.patch.object(schemes, "CHUNK", 1458), \
-                    mock.patch.object(schemes, "_cells", table), \
+                    mock.patch.object(schemes, "_walk", walk), \
                     _spy("_key_splitting_base") as built:
                 sweep_regions(ch, VARIANTS, GRID17)
                 max_sum_rates(ch, VARIANTS, GRID17, WALK_RKS)
@@ -1235,20 +1292,6 @@ SEVEN = GridSpec(n_lambda1=7, n_lambda2=7, n_beta1=7, n_beta2=7, n_eta=2)
 SEVEN_CHUNK = 200
 
 
-@functools.lru_cache(maxsize=None)
-def _seven_walks():
-    """The batches of SHOWCASE[1]'s key_splitting group on SEVEN, and
-    those of a full sort (_full_sort_cells)."""
-    ch = SHOWCASE[1]
-    ((rows, cols, _),) = schemes._groups(ch, ["key_splitting"], SEVEN)
-    with mock.patch.object(schemes, "CHUNK", SEVEN_CHUNK):
-        tables = [cells(ch, rows, cols) for cells in (
-            schemes._cells,
-            functools.partial(_full_sort_cells, schemes._cells))]
-    assert all(t[0][0].size == 81 for t in tables)
-    return [t[3] for t in tables]
-
-
 sort_key = st.one_of(st.sampled_from([-math.inf, math.inf, math.nan, 0.0,
                                       -0.0, 1.0, -1.0]),
                      st.floats(-3.0, 3.0))
@@ -1263,17 +1306,23 @@ def test_survivor_sort_matches_a_full_sort(keys, seed, share):
     # sort, and live judges the same cells at every step
     key = np.array(keys)
     masks = np.random.default_rng(seed).random((key.size, key.size)) < share
+    ch = SHOWCASE[1]
+    ((rows, cols, _),) = schemes._groups(ch, ["key_splitting"], SEVEN)
     runs = []
-    for batches in _seven_walks():
+    for walk in (schemes._walk, _full_sort_walk):
         judged = []
 
         def live(todo):
             judged.append(sorted(todo.tolist()))
             return masks[len(judged) - 1][todo]
 
+        def plan(base, slack_lo):
+            assert base[0].size == key.size
+            return -key, live  # descending ub: ascending key
+
         with mock.patch.object(schemes, "CHUNK", SEVEN_CHUNK), \
                 _spy("_cell_pairs") as cut:
-            for _ in batches(key, live):
+            for _ in walk(ch, rows, cols, plan):
                 pass
         # the tile starts and sizes of every cell, batch by batch
         runs.append(([[a.tobytes() for a in c.args] for c in

@@ -52,8 +52,9 @@ def _draws(seed: int, n: int):
 
 SHOWCASE = ["--h11", "1", "--h22", "1", "--p1", "100", "--p2", "100"]
 COMMANDS = [
+    # the default grid on every (h21, rk) showcase pair
     *(["region", *SHOWCASE, "--h21", h21, "--rk", rk]
-      for h21, rk in (("0.6", "0.2"), ("0.8", "1"), ("1.2", "2"))),
+      for h21 in ("0.6", "0.8", "1.2") for rk in ("0.2", "1", "2")),
     *_draws(7, 4),
     ["sumrate", *SHOWCASE, "--h21", "0.6", "--rk-min", "0", "--rk-max", "2",
      "--rk-steps", "5", "--sweep-powers"],
