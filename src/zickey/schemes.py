@@ -18,6 +18,7 @@ at lambda1 = lambda2 = 1) into caps (r1_cap, r2_cap, sum_cap); a missing
 sum face is +inf. sweep_regions evaluates schemes over a parameter grid
 and returns, per scheme, the down-closed convex hull of every induced rate
 polygon; max_sum_rates gives their largest sum rates at several key rates.
+Both run one driver, _sweep, on a (bound, fold) pair of their own.
 """
 
 from __future__ import annotations
@@ -394,7 +395,7 @@ def _groups(ch, schemes, grid, undominated=False):
         for axis, n in counts.items():
             if n == 1:
                 warnings.warn(f"swept axis {axis} has fewer than 2 points; "
-                              "the region will be badly undersampled",
+                              "the sweep will be badly undersampled",
                               stacklevel=level)
     pairs = functools.cache(functools.partial(_user_pairs, ch, undominated))
     groups = {}
@@ -438,18 +439,28 @@ def _cell_caps(ch, clip, etas, base, slack_lo):
     return (*clip(ch, base, etas[0]), 0.0)
 
 
-def _cell_corners(ch, clip, etas, base, slack_lo):
-    """(ax, by): per cell, at least min(r1, sum) and min(r2, sum) of its
-    polygons at every key fraction of etas (_cell_caps)."""
-    r1, r2, rsum, margin = _cell_caps(ch, clip, etas, base, slack_lo)
-    return np.minimum(r1, rsum) + margin, np.minimum(r2, rsum) + margin
+def _reaches(front, ax, by):
+    """False where a front point past ax's bucket has y >= by; not on nan."""
+    return ~(by <= staircase(front, ax))
 
 
-def _cell_sums(ch, clip, etas, base, slack_lo):
-    """(ub, margin): per cell, no sum rate of its polygons at a key
-    fraction of etas exceeds ub + margin (_cell_caps)."""
+def _corners(ch, clip, etas, base, slack_lo):
+    """The region bound: (ax + by, keep) per cell, (ax, by) at least both
+    corners of its polygons at every key fraction of etas (_cell_caps), and
+    keep(front, cells) _reaches on the cells' (ax, by)."""
     r1, r2, rsum, margin = _cell_caps(ch, clip, etas, base, slack_lo)
-    return np.minimum(rsum, r1 + r2), margin
+    ax, by = np.minimum(r1, rsum) + margin, np.minimum(r2, rsum) + margin
+    del r1, r2, rsum  # the caps go before the score is made
+    return ax + by, lambda front, cells: _reaches(front, ax[cells], by[cells])
+
+
+def _sums(ch, clip, etas, base, slack_lo):
+    """The sum-rate bound: (ub, keep) per cell, no sum rate of its polygons
+    at a key fraction of etas above ub + margin (_cell_caps), and keep(best,
+    cells) False where ub is below best - margin, never on nan."""
+    r1, r2, rsum, margin = _cell_caps(ch, clip, etas, base, slack_lo)
+    ub = np.minimum(rsum, r1 + r2)
+    return ub, lambda best, cells: ~(ub[cells] < best - margin)
 
 
 def _walk(ch, rows, cols, plan):
@@ -463,10 +474,11 @@ def _walk(ch, rows, cols, plan):
     cells go in the stable descending order of ub (nan last), a cell with
     a non-finite base as +inf: the first alone, then about CHUNK // 2
     polygons at a time, and before each batch the cells left where
-    live(cells), which judges each on its own, is False go. live never
-    sees an empty set or a cell with a non-finite base, which always
-    stays. Only the cells left after the first are sorted, stably, which
-    keeps their order in the sort of all.
+    live(cells), which judges each on its own, is False go; the first
+    time at most CHUNK // 2 + 1 cells a call. live never sees an empty set
+    or a cell with a non-finite base, which always stays. Only the cells
+    left after the first are sorted, stably, which keeps their order in
+    the sort of all.
     """
     if len(rows[0]) * len(cols[0]) <= CHUNK // 2:
         args = [a for u1, u2 in zip(rows, cols)
@@ -499,7 +511,9 @@ def _walk(ch, rows, cols, plan):
     low = np.fmin.reduce(key)  # nan only where every key is
     first = [0] if np.isnan(low) else np.flatnonzero(key == low)[:1]
     yield build(first)
-    todo = prune(np.delete(np.arange(key.size), first))
+    todo = np.delete(np.arange(key.size), first)
+    todo = np.concatenate([prune(t) for t in np.split(
+        todo, range(CHUNK // 2 + 1, todo.size, CHUNK // 2 + 1))])
     todo = todo[np.argsort(key[todo], kind="stable")]
     while todo.size:
         # no batch holds more than CHUNK // 2 + 1 cells
@@ -524,18 +538,18 @@ def _add_block(ch, clip, etas, block, front):
     batch of cells. On an empty front, the SEED_POLYGONS polygons of the
     largest corner bounds ax + by go first, so that the rest meet a front.
     With several key fractions and a front, the block is first bounded
-    over all of them at once; only the polygons whose bounded corners no
-    front point matches are evaluated.
+    over all of them at once; only the polygons whose bounded corners may
+    reach the front are evaluated.
     """
     polygons = block
     if len(etas) > 1 or not len(front):
         # each polygon is its own cell, its slack the least
-        ax, by = _cell_corners(ch, clip, etas, block, block[3])
-        if not len(front) and ax.size > SEED_POLYGONS:
-            top = np.argpartition(-(ax + by), SEED_POLYGONS)[:SEED_POLYGONS]
+        score, keep = _corners(ch, clip, etas, block, block[3])
+        if not len(front) and score.size > SEED_POLYGONS:
+            top = np.argpartition(-score, SEED_POLYGONS)[:SEED_POLYGONS]
             front = _add_block(ch, clip, etas, [b[top] for b in block], front)
         if len(etas) > 1 and len(front):
-            live = by > staircase(front, ax)
+            live = keep(front, ...)
             polygons = [b[live] for b in block]
             if not polygons[0].size:
                 return front
@@ -543,15 +557,67 @@ def _add_block(ch, clip, etas, block, front):
     for caps in _caps(ch, clip, etas, polygons, block[0].size):
         r1, r2, rsum = np.broadcast_arrays(*caps)
         if len(front):
-            # (ax, by) is at least as large as both corners of a
-            # polygon: it goes when a front point matches that in x, y
-            ax, by = np.minimum(r1, rsum), np.minimum(r2, rsum)
-            live = by > staircase(front, ax)
+            live = _reaches(front, np.minimum(r1, rsum), np.minimum(r2, rsum))
             if not live.any():  # the front is already its own Pareto set
                 continue
             r1, r2, rsum = r1[live], r2[live], rsum[live]
         front = pareto_filter(np.vstack([front, polygon_points(r1, r2, rsum)]))
     return front
+
+
+def _best_in_block(ch, clip, etas, block, best):
+    """The larger of best and the block's largest sum rate."""
+
+    def best_of(polygons):
+        return max(float(np.minimum(rsum, r1 + r2).max(initial=0.0))
+                   for r1, r2, rsum in _caps(ch, clip, etas, polygons, CHUNK))
+
+    if len(etas) > 1:
+        # each polygon is its own cell, its slack the least
+        ub, keep = _sums(ch, clip, etas, block, block[3])
+        top = np.argpartition(ub, max(0, ub.size - SEED_POLYGONS))
+        best = max(best, best_of([b[top[-SEED_POLYGONS:]] for b in block]))
+        live = keep(best, ...)
+        block = [b[live] for b in block]
+    return max(best, best_of(block))
+
+
+def _sweep(ch, schemes, grid, chs, start, bound, fold, undominated=False):
+    """{scheme: [start folded with every block of its polygons, at each
+    channel of chs]}; a job is one scheme at one channel.
+
+    Each group on the same power splits (_groups) is walked once (_walk),
+    every block folded into every job: state = fold(c, clip, etas, block,
+    state). bound(c, clip, etas, base, slack_lo) gives a job's (score,
+    keep) per cell; cells go largest score of any job first, and one goes
+    only where no job's keep(state, cells) holds: its fold would have
+    left every state as it is.
+    """
+    state = {scheme: [start] * len(chs) for scheme in schemes}
+    for rows, cols, members in _groups(ch, schemes, grid or GridSpec(),
+                                       undominated):
+        jobs = [(state[scheme], k, c, clip, etas)
+                for scheme, clip, etas in members for k, c in enumerate(chs)]
+
+        def plan(base, slack_lo):
+            score, keeps = -math.inf, []
+            for states, k, *args in jobs:
+                s, keep = bound(*args, base, slack_lo)
+                # copy the first score, which keep may read; fold the rest
+                score = np.maximum(score, s, out=score if keeps else None)
+                keeps.append((states, k, keep))
+                del s
+
+            def live(todo):  # a cell goes only where this holds, never on nan
+                return functools.reduce(np.logical_or, (
+                    keep(states[k], todo) for states, k, keep in keeps), False)
+
+            return score, live
+
+        for block in _walk(ch, rows, cols, plan):
+            for states, k, *args in jobs:
+                states[k] = fold(*args, block, states[k])
+    return state
 
 
 def sweep_regions(ch: ChannelParams, schemes,
@@ -562,39 +628,17 @@ def sweep_regions(ch: ChannelParams, schemes,
     product of the scheme's free parameter axes, a swept lambda2 with its
     noise-floor sample; pinned axes (the row's pins, and full_power's)
     contribute a single point.
-    Deterministic for identical inputs. Each group of schemes that share
-    their power splits (see _groups) is walked once (_walk), and every
-    block is fed to the running Pareto front of each member. Cells go
-    largest corner bound ax + by of any member first (_cell_corners), and
-    a cell goes when, for every member, a front point in a strictly higher
-    bucket than its ax has a y of at least its by, as in _add_block: that
-    point dominates both corners of its every polygon. So each front is
-    the Pareto set of every corner of every polygon, which does not hang
-    on their order, the same to the bit as one swept scheme by scheme.
+    Deterministic for identical inputs. Every block (_sweep) goes to the
+    running Pareto front of each member (_add_block), and a cell goes only
+    where every member's front dominates both corners of its every
+    polygon (_corners). So each front is the Pareto set of every corner
+    of every polygon, which does not hang on their order, the same to the
+    bit as one swept scheme by scheme.
     """
-    # Pareto set of every corner so far, per scheme
-    fronts = {scheme: np.empty((0, 2)) for scheme in schemes}
-    for rows, cols, members in _groups(ch, schemes, grid or GridSpec()):
-        def plan(base, slack_lo):
-            corners = [(scheme, *_cell_corners(ch, clip, etas, base, slack_lo))
-                       for scheme, clip, etas in members]
-
-            def live(todo):  # a cell goes only where this holds, never on nan
-                return np.logical_or.reduce([
-                    ~(by[todo] <= staircase(fronts[scheme], ax[todo]))
-                    for scheme, ax, by in corners])
-
-            ub = np.full(base[0].size, -math.inf)
-            for _, ax, by in corners:  # in place: the cell bounds are alive
-                np.maximum(ub, ax + by, out=ub)
-            return ub, live
-
-        for block in _walk(ch, rows, cols, plan):
-            for scheme, clip, etas in members:
-                fronts[scheme] = _add_block(ch, clip, etas, block,
-                                            fronts[scheme])
+    fronts = _sweep(ch, schemes, grid, [ch], np.empty((0, 2)), _corners,
+                    _add_block)
     # hull adds the axis corners back as projections of the other two
-    return {scheme: hull(fronts[scheme]) for scheme in schemes}
+    return {scheme: hull(fronts[scheme][0]) for scheme in schemes}
 
 
 def sweep_region(ch: ChannelParams, scheme: str,
@@ -633,60 +677,15 @@ def max_sum_rates(ch: ChannelParams, schemes, grid: GridSpec | None,
 
     A scheme is any name in VARIANTS; the channel's own rk is not read.
     Only the power splits no other split beats are built (see _groups).
-    Each group is walked once (_walk), and every block serves every
-    scheme that shares it, at every key rate. Where the group walks
-    cells, they go largest bound ub of any scheme's sum rates first
-    (_cell_sums), and before each batch a cell goes only when, for every
-    scheme and key rate, its ub is below the best sum rate so far less
-    the margin of the cells left. With several key fractions, a block is
-    first bounded over all of them at once; only polygons whose bound
-    reaches the best sum rate so far are evaluated at every fraction. A
-    polygon is skipped only when none of its sum rates can reach that
-    best, so the maximum is the one over every polygon, to the bit; a
-    cell with a non-finite bound is never dropped.
+    Every block (_sweep) serves every scheme that shares it at every key
+    rate (_best_in_block). Cells go largest bound ub first (_sums; no ub
+    falls as rk grows, so that is the ub at the largest key rate), and a
+    cell or polygon is skipped only when, for every scheme and key rate,
+    its ub is below the best sum rate so far less the margin; so the
+    maximum is the one over every polygon, to the bit.
     """
-    chs = [replace(ch, rk=rk) for rk in rks]
-    best = {scheme: [0.0] * len(chs) for scheme in schemes}
-    for rows, cols, members in _groups(ch, schemes, grid or GridSpec(),
-                                       undominated=True):
-        def plan(base, slack_lo):
-            def live(todo):  # a cell goes only where this holds, never on nan
-                cut = [b[todo] for b in base], slack_lo[todo]
-                keep = np.zeros(todo.size, bool)
-                for scheme, clip, etas in members:
-                    for c, b in zip(chs, best[scheme]):
-                        ub, margin = _cell_sums(c, clip, etas, *cut)
-                        keep |= ~(ub < b - margin)
-                return keep
-
-            # no ub falls as rk grows: the largest rk gives each cell's
-            # largest ub of any job
-            top = max(chs, key=lambda c: c.rk, default=ch)
-            return np.max([_cell_sums(top, clip, etas, base, slack_lo)[0]
-                           for _, clip, etas in members], axis=0), live
-
-        for block in _walk(ch, rows, cols, plan):
-            for scheme, clip, etas in members:
-                best[scheme] = [_best_in_block(c, clip, etas, block, b)
-                                for c, b in zip(chs, best[scheme])]
-    return best
-
-
-def _best_in_block(ch, clip, etas, block, best):
-    """The larger of best and the block's largest sum rate."""
-
-    def best_of(polygons):
-        return max(float(np.minimum(rsum, r1 + r2).max(initial=0.0))
-                   for r1, r2, rsum in _caps(ch, clip, etas, polygons, CHUNK))
-
-    if len(etas) > 1:
-        # each polygon is its own cell, its slack the least
-        ub, margin = _cell_sums(ch, clip, etas, block, block[3])
-        top = np.argpartition(ub, max(0, ub.size - SEED_POLYGONS))
-        best = max(best, best_of([b[top[-SEED_POLYGONS:]] for b in block]))
-        live = ub >= best - margin
-        block = [b[live] for b in block]
-    return max(best, best_of(block))
+    return _sweep(ch, schemes, grid, [replace(ch, rk=rk) for rk in rks], 0.0,
+                  _sums, _best_in_block, undominated=True)
 
 
 def max_sum_rate(ch: ChannelParams, scheme: str,

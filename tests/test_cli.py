@@ -736,6 +736,9 @@ def test_one_point_axes_warn_on_sum_rates_as_on_regions(tmp_path):
             warnings.simplefilter("always")
             assert main([*argv, "--grid", "n_lambda1=1,n_eta=1",
                          "--out-dir", str(tmp_path / argv[0])]) == 0
-        caught.append([str(w.message).split()[2] for w in got])
-    # key_splitting's lambda1 and eta, rate_splitting's lambda1
-    assert caught == [["lambda1", "eta", "lambda1"]] * 2
+        caught.append([str(w.message) for w in got])
+    # key_splitting's lambda1 and eta, rate_splitting's lambda1, in words
+    # that fit a sum-rate sweep as well as a region
+    assert caught == [[f"swept axis {axis} has fewer than 2 points; the "
+                       "sweep will be badly undersampled"
+                       for axis in ("lambda1", "eta", "lambda1")]] * 2

@@ -37,7 +37,7 @@ from zickey.geometry import hull, pareto_filter, staircase
 from zickey.schemes import (SCHEMES, VARIANTS, _key_bound,
                             _key_splitting_base, _key_splitting_cells,
                             _key_splitting_eta, _tiles, gdof_split_lambda2,
-                            max_sum_rates, sweep_regions)
+                            max_sum_rates, polygon_points, sweep_regions)
 
 SHOWCASE = [ChannelParams(1, 1, h21, 100, 100, rk=rk)
             for h21 in (0.6, 0.8, 1.2) for rk in (0.2, 1.0, 2.0)]
@@ -393,6 +393,7 @@ def test_cell_bound_covers_brute_force_terms():
     # under its cell's bound and its slack above the cell's least; a cell
     # of one polygon is bounded by that polygon's own terms
     rng = np.random.default_rng(22)
+    drops = set()
     for case in range(60):
         p1, p2 = 10.0 ** rng.uniform(-12, 12, 2) * (rng.random(2) > 0.1)
         h21 = rng.uniform(0.05, 3.0) * (rng.random() > 0.2)
@@ -425,23 +426,47 @@ def test_cell_bound_covers_brute_force_terms():
             assert [b[cell].tobytes() for b in upper] == \
                 [t.tobytes() for t in terms], ch
             assert slack_lo[cell].tobytes() == terms[3].tobytes(), ch
-        # and the cell's corner bounds hold at every key fraction, with a
-        # rounding margin no smaller than that of the polygons' own terms
+        # and the region sweep's bound: the cell's corner bounds (ax, by)
+        # hold at every key fraction, with a rounding margin no smaller
+        # than that of the polygons' own terms; its score is ax + by, and
+        # keep drops a cell only where the front dominates the corners of
+        # its every polygon at every key fraction
         top, r2max, margin = _key_bound(ch.rk, upper, slack_lo)
         flat = [t.ravel() for t in terms]
         assert margin >= _key_bound(ch.rk, flat, flat[3])[2], ch
         for etas in (np.array([1.0]), np.linspace(0.0, 1.0, 21)):
-            ax, by = schemes._cell_corners(ch, _key_splitting_eta, etas,
+            score, keep = schemes._corners(ch, _key_splitting_eta, etas,
                                            upper, slack_lo)
             if len(etas) > 1:
-                assert ax.tobytes() == \
-                    (np.minimum(upper[0], top) + margin).tobytes(), ch
-                assert by.tobytes() == \
-                    (np.minimum(r2max, top) + margin).tobytes(), ch
+                r1, r2, rsum, m = upper[0], r2max, top, margin
+            else:
+                r1, r2, rsum, m = (*_key_splitting_eta(ch, upper, etas[0]),
+                                   0.0)
+            ax, by = np.minimum(r1, rsum) + m, np.minimum(r2, rsum) + m
+            assert score.tobytes() == (ax + by).tobytes(), ch
+            # a front of the corners of about a third of the polygons
+            r1, r2, rsum = _key_splitting_eta(ch, flat, rng.choice(etas))
+            some = rng.random(r1.size) < 0.3
+            front = pareto_filter(polygon_points(r1[some], r2[some],
+                                                 rsum[some]))
+            dropped = ~keep(front, np.arange(score.size))
             for eta in etas:
                 r1, r2, rsum = _key_splitting_eta(ch, terms, eta)
-                assert np.all(np.minimum(r1, rsum) <= ax[cell]), (ch, eta)
-                assert np.all(np.minimum(r2, rsum) <= by[cell]), (ch, eta)
+                x, y = np.minimum(r1, rsum), np.minimum(r2, rsum)
+                assert np.all(x <= ax[cell]), (ch, eta)
+                assert np.all(y <= by[cell]), (ch, eta)
+                assert np.all(_dominated(front, x, y)[dropped[cell]]), \
+                    (ch, eta)
+            drops.update(dropped.tolist())
+    assert drops == {False, True}
+
+
+def _dominated(front, x, y):
+    """Where some point of front is at least (x, y) in both coordinates."""
+    order = np.argsort(-front[:, 0], kind="stable")
+    fx, fy = front[order, 0], np.maximum.accumulate(front[order, 1])
+    k = np.searchsorted(-fx, -x, side="right")  # the points with fx >= x
+    return (k > 0) & (fy[np.maximum(k - 1, 0)] >= y)
 
 
 def test_cells_with_a_non_finite_bound_are_never_dropped():
@@ -1052,8 +1077,9 @@ def test_fine_grid_walk_keeps_no_cell_table():
     # variants on the fine grid (83,521 cells in the layered group) peaked
     # at 10.6 MB of traced allocations while every bound stayed alive for
     # the whole walk and each member walked the table on its own, and peak
-    # at 8.7 MB with one walk per group that releases them (numpy 2.4.6,
-    # Python 3.11)
+    # at 8.7 MB with one walk per group that releases them; 9.1 MB with one
+    # driver for both sweeps, whose plan holds a running score while it
+    # bounds each job (numpy 2.4.6, Python 3.11)
     ch = ChannelParams(1, 1, 0.6, 100, 100, rk=1.0)
     fine = GridSpec(n_lambda1=49, n_lambda2=49, n_beta1=49, n_beta2=49,
                     n_eta=31)

@@ -56,8 +56,14 @@ COMMANDS = [
     *(["region", *SHOWCASE, "--h21", h21, "--rk", rk]
       for h21 in ("0.6", "0.8", "1.2") for rk in ("0.2", "1", "2")),
     *_draws(7, 4),
-    ["sumrate", *SHOWCASE, "--h21", "0.6", "--rk-min", "0", "--rk-max", "2",
-     "--rk-steps", "5", "--sweep-powers"],
+    # full power and the no-secrecy sum face
+    ["region", *SHOWCASE, "--h21", "0.6", "--rk", "1", "--full-power",
+     "--nonsecrecy-bound"],
+    # the sum rates along rk, at full power (the default) and power-swept
+    *(["sumrate", *SHOWCASE, "--h21", "0.6", "--rk-min", "0", "--rk-max", "2",
+       "--rk-steps", "5", *powers] for powers in ([], ["--sweep-powers"])),
+    ["sumrate", "--p", "100", "--rk", "1", "--alpha-min", "0.25",
+     "--alpha-max", "1.25", "--alpha-steps", "5"],
     # the alpha family's sum rates: tiny, moderate and huge powers, with
     # and without a key
     *(["sumrate", "--p", p, "--rk", rk, "--alpha-min", "0.25",
