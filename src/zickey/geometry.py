@@ -10,6 +10,7 @@ outputs.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -62,28 +63,37 @@ def _cross(o, a, b):
     return (exact > 0) - (exact < 0)
 
 
-def staircase(front, x):
-    """Per x, a y that some front point with larger x reaches, else -inf.
+def staircase(front, x=None):
+    """Per x, a y that some front point with larger x reaches, else -inf;
+    without x, that lookup (x -> y), on a table of the front built once.
 
     Binned dominance (Kung, Luccio & Preparata 1975): [0, the front's
     largest x] is cut into STAIR_BINS buckets by a monotone index, x < 0
     landing in the first; the y returned is the largest of the front
     points in buckets strictly above that of x, which all have a larger x.
+    A nan x reads -inf.
     """
     hi = float(front[:, 0].max())
     scale = (STAIR_BINS - 1) / hi if hi > 0.0 else 0.0
     if not 0.0 < scale < math.inf:  # one bucket, or no or a subnormal x range
-        return np.full(np.shape(x), -math.inf)
+        def lookup(v):
+            return np.full(np.shape(v), -math.inf)
+    else:
+        # an x past lim, or nan, lands in bucket STAIR_BINS - 1 or
+        # STAIR_BINS, with no front point above it; v * scale stays finite
+        lim = min(STAIR_BINS / scale, sys.float_info.max)
 
-    def bucket(v):
-        # both roundings are monotone, so larger x never lands lower
-        with np.errstate(over="ignore"):
-            return np.clip(v * scale, 0.0, STAIR_BINS).astype(np.intp)
+        def bucket(v):
+            # every step is monotone, so larger x never lands lower
+            return np.fmax(np.fmin(v, lim) * scale, 0.0).astype(np.intp)
 
-    top = np.full(STAIR_BINS + 2, -math.inf)
-    np.maximum.at(top, bucket(front[:, 0]), front[:, 1])
-    above = np.maximum.accumulate(top[::-1])[::-1][1:]
-    return above[bucket(x)]
+        top = np.full(STAIR_BINS + 2, -math.inf)
+        np.maximum.at(top, bucket(front[:, 0]), front[:, 1])
+        above = np.maximum.accumulate(top[::-1])[::-1][1:]
+
+        def lookup(v):
+            return above[bucket(v)]
+    return lookup if x is None else lookup(x)
 
 
 def pareto_filter(pts: np.ndarray) -> np.ndarray:

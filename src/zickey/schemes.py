@@ -108,25 +108,44 @@ def _key_splitting_powers(ch, lam1, lam2, b1, b2):
             lam2 * b2 * ch.p2, (1.0 - lam2) * b2 * ch.p2)
 
 
-def _key_splitting_terms(ch, p1m, p1a, p2p, p2c):
-    """(r1, common-layer minimum, cap_priv, sum-face log term) of the layer
-    powers; the sum-face term is inf or nan where the received powers
-    overflow."""
+def _key_splitting_factors(ch, p1m, p1a, p2p, p2c):
+    """Per-user factors of the terms (broadcastable inputs): user 1's
+    (1 + g11 p1a, g11 p1m), which read its layer powers alone, and user 2's
+    (g21 p2p, g21 p2c, C(g22 p2c / (1 + g22 p2p)), cap_priv = C(g22 p2p)),
+    which read its own alone."""
     g11, g22, g21 = ch.h11**2, ch.h22**2, ch.h21**2
     with np.errstate(over="ignore", invalid="ignore"):
-        n1 = 1.0 + g11 * p1a + g21 * p2p
-        r1 = _c(g11 * p1m / n1)
-        common = np.minimum(_c(g21 * p2c / n1),
-                            _c(g22 * p2c / (1.0 + g22 * p2p)))
-        cap_priv = _c(g22 * p2p)
-        rsum = _c((g11 * p1m + g21 * p2c) / n1)
-    return r1, common, cap_priv, rsum
+        return ((1.0 + g11 * p1a, g11 * p1m),
+                (g21 * p2p, g21 * p2c, _c(g22 * p2c / (1.0 + g22 * p2p)),
+                 _c(g22 * p2p)))
 
 
-def _leak(ch, p1a, p2p):
-    """What receiver 1 learns of user 2's private layer, its noise p1a."""
+def _key_splitting_terms(u1, u2):
+    """(r1, common-layer minimum, sum-face log term) of per-user factors
+    (_key_splitting_factors, broadcastable); the sum-face term is inf or nan
+    where the received powers overflow.
+
+    1 + g11 p1a + g21 p2p is (1 + g11 p1a) + g21 p2p, left to right, so each
+    term is the float of the same expression over the powers."""
+    (noise, m), (p, c, common, _) = u1, u2
     with np.errstate(over="ignore", invalid="ignore"):
-        return _c(ch.h21**2 * p2p / (1.0 + ch.h11**2 * p1a))
+        n1 = noise + p
+        return _c(m / n1), np.minimum(_c(c / n1), common), _c((m + c) / n1)
+
+
+def _leak(noise, p):
+    """What receiver 1 learns of user 2's private layer, C(g21 p2p / (1 +
+    g11 p1a)), of the factors noise = 1 + g11 p1a and p = g21 p2p."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _c(p / noise)
+
+
+def _base(u1, u2):
+    """The five terms of _key_splitting_base of per-user factors."""
+    r1, common, rsum = _key_splitting_terms(u1, u2)
+    cap_priv = u2[3]
+    # sums of huge received powers overflow; _finite then raises DomainError
+    return _finite(r1, common, cap_priv, cap_priv - _leak(u1[0], u2[0]), rsum)
 
 
 def _key_splitting_base(ch, lam1, lam2, b1, b2):
@@ -135,10 +154,15 @@ def _key_splitting_base(ch, lam1, lam2, b1, b2):
     Returns (r1, common-layer minimum, cap_priv, cap_priv - leak, sum-face
     log term); each VARIANTS row's clip adds its key clips.
     """
-    p1m, p1a, p2p, p2c = _key_splitting_powers(ch, lam1, lam2, b1, b2)
-    r1, common, cap_priv, rsum = _key_splitting_terms(ch, p1m, p1a, p2p, p2c)
-    # sums of huge received powers overflow; _finite then raises DomainError
-    return _finite(r1, common, cap_priv, cap_priv - _leak(ch, p1a, p2p), rsum)
+    return _base(*_key_splitting_factors(
+        ch, *_key_splitting_powers(ch, lam1, lam2, b1, b2)))
+
+
+def _block_terms(u1, u2, r, c):
+    """The five terms of _key_splitting_base of the polygons (r, c): rows r
+    of user 1's factor table u1 times columns c of user 2's u2
+    (broadcastable indices)."""
+    return _base([f[r] for f in u1], [f[c] for f in u2])
 
 
 def _key_splitting_cells(ch, rows, cols, starts):
@@ -149,9 +173,9 @@ def _key_splitting_cells(ch, rows, cols, starts):
     column starts); a cell is a row tile times a column tile, row tile
     major. Per cell: the five terms of _key_splitting_base, each at least
     that of every polygon of the cell, and a slack at most theirs. Each
-    term is taken where the layer powers favour it (see _groups): one
-    _key_splitting_terms call, cap_priv at the largest p2p on one row (it
-    reads p2p alone), and two _leak calls.
+    term is taken where the layer powers favour it (see _groups): the
+    factors at the tiles' power spans, one cells-wide _key_splitting_terms
+    call and two cells-wide _leak calls.
     """
     (l1, b1), (l2, b2) = rows, cols
     p1m, p1a, p2p, p2c = _key_splitting_powers(ch, l1[:, None], l2[None],
@@ -163,11 +187,13 @@ def _key_splitting_cells(ch, rows, cols, starts):
 
     (_, m1), (a1, a1_hi), (p2, p2_hi), (_, c2) = (
         span(p1m, 0), span(p1a, 0), span(p2p, 1), span(p2c, 1))
-    r1, common, cap_lo, rsum = _key_splitting_terms(ch, m1, a1, p2, c2)
-    cap_hi = _key_splitting_terms(ch, m1[:1], a1[:1], p2_hi, c2)[2]
-    leak_hi, leak_lo = _leak(ch, a1, p2_hi), _leak(ch, a1_hi, p2)
+    u1, u2 = _key_splitting_factors(ch, m1, a1, p2, c2)
+    (noise_hi, _), (p_hi, _, _, cap_hi) = _key_splitting_factors(
+        ch, m1, a1_hi, p2_hi, c2)
+    r1, common, rsum = _key_splitting_terms(u1, u2)
+    leak_hi, leak_lo = _leak(u1[0], p_hi), _leak(noise_hi, u2[0])
     return [b.ravel() for b in np.broadcast_arrays(
-        r1, common, cap_hi, cap_hi - leak_lo, rsum, cap_lo - leak_hi)]
+        r1, common, cap_hi, cap_hi - leak_lo, rsum, u2[3] - leak_hi)]
 
 
 def _key_splitting_eta(ch, base, eta):
@@ -340,10 +366,11 @@ def _groups(ch, schemes, grid, undominated=False):
     user 2's (lambda2, beta2) pairs, each lambda-major, a pinned lambda
     being 1; each user's pairs are built once per call for every scheme
     of the same (lambda, beta) counts (_user_pairs), and the group key is
-    their bytes. _key_splitting_base(ch, L1[:, None], L2[None], B1[:, None],
-    B2[None]) is the elementwise expression of the 4-D mesh, so each
-    polygon's terms are the same floats in any layout, in one block or in
-    cells (_walk); clip(ch, polygons of terms, eta) gives their (r1, r2,
+    their bytes. Each user's factors of the terms (_pair_factors) and the
+    terms of polygons gathered from them (_block_terms) are the elementwise
+    expressions of _key_splitting_base over the 4-D mesh, so each polygon's
+    terms are the same floats in any layout, in one block or in cells
+    (_walk); clip(ch, polygons of terms, eta) gives their (r1, r2,
     sum) caps at key fraction eta, or at each of a column of key
     fractions. A swept axis of one point draws a warning, which points at
     the first caller outside this module.
@@ -418,6 +445,13 @@ def _tiles(lam, beta):
     return order, np.flatnonzero(np.diff(tile[order], prepend=-1))
 
 
+def _pair_factors(ch, rows, cols):
+    """The per-user factors (_key_splitting_factors) of user 1's (lambda1,
+    beta1) pairs and of user 2's (lambda2, beta2) pairs, as two tables."""
+    return _key_splitting_factors(ch, *_key_splitting_powers(
+        ch, rows[0], cols[0], rows[1], cols[1]))
+
+
 def _cell_pairs(s1, k1, s2, k2):
     """Row and column indices of every polygon of cells whose row tiles
     begin at s1 and hold k1 rows, and whose column tiles begin at s2 and
@@ -465,7 +499,8 @@ def _sums(ch, clip, etas, base, slack_lo):
 
 def _walk(ch, rows, cols, plan):
     """The terms of a group's polygons (see _groups) as flat arrays, block
-    by block, each built only when iterated.
+    by block, each built only when iterated from the factor tables of the
+    group's pairs, taken once (_pair_factors, _block_terms).
 
     A group of at most CHUNK // 2 polygons is one block, its whole mesh,
     and plan is not called. A larger group walks cells, tiles of rows
@@ -481,13 +516,13 @@ def _walk(ch, rows, cols, plan):
     the sort of all.
     """
     if len(rows[0]) * len(cols[0]) <= CHUNK // 2:
-        args = [a for u1, u2 in zip(rows, cols)
-                for a in (u1[:, None], u2[None])]
-        yield [b.ravel() for b in
-               np.broadcast_arrays(*_key_splitting_base(ch, *args))]
+        yield [b.ravel() for b in np.broadcast_arrays(*_block_terms(
+            *_pair_factors(ch, rows, cols), np.arange(len(rows[0]))[:, None],
+            np.arange(len(cols[0]))))]
         return
     (o1, s1), (o2, s2) = _tiles(*rows), _tiles(*cols)
     rows, cols = [a[o1] for a in rows], [a[o2] for a in cols]
+    factors = _pair_factors(ch, rows, cols)
     *base, slack_lo = _key_splitting_cells(ch, rows, cols, (s1, s2))
     wild = ~np.logical_and.reduce([np.isfinite(b) for b in base])
     key, live = plan(base, slack_lo)
@@ -498,9 +533,8 @@ def _walk(ch, rows, cols, plan):
 
     def build(todo):
         t1, t2 = np.divmod(todo, len(k2))
-        r, c = _cell_pairs(s1[t1], k1[t1], s2[t2], k2[t2])
-        return _key_splitting_base(ch, rows[0][r], cols[0][c], rows[1][r],
-                                   cols[1][c])
+        return _block_terms(*factors,
+                            *_cell_pairs(s1[t1], k1[t1], s2[t2], k2[t2]))
 
     def prune(todo):
         keep = wild[todo]
@@ -539,7 +573,8 @@ def _add_block(ch, clip, etas, block, front):
     largest corner bounds ax + by go first, so that the rest meet a front.
     With several key fractions and a front, the block is first bounded
     over all of them at once; only the polygons whose bounded corners may
-    reach the front are evaluated.
+    reach the front are evaluated, and each pass of key fractions merges
+    only the corners that may (_reaching_corners).
     """
     polygons = block
     if len(etas) > 1 or not len(front):
@@ -555,14 +590,32 @@ def _add_block(ch, clip, etas, block, front):
                 return front
     # no more (polygon, key fraction) pairs at a time than polygons
     for caps in _caps(ch, clip, etas, polygons, block[0].size):
-        r1, r2, rsum = np.broadcast_arrays(*caps)
-        if len(front):
-            live = _reaches(front, np.minimum(r1, rsum), np.minimum(r2, rsum))
-            if not live.any():  # the front is already its own Pareto set
-                continue
-            r1, r2, rsum = r1[live], r2[live], rsum[live]
-        front = pareto_filter(np.vstack([front, polygon_points(r1, r2, rsum)]))
+        pts = _reaching_corners(front, *np.broadcast_arrays(*caps))
+        if len(pts):  # else the front is already its own Pareto set
+            front = pareto_filter(np.vstack([front, pts]))
     return front
+
+
+def _reaching_corners(front, r1, r2, rsum):
+    """The corners (polygon_points) of the polygons of caps (r1, r2, rsum)
+    that no front point with a larger x dominates: every corner on an empty
+    front. One staircase table of the front judges first each polygon's
+    corner bounds (ax, by) and then each corner of the polygons left, the
+    corner (ax, v3y) on the y already looked up at ax and (v4x, by) on one
+    more lookup; never on nan. A corner goes only where a front point
+    with a strictly larger x has at least its y, so the Pareto front of
+    the front and these corners is that of the front and every corner.
+    """
+    if not len(front):
+        return polygon_points(r1, r2, rsum)
+    above = staircase(front)
+    y = above(np.minimum(r1, rsum))
+    live = ~(np.minimum(r2, rsum) <= y)
+    if not live.any():
+        return front[:0]
+    pts, y = polygon_points(r1[live], r2[live], rsum[live]), y[live]
+    keep = ~(pts[:, 1] <= np.concatenate([y, above(pts[len(y):, 0])]))
+    return pts if keep.all() else pts[keep]
 
 
 def _best_in_block(ch, clip, etas, block, best):

@@ -23,6 +23,7 @@ import dataclasses
 import functools
 import math
 import tracemalloc
+from typing import NamedTuple
 from unittest import mock
 
 import numpy as np
@@ -488,13 +489,13 @@ def test_cells_with_a_non_finite_bound_are_never_dropped():
             (max_sum_rates, ([0.0, 1.0],), len(rows[0]) * len(cols[0]),
              2 * 729)):
         for scheme in ("key_splitting", "rate_splitting"):
-            with _spy("_key_splitting_base") as built, \
+            with _builds() as built, \
                     mock.patch.object(schemes, "CHUNK", chunk), \
                     mock.patch.object(schemes, "_key_splitting_cells",
                                       overflowing):
                 sweep(ch, [scheme], GRID17, *args)
-            assert sum(c.args[1].size for c in built.call_args_list) == \
-                polygons, (sweep, scheme)
+            assert sum(b.terms[0].size for b in built) == polygons, \
+                (sweep, scheme)
 
 
 tiny = st.sampled_from([0.0, 5e-324, 1e-300, 1e-16])
@@ -511,6 +512,30 @@ def test_staircase_only_claims_points_with_larger_x(rows, xs, bins):
         got = staircase(front, x)
     for xi, yi in zip(x, got):
         assert yi == -math.inf or yi in front[front[:, 0] > xi, 1], (xi, yi)
+
+
+# a sum cap may also be inf (no sum face) or nan, whose two corners are
+# (nan, nan); a nan r1 or r2 cap would put a nan beside a number, and
+# pareto_filter's own output then hangs on how its sort orders equal x
+sum_cap = st.one_of(coord, st.sampled_from([math.inf, math.nan]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(coord, coord), max_size=40),
+       st.lists(st.tuples(coord, coord, sum_cap), min_size=1, max_size=60),
+       st.sampled_from([2, 7, 4096]))
+def test_corner_test_keeps_the_pareto_front(rows, caps, bins):
+    # the region fold drops a corner only where a front point with a
+    # strictly larger x has at least its y, so the front of the front and
+    # the kept corners is, byte for byte, that of the front and every corner
+    front = pareto_filter(np.array(rows, dtype=float).reshape(-1, 2))
+    r1, r2, rsum = np.array(caps).T
+    every = polygon_points(r1, r2, rsum)
+    with mock.patch.object(geometry, "STAIR_BINS", bins):
+        kept = schemes._reaching_corners(front, r1, r2, rsum)
+    assert {p.tobytes() for p in kept} <= {p.tobytes() for p in every}
+    assert pareto_filter(np.vstack([front, kept])).tobytes() == \
+        pareto_filter(np.vstack([front, every])).tobytes(), (front, caps)
 
 
 @functools.lru_cache(maxsize=None)
@@ -578,10 +603,10 @@ def _assert_walked_sums_exact(chunk):
     for grid in (COARSE, GRID17):
         for i, ch in enumerate(SHOWCASE + EDGE + CROWDED):
             with mock.patch.object(schemes, "CHUNK", chunk), \
-                    _spy("_key_splitting_base") as built:
+                    _builds() as built:
                 sums = max_sum_rates(ch, VARIANTS, grid, WALK_RKS)
             assert sums == _ref_sums(i, grid), (chunk, grid, ch)
-            batches.append(built.call_count)
+            batches.append(len(built))
     return batches
 
 
@@ -647,11 +672,13 @@ def pair_cases(draw):
 
 
 def _built_by_max_sum_rates(ch, scheme, grid):
-    """The arguments max_sum_rates builds the terms of, in one block."""
-    with mock.patch.object(schemes, "CHUNK", 10**9), \
-            _spy("_key_splitting_base") as spy:
+    """The (lambda1, lambda2, beta1, beta2) pairs max_sum_rates builds the
+    terms of, in one block: its rows and columns."""
+    with mock.patch.object(schemes, "CHUNK", 10**9), _builds() as built:
         max_sum_rates(ch, [scheme], grid, [0.0])
-    return [a.ravel() for a in spy.call_args.args[1:]]
+    ((*pairs, terms),) = built
+    assert terms[0].size == pairs[0].size * pairs[1].size  # the whole mesh
+    return pairs
 
 
 def _kept_for(shared, own, kshared, kown):
@@ -788,27 +815,25 @@ def test_key_splitting_sweep_evaluates_few_key_fractions():
     # blocks built every polygon and evaluated 3.5 %)
     ch = ChannelParams(1, 1, 0.8, 100, 100, rk=1.0)
     grid = GridSpec()
-    with _spy("_key_splitting_eta") as spy, \
-            _spy("_key_splitting_base") as built:
+    with _spy("_key_splitting_eta") as spy, _builds() as built:
         sweep_region(ch, "key_splitting", grid)
     pairs = sum(np.broadcast(call.args[1][0], call.args[2]).size
                 for call in spy.call_args_list)
     polygons = grid.n_lambda1 * (grid.n_lambda2 + 1) * grid.n_beta1 \
         * grid.n_beta2
     assert 0 < pairs < 0.02 * polygons * grid.n_eta
-    assert sum(c.args[1].size for c in built.call_args_list) < 0.15 * polygons
+    assert 0 < sum(b.terms[0].size for b in built) < 0.15 * polygons
 
 
-def _whole_grid_terms(ch, scheme, grid):
-    """The eta-free terms of every polygon, built over the whole grid at once,
-    as (user 1's pairs, user 2's pairs): (lambda1, beta1) rows and
+def _whole_grid_terms(ch, scheme, grid, base=_key_splitting_base):
+    """The eta-free terms (base) of every polygon, built over the whole grid
+    at once, as (user 1's pairs, user 2's pairs): (lambda1, beta1) rows and
     (lambda2, beta2) columns, each lambda-major; beta1 x beta2 unlayered."""
     if scheme in ("key_as_wiretap", "one_time_pad"):
-        return np.broadcast_arrays(*_key_splitting_base(
+        return np.broadcast_arrays(*base(
             ch, 1.0, 1.0, np.linspace(0.0, 1.0, grid.n_beta1)[:, None],
             np.linspace(0.0, 1.0, grid.n_beta2)[None, :]))
-    whole = np.broadcast_arrays(*_key_splitting_base(
-        ch, *_axes(ch, scheme, grid)[:4]))
+    whole = np.broadcast_arrays(*base(ch, *_axes(ch, scheme, grid)[:4]))
     n1, n2, m1, m2 = whole[0].shape
     return [w.transpose(0, 2, 1, 3).reshape(n1 * m1, n2 * m2) for w in whole]
 
@@ -838,8 +863,7 @@ def test_row_blocks_cover_every_row_once(chunk):
                 ((rows, cols, _),) = schemes._groups(ch, [scheme], GRID17)
                 n1, n2 = len(rows[0]), len(cols[0])
                 planned = []
-                with _spy("_cell_pairs") as cut, \
-                        _spy("_key_splitting_base") as built:
+                with _spy("_cell_pairs") as cut, _builds() as built:
                     blocks = list(schemes._walk(ch, rows, cols,
                                                 _keep_every_cell(planned)))
                 if not planned:
@@ -857,10 +881,11 @@ def test_row_blocks_cover_every_row_once(chunk):
                                    for a in pairs), (chunk, scheme)
                 axes = [[np.unique(a) for a in pairs] for pairs in (rows, cols)]
                 assert [len(l) * len(b) for l, b in axes] == [n1, n2]
+                assert len(built) == cut.call_count, (chunk, scheme)
                 seen = []
-                for i, (c, b) in enumerate(zip(cut.call_args_list,
-                                               built.call_args_list)):
-                    n_cells, (l1, l2, b1, b2) = len(c.args[0]), b.args[1:]
+                for i, (c, (l1, l2, b1, b2, _)) in enumerate(
+                        zip(cut.call_args_list, built)):
+                    n_cells = len(c.args[0])
                     assert n_cells == 1 if i == 0 else \
                         n_cells == 1 or l1.size <= chunk // 2, (chunk, scheme)
                     seen.append(_position((l1, b1), *axes[0]) * n2 +
@@ -889,9 +914,9 @@ def test_row_block_terms_equal_the_whole_grid_terms(chunk):
                     assert planned, (chunk, scheme)
                     continue
                 assert not planned and next(walk, None) is None
-                with _spy("_key_splitting_base") as built:
+                with _builds() as built:
                     sweep_region(ch, scheme, GRID17)
-                assert built.call_count == 1, (chunk, ch, scheme)
+                assert len(built) == 1, (chunk, ch, scheme)
                 assert [b.tobytes() for b in block] == \
                     [w.ravel().tobytes() for w in whole], (chunk, ch, scheme)
 
@@ -905,22 +930,21 @@ def _position(pairs, lam, beta):
 
 @pytest.mark.parametrize("tile", [1, schemes.TILE])
 def test_cell_terms_equal_the_whole_grid_terms(tile):
-    # the walk builds a batch of cells from gathered pairs; each polygon's
-    # terms are the bits of the whole grid's, and no polygon is built twice
+    # the walk builds a batch of cells from gathered factors of the pairs;
+    # each polygon's terms are the bits of the whole grid's, and no polygon
+    # is built twice
     with mock.patch.object(schemes, "TILE", tile):
         for ch in SHOWCASE[::4] + EDGE + CROWDED[::3]:
             for scheme in ("key_splitting", "rate_splitting"):
                 whole = _whole_grid_terms(ch, scheme, GRID17)
                 lam1, lam2, beta1, beta2, _ = (a.ravel() for a in
                                                _axes(ch, scheme, GRID17))
-                with _spy("_key_splitting_base") as built:
+                with _builds() as built:
                     sweep_region(ch, scheme, GRID17)
                 seen = []
-                for call in built.call_args_list:
-                    l1, l2, b1, b2 = call.args[1:]
+                for l1, l2, b1, b2, got in built:
                     r = _position((l1, b1), lam1, beta1)
                     c = _position((l2, b2), lam2, beta2)
-                    got = _key_splitting_base(ch, l1, l2, b1, b2)
                     assert [g.tobytes() for g in got] == \
                         [w[r, c].tobytes() for w in whole], (tile, ch, scheme)
                     seen.append(r * whole[0].shape[1] + c)
@@ -964,21 +988,56 @@ def _spy(name):
         yield spy
 
 
+class Build(NamedTuple):
+    """One block the sweeps built (_block_terms): the lambda1, lambda2,
+    beta1 and beta2 arrays that its row and column indices pick from the
+    pairs whose factor tables it reads (_pair_factors), each raveled, so a
+    walked batch has one of each per polygon and a mesh one per row or
+    column; and the terms it returned."""
+
+    l1: np.ndarray
+    l2: np.ndarray
+    b1: np.ndarray
+    b2: np.ndarray
+    terms: tuple
+
+
+@contextlib.contextmanager
+def _builds():
+    """[Build of every block the sweeps build], filled as they go."""
+    tables, builds = [], []
+    pair_factors, block_terms = schemes._pair_factors, schemes._block_terms
+
+    def factored(ch, rows, cols):
+        tables.append((pair_factors(ch, rows, cols), rows, cols))
+        return tables[-1][0]
+
+    def built(u1, u2, r, c):
+        ((rows, cols),) = [(rows, cols) for (f1, f2), rows, cols in tables
+                           if f1 is u1 and f2 is u2]
+        terms = block_terms(u1, u2, r, c)
+        builds.append(Build(rows[0][r].ravel(), cols[0][c].ravel(),
+                            rows[1][r].ravel(), cols[1][c].ravel(), terms))
+        return terms
+
+    with mock.patch.object(schemes, "_pair_factors", factored), \
+            mock.patch.object(schemes, "_block_terms", built):
+        yield builds
+
+
 @contextlib.contextmanager
 def _built_per_group():
-    """{member schemes: the calls of _key_splitting_base made while the
-    sweep takes their group (_groups)}, filled as the sweep goes."""
+    """{member schemes: [Build of each block built while the sweep takes
+    their group (_groups)]}, filled as the sweep goes."""
     groups, calls = schemes._groups, {}
 
     def tagged(*args, **kwargs):
         for group in groups(*args, **kwargs):
-            start = built.call_count
+            start = len(built)
             yield group
-            calls[tuple(m[0] for m in group[2])] = \
-                built.call_args_list[start:]
+            calls[tuple(m[0] for m in group[2])] = built[start:]
 
-    with _spy("_key_splitting_base") as built, \
-            mock.patch.object(schemes, "_groups", tagged):
+    with _builds() as built, mock.patch.object(schemes, "_groups", tagged):
         yield calls
 
 
@@ -1018,11 +1077,10 @@ def test_base_is_reused_across_key_rates_and_schemes():
                     _built_per_group() as calls:
                 sweep(ch, VARIANTS, COARSE, *args)
             assert list(calls) == groups, (chunk, sweep)
-            built = [np.concatenate([c.args[i].ravel() for g in groups[:2]
-                                     for c in calls[g]]) for i in (1, 3)]
+            built = [np.concatenate([b[i] for g in groups[:2]  # l1 and b1
+                                     for b in calls[g]]) for i in (0, 2)]
             # the sum rates need only the largest beta1 without layers
-            rows = np.concatenate([c.args[3].ravel()
-                                   for c in calls[groups[2]]])
+            rows = np.concatenate([b.b1 for b in calls[groups[2]]])
             unlayered = list(axis) if sweep is sweep_regions else [1.0]
             if chunk == 1:
                 # each pair built is one the pass takes, in whole cells
@@ -1038,12 +1096,11 @@ def test_base_is_reused_across_key_rates_and_schemes():
 
 
 def _assert_walked_cells(calls, walks):
-    """Each block one whole cell, a tile of each user's pairs (TILE x TILE
+    """Each Build one whole cell, a tile of each user's pairs (TILE x TILE
     index pairs, fewer at an edge), and no polygon of a group built more
     than once per walk, `walks` of them."""
     seen = {}
-    for call in calls:
-        l1, l2, b1, b2 = (a.ravel() for a in call.args[1:])
+    for l1, l2, b1, b2, _ in calls:
         n1, n2 = len(set(zip(l1, b1))), len(set(zip(l2, b2)))
         assert max(n1, n2) <= schemes.TILE**2 and l1.size == n1 * n2
         for polygon in zip(l1, l2, b1, b2):
@@ -1066,9 +1123,10 @@ def test_base_is_rebuilt_when_channel_or_axes_change(change):
     grid = dataclasses.replace(COARSE, **{k: v for k, v in change.items()
                                           if k not in ch_fields})
     sweep_regions(ch, VARIANTS, COARSE)
-    with _spy("_key_splitting_base") as layered:
+    with _spy("_pair_factors") as layered:
         max_sum_rates(other, VARIANTS, grid, RKS)
-    assert all(c.args[0] is other for c in layered.call_args_list), change
+    assert layered.called and \
+        all(c.args[0] is other for c in layered.call_args_list), change
     _assert_shared_pass_is_exact(other, grid)
 
 
@@ -1079,10 +1137,14 @@ def test_fine_grid_walk_keeps_no_cell_table():
     # the whole walk and each member walked the table on its own, and peak
     # at 8.7 MB with one walk per group that releases them; 9.1 MB with one
     # driver for both sweeps, whose plan holds a running score while it
-    # bounds each job (numpy 2.4.6, Python 3.11)
+    # bounds each job, and 9.2 MB with factor tables of each user's pairs
+    # and the corner test (numpy 2.4.6, Python 3.11). The first sweep of a
+    # process also allocates about 1.1 MB once, so an untraced coarse sweep
+    # goes first, and the peak does not hang on the tests run before
     ch = ChannelParams(1, 1, 0.6, 100, 100, rk=1.0)
     fine = GridSpec(n_lambda1=49, n_lambda2=49, n_beta1=49, n_beta2=49,
                     n_eta=31)
+    sweep_regions(ch, VARIANTS, COARSE)
     tracemalloc.start()
     try:
         sweep_regions(ch, VARIANTS, fine)
@@ -1261,16 +1323,68 @@ def test_lean_cell_bounds_equal_the_three_call_form():
     assert wild == {False, True}
 
 
+# finite powers whose received sums overflow on some layered power splits
+OVERFLOWING = [ChannelParams(1, 1, 1, 1.5e308, 1.5e308, rk=1.0),
+               ChannelParams(1, 1, 1, 1e308, 1e308, rk=1.0)]
+
+
+def _ref_base(ch, lam1, lam2, b1, b2):
+    """_key_splitting_base restated from the layer powers (_ref_terms)."""
+    r1, common, cap_priv, leak, rsum = _ref_terms(
+        ch, *schemes._key_splitting_powers(ch, lam1, lam2, b1, b2))
+    return r1, common, cap_priv, cap_priv - leak, rsum
+
+
+def test_factored_terms_match_the_mesh_terms():
+    # each user's factors once per group and four log terms per polygon:
+    # the terms of a group's polygons, as one mesh or gathered in any order,
+    # are the bits of _key_splitting_base over the 4-D mesh, which are those
+    # of the terms restated from the layer powers, and both raise the same
+    # DomainError where a received power overflows
+    rng = np.random.default_rng(31)
+    grid = GridSpec(n_lambda1=9, n_lambda2=9, n_beta1=9, n_beta2=9)
+    raised = []
+    for ch in SHOWCASE + EDGE + CROWDED + EXTREME + OVERFLOWING:
+        for scheme in ("key_splitting", "rate_splitting_no_an",
+                       "key_as_wiretap"):
+            ((rows, cols, _),) = schemes._groups(ch, [scheme], grid)
+            factors = schemes._pair_factors(ch, rows, cols)
+            n1, n2 = len(rows[0]), len(cols[0])
+            mesh = np.arange(n1)[:, None], np.arange(n2)
+            r, c = np.divmod(rng.permutation(n1 * n2), n2)
+            try:
+                whole = _whole_grid_terms(ch, scheme, grid)
+            except DomainError:
+                raised.append((ch, scheme))
+                for at in (mesh, (r, c)):
+                    with pytest.raises(DomainError, match="overflow"):
+                        schemes._block_terms(*factors, *at)
+                continue
+            want = _whole_grid_terms(ch, scheme, grid, _ref_base)
+            assert [w.tobytes() for w in whole] == \
+                [w.tobytes() for w in want], (ch, scheme)
+            got = np.broadcast_arrays(*schemes._block_terms(*factors, *mesh))
+            assert [g.tobytes() for g in got] == \
+                [w.tobytes() for w in whole], (ch, scheme)
+            got = schemes._block_terms(*factors, r, c)
+            assert [g.tobytes() for g in got] == \
+                [w[r, c].tobytes() for w in whole], (ch, scheme)
+    # only the layered schemes' sums overflow
+    assert raised == [(ch, scheme) for ch in OVERFLOWING
+                      for scheme in ("key_splitting", "rate_splitting_no_an")]
+
+
 def _full_sort_walk(ch, rows, cols, plan):
     """schemes._walk restated with a walk that stable-sorts every cell
     before the first and prunes the cells left after each batch."""
     if len(rows[0]) * len(cols[0]) <= schemes.CHUNK // 2:
-        yield [b.ravel() for b in np.broadcast_arrays(
-            *schemes._key_splitting_base(ch, rows[0][:, None], cols[0][None],
-                                         rows[1][:, None], cols[1][None]))]
+        yield [b.ravel() for b in np.broadcast_arrays(*schemes._block_terms(
+            *schemes._pair_factors(ch, rows, cols),
+            np.arange(len(rows[0]))[:, None], np.arange(len(cols[0]))))]
         return
     (o1, s1), (o2, s2) = _tiles(*rows), _tiles(*cols)
     rows, cols = [a[o1] for a in rows], [a[o2] for a in cols]
+    factors = schemes._pair_factors(ch, rows, cols)
     *base, slack_lo = schemes._key_splitting_cells(ch, rows, cols, (s1, s2))
     wild = ~np.all([np.isfinite(b) for b in base], axis=0)
     ub, live = plan(base, slack_lo)
@@ -1282,8 +1396,7 @@ def _full_sort_walk(ch, rows, cols, plan):
     while todo.size:
         t1, t2 = np.divmod(todo[:n], len(k2))
         r, c = schemes._cell_pairs(s1[t1], k1[t1], s2[t2], k2[t2])
-        yield schemes._key_splitting_base(ch, rows[0][r], cols[0][c],
-                                          rows[1][r], cols[1][c])
+        yield schemes._block_terms(*factors, r, c)
         todo = todo[n:]
         judged = todo[~wild[todo]]  # live sees no wild cell and no empty set
         if judged.size:
@@ -1302,11 +1415,10 @@ def test_survivor_sort_builds_the_cells_of_a_full_sort():
         for walk in (schemes._walk, _full_sort_walk):
             with mock.patch.object(schemes, "CHUNK", 1458), \
                     mock.patch.object(schemes, "_walk", walk), \
-                    _spy("_key_splitting_base") as built:
+                    _builds() as built:
                 sweep_regions(ch, VARIANTS, GRID17)
                 max_sum_rates(ch, VARIANTS, GRID17, WALK_RKS)
-            runs.append([b"".join(np.asarray(a).tobytes() for a in c.args[1:])
-                         for c in built.call_args_list])
+            runs.append([b"".join(a.tobytes() for a in b[:4]) for b in built])
         assert runs[0] == runs[1], ch
         calls.append(len(runs[0]))
     # most channels walk many batches
