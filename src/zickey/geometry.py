@@ -49,50 +49,101 @@ class Region:
         return float(self.vertices.sum(axis=1).max())
 
 
+# Shewchuk's orient2d error bound, (3 + 16 eps) eps (|l| + |r|) with
+# eps = 2**-53, rounded up, and a floor for products that underflow
+_ORIENT_ERR = 2.0**-51
+_ORIENT_FLOOR = 1e-300
+
+
 def _cross(o, a, b):
     """(a - o) x (b - o) in floats, or its exact sign (-1, 0 or 1) where
-    rounding may have flipped it: within 2**-51 (|l| + |r|) + 1e-300 of 0,
-    l and r the two products (Shewchuk's orient2d bound is
-    (3 + 16 eps) eps (|l| + |r|), eps = 2**-53, plus underflow), it is
-    recomputed in rationals of the floats."""
+    rounding may have flipped it: within _ORIENT_ERR (|l| + |r|) +
+    _ORIENT_FLOOR of 0, l and r the two products, it is recomputed in
+    rationals of the floats."""
     left, right = (a[0] - o[0]) * (b[1] - o[1]), (a[1] - o[1]) * (b[0] - o[0])
-    if abs(left - right) > 2.0**-51 * (abs(left) + abs(right)) + 1e-300:
+    bound = _ORIENT_ERR * (abs(left) + abs(right)) + _ORIENT_FLOOR
+    if abs(left - right) > bound:
         return left - right
     o, a, b = ([Fraction(v) for v in p] for p in (o, a, b))
     exact = (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
     return (exact > 0) - (exact < 0)
 
 
-def staircase(front, x=None):
-    """Per x, a y that some front point with larger x reaches, else -inf;
-    without x, that lookup (x -> y), on a table of the front built once.
+def hull_candidates(front):
+    """A Pareto front (pareto_filter's output) less the points that bend
+    clearly inwards: hull's walk over the front, with (largest x, 0) put
+    before it and (0, largest y) after it, that pops a point only where
+    _cross's float value is negative beyond its error bound.
 
-    Binned dominance (Kung, Luccio & Preparata 1975): [0, the front's
-    largest x] is cut into STAIR_BINS buckets by a monotone index, x < 0
-    landing in the first; the y returned is the largest of the front
-    points in buckets strictly above that of x, which all have a larger x.
-    A nan x reads -inf.
+    A point that rounding leaves unclear stays for hull to decide exactly,
+    and the ends never bend inwards. Every point popped lies strictly
+    below the chord of two points that the down-closed hull of the front
+    holds, so it is no vertex: that hull, and every vertex byte hull
+    gives, are those of the whole front. Non-finite products never pop a
+    point.
     """
-    hi = float(front[:, 0].max())
+    if len(front) < 3:
+        return front
+    pts = front.tolist()
+    (x0, _), (_, yn) = pts[0], pts[-1]
+    walk, kept = [[x0, 0.0]], [-1]
+    for i, (qx, qy) in enumerate(pts + [[0.0, yn]]):
+        while len(walk) >= 2:
+            (ox, oy), (ax, ay) = walk[-2], walk[-1]
+            left, right = (ax - ox) * (qy - oy), (ay - oy) * (qx - ox)
+            if not left - right < -(_ORIENT_ERR * (abs(left) + abs(right))
+                                    + _ORIENT_FLOOR):
+                break
+            walk.pop()
+            kept.pop()
+        walk.append([qx, qy])
+        kept.append(i)
+    return front if len(kept) == len(pts) + 2 else front[kept[1:-1]]
+
+
+def staircase(front, x=None):
+    """Per x, a y with (x, y) in the down-closed hull of a front
+    (pareto_filter's output: x falling, y rising), or -inf; without x, that
+    lookup (x -> y), on a table of the front built once.
+
+    x goes to a bucket by a monotone index, the floor of min(x, lim), at
+    least 0, times scale = (STAIR_BINS - 1) / the largest x: x < 0 lands
+    in the first, x past the range and nan in one of the last two. Per
+    bucket k the table holds the chain through the front, x times scale,
+    read at k + 2, the right edge of the next bucket (np.interp), less a
+    margin; left of the front it is the largest y itself, read without
+    arithmetic, and past the front -inf. The chain never rises with x and
+    lies in the hull. Each x * scale rounds by at most (STAIR_BINS + 1)
+    eps (eps = 2**-53) plus 2**-1075, far less than the bucket of room, so
+    at every x of bucket k the chain through the front itself is at least
+    the chain read at k + 2. np.interp's slope form rounds that by at most
+    12 eps of the largest |y|, plus (STAIR_BINS + 3) 2**-1075 where a step
+    underflows; the margin, 16 eps of that |y| plus (STAIR_BINS + 4)
+    2**-1074, covers both and its own subtraction from the knots.
+    """
+    hi = float(front[0, 0])
     scale = (STAIR_BINS - 1) / hi if hi > 0.0 else 0.0
     if not 0.0 < scale < math.inf:  # one bucket, or no or a subnormal x range
         def lookup(v):
             return np.full(np.shape(v), -math.inf)
     else:
-        # an x past lim, or nan, lands in bucket STAIR_BINS - 1 or
-        # STAIR_BINS, with no front point above it; v * scale stays finite
+        # lim lies past the largest x, and v * scale stays finite
         lim = min(STAIR_BINS / scale, sys.float_info.max)
 
         def bucket(v):
             # every step is monotone, so larger x never lands lower
-            return np.fmax(np.fmin(v, lim) * scale, 0.0).astype(np.intp)
+            return (np.fmax(np.fmin(v, lim), 0.0) * scale).astype(np.intp)
 
-        top = np.full(STAIR_BINS + 2, -math.inf)
-        np.maximum.at(top, bucket(front[:, 0]), front[:, 1])
-        above = np.maximum.accumulate(top[::-1])[::-1][1:]
+        y = front[::-1, 1]
+        margin = float(np.abs(y).max()) * 2.0**-49 \
+            + (STAIR_BINS + 4) * 5e-324
+        # k + 2 for each bucket k, the last for x past the range
+        table = np.interp(np.arange(2.0, STAIR_BINS + 3.0),
+                          front[::-1, 0] * scale, y - margin, left=y[0],
+                          right=-math.inf)
 
         def lookup(v):
-            return above[bucket(v)]
+            return table[bucket(v)]
     return lookup if x is None else lookup(x)
 
 

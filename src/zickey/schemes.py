@@ -34,7 +34,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .channel import ChannelParams, DomainError, SchemeParams, _c
-from .geometry import Region, hull, pareto_filter, staircase
+from .geometry import (Region, hull, hull_candidates, pareto_filter,
+                       staircase)
 
 # a group of at most CHUNK // 2 polygons is one block; larger ones walk
 # cells of TILE x TILE (lambda1, beta1) times TILE x TILE (lambda2, beta2)
@@ -474,7 +475,8 @@ def _cell_caps(ch, clip, etas, base, slack_lo):
 
 
 def _reaches(front, ax, by):
-    """False where a front point past ax's bucket has y >= by; not on nan."""
+    """False where (ax, by) lies in the down-closed hull of the front, by
+    its staircase table (geometry.staircase); never on nan."""
     return ~(by <= staircase(front, ax))
 
 
@@ -566,15 +568,20 @@ def _caps(ch, clip, etas, polygons, pairs):
 
 
 def _add_block(ch, clip, etas, block, front):
-    """The Pareto front of `front` and the corners of a block's polygons.
+    """The hull candidates of `front` and the corners of a block's polygons.
 
     A block is one that _walk yields: the terms of a whole group or of a
-    batch of cells. On an empty front, the SEED_POLYGONS polygons of the
-    largest corner bounds ax + by go first, so that the rest meet a front.
-    With several key fractions and a front, the block is first bounded
-    over all of them at once; only the polygons whose bounded corners may
-    reach the front are evaluated, and each pass of key fractions merges
-    only the corners that may (_reaching_corners).
+    batch of cells. The front holds hull candidates (hull_candidates of
+    a Pareto front) of the corners merged so far: their down-closed hull
+    is that of every corner merged, and they hold its every vertex. On
+    an empty front, the SEED_POLYGONS polygons of the largest corner
+    bounds ax + by go first, every key fraction in one pass (at most
+    CHUNK (polygon, key fraction) pairs at a time), so that the rest meet
+    a front. With several key fractions and a front, the block is first
+    bounded over all of them at once; only the polygons whose bounded
+    corners may lie outside the front's down-closed hull are evaluated,
+    and each pass of key fractions merges only the corners that may
+    (_reaching_corners).
     """
     polygons = block
     if len(etas) > 1 or not len(front):
@@ -588,22 +595,24 @@ def _add_block(ch, clip, etas, block, front):
             polygons = [b[live] for b in block]
             if not polygons[0].size:
                 return front
-    # no more (polygon, key fraction) pairs at a time than polygons
-    for caps in _caps(ch, clip, etas, polygons, block[0].size):
+    # no more (polygon, key fraction) pairs at a time than polygons, or
+    # than CHUNK on an empty front
+    pairs = block[0].size if len(front) else max(block[0].size, CHUNK)
+    for caps in _caps(ch, clip, etas, polygons, pairs):
         pts = _reaching_corners(front, *np.broadcast_arrays(*caps))
-        if len(pts):  # else the front is already its own Pareto set
-            front = pareto_filter(np.vstack([front, pts]))
+        if len(pts):  # else the front's hull holds every corner
+            front = hull_candidates(pareto_filter(np.vstack([front, pts])))
     return front
 
 
 def _reaching_corners(front, r1, r2, rsum):
     """The corners (polygon_points) of the polygons of caps (r1, r2, rsum)
-    that no front point with a larger x dominates: every corner on an empty
-    front. One staircase table of the front judges first each polygon's
-    corner bounds (ax, by) and then each corner of the polygons left, the
-    corner (ax, v3y) on the y already looked up at ax and (v4x, by) on one
-    more lookup; never on nan. A corner goes only where a front point
-    with a strictly larger x has at least its y, so the Pareto front of
+    that may lie outside the front's down-closed hull: every corner on an
+    empty front. One staircase table of the front (geometry.staircase)
+    judges first each polygon's corner bounds (ax, by) and then each
+    corner of the polygons left, the corner (ax, v3y) on the y already
+    looked up at ax and (v4x, by) on one more lookup; never on nan. A
+    corner goes only where the table puts it in that hull, so the hull of
     the front and these corners is that of the front and every corner.
     """
     if not len(front):
@@ -682,11 +691,14 @@ def sweep_regions(ch: ChannelParams, schemes,
     noise-floor sample; pinned axes (the row's pins, and full_power's)
     contribute a single point.
     Deterministic for identical inputs. Every block (_sweep) goes to the
-    running Pareto front of each member (_add_block), and a cell goes only
-    where every member's front dominates both corners of its every
-    polygon (_corners). So each front is the Pareto set of every corner
-    of every polygon, which does not hang on their order, the same to the
-    bit as one swept scheme by scheme.
+    running hull candidates of each member (_add_block), and a cell goes
+    only where every member's candidates hold both corners of its every
+    polygon in their down-closed hull (_corners). So each member's
+    candidates have the down-closed hull of every corner of every
+    polygon and hold its every vertex; which other points they hold
+    hangs on the order of the blocks, but the region, which hull
+    decides exactly, is the same to the bit as one swept scheme by
+    scheme.
     """
     fronts = _sweep(ch, schemes, grid, [ch], np.empty((0, 2)), _corners,
                     _add_block)
